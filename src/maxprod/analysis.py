@@ -15,16 +15,16 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
-from typing import Sequence
+from dataclasses import asdict, dataclass, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import quadrature
-from .errors import InadmissibleKernelError, TruncationError
-from .kernels import (Kernel, _decay_coefficient, bspline,
-                      de_la_vallee_poussin, ensure_l1, fejer,
-                      lower_bound_constant, moment, normalize_domain_kind)
+from .errors import TruncationError
+from .kernels import (Kernel, _decay_coefficient, admissible_a_chi, bspline,
+                      de_la_vallee_poussin, ensure_l1, fejer, moment,
+                      normalize_domain_kind)
 from .operators import (OperatorConfig, evaluate_with_table_den,
                         linear_kantorovich_grid, operator_config)
 from .orlicz import (PhiFunction, exponential_phi, luxemburg_from_samples,
@@ -250,7 +250,7 @@ def modulus_of_continuity(f: Signal, delta: float,
 
 def run_convergence(f: Signal, kernel: Kernel, phi: PhiFunction, lam: float,
                     scales: Sequence[int], domain_kind: str | None = None,
-                    eval_grid=None, truncation_tol: float = 1e-3,
+                    truncation_tol: float = 1e-3,
                     threads: int | None = None) -> ConvergenceReport:
     """Measure sup, modular and Luxemburg errors of K_n f across scales."""
     scales = [int(n) for n in scales]
@@ -260,28 +260,15 @@ def run_convergence(f: Signal, kernel: Kernel, phi: PhiFunction, lam: float,
         "line" if f.is_line else "interval")
     if kind == "line" and not f.is_line:
         raise ValueError("line run requested for a bounded-domain signal")
-    a_chi = lower_bound_constant(kernel, kind)
-    if a_chi <= 0:
-        raise InadmissibleKernelError(
-            f"kernel {kernel.name!r} is inadmissible on domain kind {kind!r}")
+    a_chi = admissible_a_chi(kernel, kind)
     domain = None if kind == "line" else f.domain
 
     def cell(n: int):
         samples = _error_samples(f, kernel, n, a_chi, domain, truncation_tol)
-        if eval_grid is not None:
-            config = OperatorConfig(kernel=kernel, n=n, domain=domain,
-                                    a_chi=a_chi,
-                                    truncation_tol=truncation_tol)
-            table = mean_values(f, n, kind, interval=domain)
-            grid = np.asarray(eval_grid, dtype=float)
-            kv, _ = evaluate_with_table_den(config, table, grid)
-            sup_error = float(np.max(np.abs(kv - f.evaluate(grid))))
-        else:
-            sup_error = samples.sup_error
         mod = modular_from_samples(phi, lam * samples.deviations,
                                    samples.weights)
         lux = luxemburg_from_samples(phi, samples.deviations, samples.weights)
-        return sup_error, mod, lux, samples.den_ok
+        return samples.sup_error, mod, lux, samples.den_ok
 
     workers = _threads(threads)
     if workers > 1:
@@ -299,24 +286,18 @@ def run_convergence(f: Signal, kernel: Kernel, phi: PhiFunction, lam: float,
         signal=f.name)
 
 
-def check_modular_inequality(f: Signal, g: Signal, kernel: Kernel,
-                             phi: PhiFunction, lam: float, n: int,
-                             domain: Domain,
-                             tolerance: float = 1e-8) -> InequalityCheck:
-    """Modular Lipschitz inequality for the operator pair (K_n f, K_n g).
+def _pair_integrals(config: OperatorConfig, f: Signal, g: Signal,
+                    lhs_of: Callable, rhs_of: Callable, atol: float,
+                    rtol: float) -> tuple[float, float]:
+    """Integrals of lhs_of(|K_n f - K_n g|) and rhs_of(|f - g|).
 
-    lhs integrates phi(lam |K_n f - K_n g|); rhs is l1/m0 times the modular
-    of (m0/a) * 2 lam * |f - g|.  An infinite rhs makes the check vacuous
-    (flagged in the context string).
+    Both run over f's evaluation window, on the lattice half-cells merged
+    with the split points of both signals.
     """
-    kind = "line" if domain is None else "interval"
-    a_chi = lower_bound_constant(kernel, kind)
-    config = operator_config(kernel, n, domain)
-    m0 = moment(kernel, 0.0, 1e-8)
-    l1 = ensure_l1(kernel)
+    n, kind, domain = config.n, config.domain_kind, config.domain
     table_f = mean_values(f, n, kind, interval=domain)
     table_g = mean_values(g, n, kind, interval=domain)
-    window = _eval_window(f, kernel, a_chi, n)
+    window = _eval_window(f, config.kernel, config.a_chi, n)
     splits = sorted(set(f.split_points()) | set(g.split_points()))
     merged = Signal(name="pair", evaluate=f.evaluate, domain=f.domain,
                     support=f.support,
@@ -327,16 +308,32 @@ def check_modular_inequality(f: Signal, g: Signal, kernel: Kernel,
     def lhs_fn(x):
         kf, _ = evaluate_with_table_den(config, table_f, x)
         kg, _ = evaluate_with_table_den(config, table_g, x)
-        return phi.evaluate(lam * np.abs(kf - kg))
-
-    lhs = quadrature.adaptive(lhs_fn, edges, atol=1e-9, rtol=1e-10)
-    factor = 2.0 * lam * m0 / config.a_chi
+        return lhs_of(np.abs(kf - kg))
 
     def rhs_fn(x):
-        return phi.evaluate(factor * np.abs(f.evaluate(x) - g.evaluate(x)))
+        return rhs_of(np.abs(f.evaluate(x) - g.evaluate(x)))
 
-    rhs_modular = quadrature.adaptive(rhs_fn, edges, atol=1e-9, rtol=1e-10)
-    rhs = (l1 / m0) * rhs_modular
+    return (quadrature.adaptive(lhs_fn, edges, atol=atol, rtol=rtol),
+            quadrature.adaptive(rhs_fn, edges, atol=atol, rtol=rtol))
+
+
+def check_modular_inequality(f: Signal, g: Signal, kernel: Kernel,
+                             phi: PhiFunction, lam: float, n: int,
+                             domain: Domain,
+                             tolerance: float = 1e-8) -> InequalityCheck:
+    """Modular Lipschitz inequality for the operator pair (K_n f, K_n g).
+
+    lhs integrates phi(lam |K_n f - K_n g|); rhs is l1/m0 times the modular
+    of (m0/a) * 2 lam * |f - g|.  An infinite rhs makes the check vacuous
+    (flagged in the context string).
+    """
+    config = operator_config(kernel, n, domain)
+    m0 = moment(kernel, 0.0, 1e-8)
+    factor = 2.0 * lam * m0 / config.a_chi
+    lhs, rhs_modular = _pair_integrals(
+        config, f, g, lambda d: phi.evaluate(lam * d),
+        lambda d: phi.evaluate(factor * d), atol=1e-9, rtol=1e-10)
+    rhs = (ensure_l1(kernel) / m0) * rhs_modular
     context = (f"modular inequality: kernel={kernel.name} phi={phi.name} "
                f"lambda={lam:g} n={n}")
     return InequalityCheck.from_sides(lhs, rhs, tolerance, context)
@@ -348,38 +345,17 @@ def check_lp_lipschitz(f: Signal, g: Signal, kernel: Kernel, p: float, n: int,
     """L^p Lipschitz bound: |K_n f - K_n g|_p <= C(p, kernel) |f - g|_p."""
     if p < 1:
         raise ValueError("p must satisfy p >= 1")
-    kind = "line" if domain is None else "interval"
-    a_chi = lower_bound_constant(kernel, kind)
     config = operator_config(kernel, n, domain)
     m0 = moment(kernel, 0.0, 1e-8)
-    l1 = ensure_l1(kernel)
-    table_f = mean_values(f, n, kind, interval=domain)
-    table_g = mean_values(g, n, kind, interval=domain)
-    window = _eval_window(f, kernel, a_chi, n)
-    splits = sorted(set(f.split_points()) | set(g.split_points()))
-    merged = Signal(name="pair", evaluate=f.evaluate, domain=f.domain,
-                    support=f.support,
-                    kinks=tuple(t for t in splits
-                                if window[0] < t < window[1]))
-    edges = _quad_panels(merged, window, n)
-
-    def lhs_fn(x):
-        kf, _ = evaluate_with_table_den(config, table_f, x)
-        kg, _ = evaluate_with_table_den(config, table_g, x)
-        return np.abs(kf - kg) ** p
-
-    lhs = quadrature.adaptive(lhs_fn, edges, atol=1e-12, rtol=1e-11) ** (1.0 / p)
-
-    def diff_fn(x):
-        return np.abs(f.evaluate(x) - g.evaluate(x)) ** p
-
-    fg_norm = quadrature.adaptive(diff_fn, edges, atol=1e-12,
-                                  rtol=1e-11) ** (1.0 / p)
-    constant = 2.0 * (m0 ** (p - 1.0) * l1) ** (1.0 / p) / config.a_chi
-    rhs = constant * fg_norm
+    lhs_p, fg_p = _pair_integrals(config, f, g, lambda d: d ** p,
+                                  lambda d: d ** p, atol=1e-12, rtol=1e-11)
+    constant = (2.0 * (m0 ** (p - 1.0) * ensure_l1(kernel)) ** (1.0 / p)
+                / config.a_chi)
+    rhs = constant * fg_p ** (1.0 / p)
     context = (f"Lp Lipschitz: kernel={kernel.name} p={p:g} n={n} "
                f"constant={constant:.6g}")
-    return InequalityCheck.from_sides(lhs, rhs, tolerance, context)
+    return InequalityCheck.from_sides(lhs_p ** (1.0 / p), rhs, tolerance,
+                                      context)
 
 
 def check_zygmund_lipschitz(f: Signal, g: Signal, kernel: Kernel, lam: float,
@@ -390,36 +366,12 @@ def check_zygmund_lipschitz(f: Signal, g: Signal, kernel: Kernel, lam: float,
     lhs: integral of |Kf - Kg| log(lam |Kf - Kg| + e);
     rhs: (2 l1 / a) * integral of |f - g| log((m0/a) 2 lam |f - g| + e).
     """
-    kind = "line" if domain is None else "interval"
-    a_chi = lower_bound_constant(kernel, kind)
     config = operator_config(kernel, n, domain)
-    m0 = moment(kernel, 0.0, 1e-8)
-    l1 = ensure_l1(kernel)
-    table_f = mean_values(f, n, kind, interval=domain)
-    table_g = mean_values(g, n, kind, interval=domain)
-    window = _eval_window(f, kernel, a_chi, n)
-    splits = sorted(set(f.split_points()) | set(g.split_points()))
-    merged = Signal(name="pair", evaluate=f.evaluate, domain=f.domain,
-                    support=f.support,
-                    kinks=tuple(t for t in splits
-                                if window[0] < t < window[1]))
-    edges = _quad_panels(merged, window, n)
-
-    def lhs_fn(x):
-        kf, _ = evaluate_with_table_den(config, table_f, x)
-        kg, _ = evaluate_with_table_den(config, table_g, x)
-        d = np.abs(kf - kg)
-        return d * np.log(lam * d + math.e)
-
-    lhs = quadrature.adaptive(lhs_fn, edges, atol=1e-10, rtol=1e-10)
-    factor = 2.0 * lam * m0 / config.a_chi
-
-    def rhs_fn(x):
-        d = np.abs(f.evaluate(x) - g.evaluate(x))
-        return d * np.log(factor * d + math.e)
-
-    rhs = (2.0 * l1 / config.a_chi) * quadrature.adaptive(
-        rhs_fn, edges, atol=1e-10, rtol=1e-10)
+    factor = 2.0 * lam * moment(kernel, 0.0, 1e-8) / config.a_chi
+    lhs, rhs_integral = _pair_integrals(
+        config, f, g, lambda d: d * np.log(lam * d + math.e),
+        lambda d: d * np.log(factor * d + math.e), atol=1e-10, rtol=1e-10)
+    rhs = (2.0 * ensure_l1(kernel) / config.a_chi) * rhs_integral
     context = (f"Zygmund instance: kernel={kernel.name} lambda={lam:g} n={n}")
     return InequalityCheck.from_sides(lhs, rhs, tolerance, context)
 
@@ -431,11 +383,7 @@ def check_jackson(f: Signal, kernel: Kernel, n: int,
     Requires a finite first moment; meaningful for continuous signals (a
     jump inflates the modulus and the bound loses its meaning).
     """
-    kind = "line" if f.is_line else "interval"
-    a_chi = lower_bound_constant(kernel, kind)
-    if a_chi <= 0:
-        raise InadmissibleKernelError(
-            f"kernel {kernel.name!r} is inadmissible on {kind!r}")
+    a_chi = admissible_a_chi(kernel, "line" if f.is_line else "interval")
     m0 = moment(kernel, 0.0, 1e-8)
     m1 = moment(kernel, 1.0, 1e-8)
     if not math.isfinite(m1):
@@ -465,11 +413,7 @@ def compare_linear_vs_maxprod(f: Signal, kernel: Kernel,
     about the approximation rate.
     """
     scales = [int(n) for n in scales]
-    kind = "line" if f.is_line else "interval"
-    a_chi = lower_bound_constant(kernel, kind)
-    if a_chi <= 0:
-        raise InadmissibleKernelError(
-            f"kernel {kernel.name!r} is inadmissible on {kind!r}")
+    a_chi = admissible_a_chi(kernel, "line" if f.is_line else "interval")
     max_err, lin_err = [], []
     for n in scales:
         samples = _error_samples(f, kernel, n, a_chi,
@@ -509,10 +453,7 @@ def find_modular_lambda(f: Signal, kernel: Kernel, phi: PhiFunction,
     scales = [int(n) for n in scales]
     kind = normalize_domain_kind(domain_kind) if domain_kind else (
         "line" if f.is_line else "interval")
-    a_chi = lower_bound_constant(kernel, kind)
-    if a_chi <= 0:
-        raise InadmissibleKernelError(
-            f"kernel {kernel.name!r} is inadmissible on {kind!r}")
+    a_chi = admissible_a_chi(kernel, kind)
     domain = None if kind == "line" else f.domain
     per_scale = [_error_samples(f, kernel, n, a_chi, domain) for n in scales]
 
@@ -553,17 +494,13 @@ def campaign_operator_algebra(trials: int, seed: int,
     """
     rng = np.random.default_rng(seed)
     kernels = list(kernels) if kernels is not None else _default_kernels()
-    configs = {}
     fails = {"monotonicity": 0, "sub-additivity": 0, "difference-bound": 0,
              "homogeneity": 0}
     worst = {k: math.inf for k in fails}
     for t in range(trials):
         ker = kernels[t % len(kernels)]
         n = int(rng.choice([4, 8, 16, 32]))
-        key = (ker.name, n)
-        if key not in configs:
-            configs[key] = operator_config(ker, n, interval)
-        config = configs[key]
+        config = operator_config(ker, n, interval)
         fp = random_piecewise_poly(rng, domain=interval)
         gp = random_piecewise_poly(rng, domain=interval)
         hp = random_piecewise_poly(rng, domain=interval)
@@ -622,6 +559,30 @@ def _draw_lambda(rng, phi: PhiFunction) -> float:
     return float(rng.uniform(0.25, 2.0))
 
 
+def _pair_campaign(family: str, trials: int, seed: int,
+                   interval: tuple[float, float],
+                   draw: Callable) -> CampaignResult:
+    """Seeded pair-inequality trials.
+
+    ``draw(t, rng)`` draws trial t's parameters and returns the check to
+    run; the pair (f, g) of random piecewise polynomials is drawn after it.
+    """
+    if trials < 0:
+        raise ValueError("trials must be >= 0")
+    rng = np.random.default_rng(seed)
+    failures = 0
+    worst = math.inf
+    for t in range(trials):
+        check = draw(t, rng)
+        f = random_piecewise_poly(rng, domain=interval).to_signal(name="f")
+        g = random_piecewise_poly(rng, domain=interval).to_signal(name="g")
+        result = check(f, g)
+        worst = min(worst, result.slack)
+        failures += not result.passed
+    return CampaignResult(family=family, trials=trials, failures=failures,
+                          worst_slack=worst)
+
+
 def campaign_modular_inequality(trials: int, seed: int,
                                 kernels: Sequence[Kernel] | None = None,
                                 phis: Sequence[PhiFunction] | None = None,
@@ -629,28 +590,20 @@ def campaign_modular_inequality(trials: int, seed: int,
                                 interval: tuple[float, float] = (0.0, 1.0),
                                 tolerance: float = 1e-8) -> CampaignResult:
     """Randomized modular-inequality trials over kernels x phis x scales."""
-    rng = np.random.default_rng(seed)
     kernels = list(kernels) if kernels is not None else [fejer(), bspline(4)]
     if phis is None:
         phis = [power_phi(1), power_phi(2), zygmund_phi(1, 1),
                 exponential_phi(1)]
-    failures = 0
-    worst = math.inf
-    for t in range(trials):
+
+    def draw(t, rng):
         ker = kernels[t % len(kernels)]
         phi = phis[(t // len(kernels)) % len(phis)]
         n = int(scales[t % len(scales)])
         lam = _draw_lambda(rng, phi)
-        f = random_piecewise_poly(rng, domain=interval).to_signal(name="f")
-        g = random_piecewise_poly(rng, domain=interval).to_signal(name="g")
-        check = check_modular_inequality(f, g, ker, phi, lam, n, interval,
-                                         tolerance)
-        if math.isfinite(check.slack):
-            worst = min(worst, check.slack)
-        if not check.passed:
-            failures += 1
-    return CampaignResult(family="modular-inequality", trials=trials,
-                          failures=failures, worst_slack=worst)
+        return lambda f, g: check_modular_inequality(
+            f, g, ker, phi, lam, n, interval, tolerance)
+
+    return _pair_campaign("modular-inequality", trials, seed, interval, draw)
 
 
 def campaign_lp_lipschitz(trials: int, seed: int,
@@ -660,23 +613,17 @@ def campaign_lp_lipschitz(trials: int, seed: int,
                           interval: tuple[float, float] = (0.0, 1.0),
                           tolerance: float = 1e-8) -> CampaignResult:
     """Randomized L^p Lipschitz-bound trials."""
-    rng = np.random.default_rng(seed)
     kernels = list(kernels) if kernels is not None else [
         fejer(), bspline(4), de_la_vallee_poussin()]
-    failures = 0
-    worst = math.inf
-    for t in range(trials):
+
+    def draw(t, rng):
         ker = kernels[t % len(kernels)]
         p = float(ps[t % len(ps)])
         n = int(scales[(t // len(ps)) % len(scales)])
-        f = random_piecewise_poly(rng, domain=interval).to_signal(name="f")
-        g = random_piecewise_poly(rng, domain=interval).to_signal(name="g")
-        check = check_lp_lipschitz(f, g, ker, p, n, interval, tolerance)
-        worst = min(worst, check.slack)
-        if not check.passed:
-            failures += 1
-    return CampaignResult(family="lp-lipschitz", trials=trials,
-                          failures=failures, worst_slack=worst)
+        return lambda f, g: check_lp_lipschitz(f, g, ker, p, n, interval,
+                                               tolerance)
+
+    return _pair_campaign("lp-lipschitz", trials, seed, interval, draw)
 
 
 def campaign_zygmund_instance(trials: int, seed: int,
@@ -685,23 +632,16 @@ def campaign_zygmund_instance(trials: int, seed: int,
                               interval: tuple[float, float] = (0.0, 1.0),
                               tolerance: float = 1e-8) -> CampaignResult:
     """Randomized trials of the u log u instance with its own constant."""
-    rng = np.random.default_rng(seed)
     kernels = list(kernels) if kernels is not None else [fejer(), bspline(4)]
-    failures = 0
-    worst = math.inf
-    for t in range(trials):
+
+    def draw(t, rng):
         ker = kernels[t % len(kernels)]
         n = int(scales[t % len(scales)])
         lam = float(rng.uniform(0.25, 2.0))
-        f = random_piecewise_poly(rng, domain=interval).to_signal(name="f")
-        g = random_piecewise_poly(rng, domain=interval).to_signal(name="g")
-        check = check_zygmund_lipschitz(f, g, ker, lam, n, interval,
-                                        tolerance)
-        worst = min(worst, check.slack)
-        if not check.passed:
-            failures += 1
-    return CampaignResult(family="zygmund-instance", trials=trials,
-                          failures=failures, worst_slack=worst)
+        return lambda f, g: check_zygmund_lipschitz(f, g, ker, lam, n,
+                                                    interval, tolerance)
+
+    return _pair_campaign("zygmund-instance", trials, seed, interval, draw)
 
 
 def campaign_exponential_instance(trials: int, seed: int,
@@ -710,23 +650,12 @@ def campaign_exponential_instance(trials: int, seed: int,
                                   scales: Sequence[int] = (16, 32),
                                   interval: tuple[float, float] = (0.0, 1.0),
                                   tolerance: float = 1e-8) -> CampaignResult:
-    """Randomized trials of the exponential-space modular inequality."""
-    rng = np.random.default_rng(seed)
-    kernels = list(kernels) if kernels is not None else [fejer(), bspline(4)]
-    phi = exponential_phi(gamma)
-    failures = 0
-    worst = math.inf
-    for t in range(trials):
-        ker = kernels[t % len(kernels)]
-        n = int(scales[t % len(scales)])
-        lam = float(rng.uniform(0.01, 0.05))
-        f = random_piecewise_poly(rng, domain=interval).to_signal(name="f")
-        g = random_piecewise_poly(rng, domain=interval).to_signal(name="g")
-        check = check_modular_inequality(f, g, ker, phi, lam, n, interval,
-                                         tolerance)
-        if math.isfinite(check.slack):
-            worst = min(worst, check.slack)
-        if not check.passed:
-            failures += 1
-    return CampaignResult(family="exponential-instance", trials=trials,
-                          failures=failures, worst_slack=worst)
+    """Randomized trials of the exponential-space modular inequality.
+
+    These are modular-inequality trials with the single phi exp(u**gamma) - 1;
+    it fails the doubling condition, so lambda is drawn from [0.01, 0.05].
+    """
+    result = campaign_modular_inequality(
+        trials, seed, kernels=kernels, phis=[exponential_phi(gamma)],
+        scales=scales, interval=interval, tolerance=tolerance)
+    return replace(result, family="exponential-instance")

@@ -8,8 +8,8 @@ Subcommands:
 * ``converge``     -- convergence study; writes <out>.json and <out>.csv.
 * ``verify``       -- seeded randomized inequality campaigns.
 
-Exit codes: 0 ok, 1 campaign failure, 2 unknown catalog name,
-3 inadmissible kernel, 4 empty lattice index set, 5 I/O failure.
+Exit codes: 0 ok, 1 campaign failure, 2 unknown catalog name or malformed
+argument, 3 inadmissible kernel, 4 empty lattice index set, 5 I/O failure.
 ``MAXPROD_THREADS`` caps the number of worker threads for per-scale cells.
 """
 
@@ -181,6 +181,8 @@ def _cmd_verify(args) -> int:
                 f"admissibility gate (inf = {a:.3e}); campaign skipped")
         kernels = [kernel]
     size = args.draws
+    if size < 0:
+        raise UnknownNameError(f"--draws must be >= 0, got {size}")
     if size == 0:
         print("campaign size 0: nothing to verify")
         return EXIT_OK

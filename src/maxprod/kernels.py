@@ -19,6 +19,8 @@ kernel over a centered interval, [-3/2, 3/2] for bounded domains and
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -26,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from . import quadrature
-from .errors import TruncationError, UnknownNameError
+from .errors import InadmissibleKernelError, TruncationError, UnknownNameError
 
 # Moments of higher order than the certified decay are reported as inf.
 DIVERGED = math.inf
@@ -54,7 +56,8 @@ class Kernel:
     every u != 0; the catalog sets it exactly, custom kernels get a sampled
     estimate on first use.  ``l1_norm``/``sup_norm`` hold known closed-form
     values when available (``l1_norm`` is filled lazily by ``ensure_l1``).
-    Instances are treated as immutable after construction.
+    Instances are treated as immutable after construction, which is what
+    lets ``constants`` hold each lattice constant once computed.
     """
 
     name: str
@@ -64,6 +67,29 @@ class Kernel:
     decay_coeff: float | None = field(default=None, repr=False)
     sup_norm: float | None = None
     l1_norm: float | None = None
+    constants: dict = field(default_factory=dict, init=False, repr=False)
+
+
+def _once_per_kernel(fn):
+    """Memoize ``fn(kernel, ...)`` in ``kernel.constants``.
+
+    Arguments are bound to the signature with defaults applied, so
+    positional and keyword spellings of one call share an entry.  The memo
+    lives on the instance, so it goes away with the kernel.
+    """
+    signature = inspect.signature(fn)
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        kernel, *rest = bound.arguments.values()
+        key = (fn.__name__, *rest)
+        if key not in kernel.constants:
+            kernel.constants[key] = fn(*args, **kwargs)
+        return kernel.constants[key]
+
+    return wrapper
 
 
 @dataclass(frozen=True)
@@ -269,6 +295,7 @@ def _tail_terms_grow(kernel: Kernel, beta: float) -> bool:
     return peaks[-1] > 10.0 * max(peaks[0], 1e-300)
 
 
+@_once_per_kernel
 def moment(kernel: Kernel, beta: float, tolerance: float = 1e-6,
            outer_interval: tuple[float, float] = (0.0, 1.0)) -> float:
     """Generalized absolute moment of order ``beta``.
@@ -322,6 +349,7 @@ def moment(kernel: Kernel, beta: float, tolerance: float = 1e-6,
     return _outer_sup(kernel, beta, j_window, outer_interval)
 
 
+@_once_per_kernel
 def lower_bound_constant(kernel: Kernel, domain_kind: str = "interval") -> float:
     """Infimum of the kernel over the admissibility interval.
 
@@ -342,6 +370,16 @@ def lower_bound_constant(kernel: Kernel, domain_kind: str = "interval") -> float
         c = float(xs[i])
         best = min(best, -_golden_max(neg, max(lo, c - h), min(hi, c + h)))
     return best
+
+
+def admissible_a_chi(kernel: Kernel, kind: str) -> float:
+    """Lower-bound constant a_chi, which the operators need positive."""
+    a_chi = lower_bound_constant(kernel, kind)
+    if a_chi <= 0.0:
+        raise InadmissibleKernelError(
+            f"kernel {kernel.name!r} is inadmissible for domain kind "
+            f"{kind!r} (computed lower bound {a_chi:.3e})")
+    return a_chi
 
 
 def l1_norm(kernel: Kernel, tolerance: float = 1e-8) -> float:

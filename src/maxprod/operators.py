@@ -9,20 +9,19 @@ denominator window is truncated where the kernel decay bound drops below
 ``truncation_tol`` times the admissibility constant, which the running
 maximum always reaches.
 
-Kernel values enter the suprema with their sign; pass ``absolute_kernel``
-to compare against the variant that takes |chi| in both suprema.
+Kernel values enter the suprema with their sign.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import InadmissibleKernelError, TruncationError
-from .kernels import Kernel, _decay_coefficient, lower_bound_constant
+from .kernels import Kernel, _decay_coefficient, admissible_a_chi
 from .signals import (Domain, MeanValueTable, Signal, cell_means, iceil,
                       ifloor, mean_values)
 
@@ -38,7 +37,6 @@ class OperatorConfig:
     domain: Domain
     a_chi: float
     truncation_tol: float = 1e-3
-    absolute_kernel: bool = False
 
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 1:
@@ -59,8 +57,7 @@ class OperatorConfig:
 
 def operator_config(kernel: Kernel, n: int, domain: Domain,
                     truncation_tol: float = 1e-3,
-                    a_chi: float | None = None,
-                    absolute_kernel: bool = False) -> OperatorConfig:
+                    a_chi: float | None = None) -> OperatorConfig:
     """Build a config, computing the admissibility constant when not given.
 
     Passing ``a_chi`` explicitly is the opt-in for kernels whose infimum over
@@ -68,16 +65,11 @@ def operator_config(kernel: Kernel, n: int, domain: Domain,
     bounded below on the concrete domain (e.g. compactly supported kernels on
     a grid-aligned interval).
     """
-    kind = "line" if domain is None else "interval"
     if a_chi is None:
-        a_chi = lower_bound_constant(kernel, kind)
-        if a_chi <= 0.0:
-            raise InadmissibleKernelError(
-                f"kernel {kernel.name!r} is inadmissible for domain kind "
-                f"{kind!r} (computed lower bound {a_chi:.3e})")
+        a_chi = admissible_a_chi(kernel,
+                                 "line" if domain is None else "interval")
     return OperatorConfig(kernel=kernel, n=int(n), domain=domain, a_chi=a_chi,
-                          truncation_tol=truncation_tol,
-                          absolute_kernel=absolute_kernel)
+                          truncation_tol=truncation_tol)
 
 
 def _denominator_window(config: OperatorConfig) -> int:
@@ -100,13 +92,6 @@ def _denominator_window(config: OperatorConfig) -> int:
     return min(int(math.ceil(w)) + 1, 1_000_000)
 
 
-def evaluate_with_table(config: OperatorConfig, table: MeanValueTable,
-                        xs) -> np.ndarray:
-    """Operator values on ``xs`` given a precomputed mean table."""
-    values, _ = evaluate_with_table_den(config, table, xs)
-    return values
-
-
 def evaluate_with_table_den(config: OperatorConfig, table: MeanValueTable,
                             xs) -> tuple[np.ndarray, float]:
     """Operator values plus the smallest denominator encountered."""
@@ -124,8 +109,6 @@ def evaluate_with_table_den(config: OperatorConfig, table: MeanValueTable,
         for start in range(0, xs.size, _CHUNK):
             x = xs[start:start + _CHUNK]
             chi = np.asarray(ker.evaluate(n * x[:, None] - ks[None, :]))
-            if config.absolute_kernel:
-                chi = np.abs(chi)
             num = np.max(chi * table.values[None, :], axis=1)
             den = np.max(chi, axis=1)
             if np.any(den <= 0.0):
@@ -144,14 +127,10 @@ def evaluate_with_table_den(config: OperatorConfig, table: MeanValueTable,
     for start in range(0, xs.size, _CHUNK):
         x = xs[start:start + _CHUNK]
         chi_num = np.asarray(ker.evaluate(n * x[:, None] - ks[None, :]))
-        if config.absolute_kernel:
-            chi_num = np.abs(chi_num)
         num = np.max(chi_num * table.values[None, :], axis=1)
         num = np.maximum(num, 0.0)
         kc = np.rint(n * x)
         chi_den = np.asarray(ker.evaluate((n * x - kc)[:, None] - offs[None, :]))
-        if config.absolute_kernel:
-            chi_den = np.abs(chi_den)
         den = np.max(chi_den, axis=1)
         if np.any(den < floor_guard):
             raise InadmissibleKernelError(
@@ -171,18 +150,12 @@ def maxprod_kantorovich_grid(config: OperatorConfig, f: Signal,
             "shift_wrapper to handle functions bounded from below")
     table = mean_values(f, config.n, config.domain_kind,
                         interval=config.domain)
-    return evaluate_with_table(config, table, xs)
+    return evaluate_with_table_den(config, table, xs)[0]
 
 
 def maxprod_kantorovich(config: OperatorConfig, f: Signal, x: float) -> float:
     """Operator value at a single point (same code path as the grid form)."""
     return float(maxprod_kantorovich_grid(config, f, [x])[0])
-
-
-def grid_eval_many(config: OperatorConfig, fs: Sequence[Signal],
-                   xs) -> list[np.ndarray]:
-    """Evaluate several signals on a shared grid (one table per signal)."""
-    return [maxprod_kantorovich_grid(config, f, xs) for f in fs]
 
 
 def shift_wrapper(config: OperatorConfig, f: Signal) -> Callable:
@@ -210,7 +183,7 @@ def shift_wrapper(config: OperatorConfig, f: Signal) -> Callable:
             state["table"] = mean_values(shifted, config.n,
                                          config.domain_kind,
                                          interval=config.domain)
-        vals = evaluate_with_table(config, state["table"], x) + c
+        vals = evaluate_with_table_den(config, state["table"], x)[0] + c
         return float(vals[0]) if np.isscalar(x) else vals
 
     return wrapped
@@ -219,8 +192,7 @@ def shift_wrapper(config: OperatorConfig, f: Signal) -> Callable:
 # ---------------------------------------------------------------------------
 # linear comparison operator
 
-def _linear_cells(kernel: Kernel, w: float, f: Signal,
-                  x_min: float, x_max: float) -> tuple[int, int]:
+def _linear_cells(w: float, f: Signal) -> tuple[int, int]:
     if f.support is not None:
         return ifloor(w * f.support[0]) - 1, iceil(w * f.support[1])
     if f.domain is not None:
@@ -246,7 +218,7 @@ def linear_kantorovich_grid(kernel: Kernel, w: float, f: Signal,
     if w <= 0:
         raise ValueError("scale w must be positive")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    k_lo, k_hi = _linear_cells(kernel, w, f, float(xs.min()), float(xs.max()))
+    k_lo, k_hi = _linear_cells(w, f)
     means = cell_means(f, w, k_lo, k_hi)
     ks = np.arange(k_lo, k_hi + 1, dtype=float)
     out = np.empty(xs.shape, dtype=float)

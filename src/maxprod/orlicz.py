@@ -146,11 +146,11 @@ def _luxemburg_bisect(modular_at, tol: float) -> float:
     if modular_at(lam) <= 1.0:
         hi = lam
         lo = 0.5 * lam
-        while modular_at(lo) <= 1.0:
+        while (value := modular_at(lo)) <= 1.0:
+            if value == 0.0:
+                return 0.0  # the function vanishes at every node
             hi = lo
             lo *= 0.5
-            if lo < 1e-14:
-                return 0.0  # identically-zero function
     else:
         lo = lam
         hi = 2.0 * lam

@@ -45,12 +45,6 @@ def composite_nodes(edges, nodes: int = 16) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def composite_gauss(fn, edges, nodes: int = 16) -> float:
-    """Fixed (non-adaptive) composite Gauss-Legendre integral."""
-    x, w = composite_nodes(edges, nodes)
-    return float(np.dot(w, fn(x)))
-
-
 def _all_finite(*arrays) -> bool:
     return all(np.all(np.isfinite(a)) for a in arrays)
 

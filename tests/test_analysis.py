@@ -123,6 +123,14 @@ class TestModularInequality:
         result = analysis.campaign_modular_inequality(24, seed=7)
         assert result.failures == 0
 
+    @pytest.mark.parametrize("campaign", [
+        analysis.campaign_modular_inequality, analysis.campaign_lp_lipschitz,
+        analysis.campaign_zygmund_instance,
+        analysis.campaign_exponential_instance])
+    def test_negative_trials_rejected(self, campaign):
+        with pytest.raises(ValueError, match="trials"):
+            campaign(-3, seed=0)
+
     def test_vacuous_when_rhs_infinite(self, m4_kernel):
         # huge scaling drives the exponential modular past the overflow
         # guard: the check passses vacuously and says so

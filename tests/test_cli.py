@@ -6,6 +6,18 @@ import pytest
 
 from maxprod.cli import main
 
+VERIFY_DRAWS_8_SEED_42 = """\
+operator-algebra/monotonicity      trials=8     failures=0    worst_slack=9.859e-02  [pass]
+operator-algebra/sub-additivity    trials=8     failures=0    worst_slack=-2.220e-16  [pass]
+operator-algebra/difference-bound  trials=8     failures=0    worst_slack=-1.110e-16  [pass]
+operator-algebra/homogeneity       trials=8     failures=0    worst_slack=-3.521e-16  [pass]
+max-convexity                      trials=8     failures=0    worst_slack=0.000e+00  [pass]
+modular-inequality                 trials=8     failures=0    worst_slack=1.021e-01  [pass]
+lp-lipschitz                       trials=8     failures=0    worst_slack=2.592e+00  [pass]
+zygmund-instance                   trials=2     failures=0    worst_slack=7.832e+01  [pass]
+exponential-instance               trials=2     failures=0    worst_slack=7.878e-01  [pass]
+"""
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -140,11 +152,16 @@ class TestVerify:
         assert "nothing to verify" in out
 
     def test_small_campaign_passes(self, capsys):
+        # golden output covering every campaign family: a refactor of the
+        # checks or the campaign driver must not move a draw or a digit
         code, out, _ = run(capsys, "verify", "--draws", "8", "--seed", "42")
         assert code == 0
-        assert "operator-algebra/monotonicity" in out
-        assert "modular-inequality" in out
-        assert "FAIL" not in out
+        assert out == VERIFY_DRAWS_8_SEED_42
+
+    def test_negative_draws_exit_2(self, capsys):
+        code, out, err = run(capsys, "verify", "--draws", "-3")
+        assert code == 2
+        assert "--draws" in err and out == ""
 
     def test_inadmissible_kernel_exit_3(self, capsys):
         code, _, err = run(capsys, "verify", "--kernel", "bspline:3",

@@ -203,6 +203,32 @@ class TestKernelInvariants:
         assert second == first
         assert time.perf_counter() - t0 < 0.01
 
+    def test_lattice_constants_computed_once(self):
+        ker = kernels.fejer()
+        base = ker.evaluate
+        calls = []
+
+        def counting(x):
+            calls.append(np.size(x))
+            return base(x)
+
+        ker.evaluate = counting
+        m0 = kernels.moment(ker, 0.0, 1e-8)
+        a_chi = kernels.lower_bound_constant(ker, "interval")
+        m1 = kernels.moment(ker, 1.0, 1e-6, (0.0, 1.0))
+        assert calls
+        calls.clear()
+        assert kernels.moment(ker, 0.0, 1e-8) == m0
+        assert kernels.lower_bound_constant(ker, "interval") == a_chi
+        # positional and keyword spellings share one entry
+        assert kernels.moment(ker, 1.0, outer_interval=(0.0, 1.0)) == m1
+        assert calls == []
+        fresh = kernels.fejer()
+        assert kernels.moment(fresh, 0.0, 1e-8).hex() == m0.hex()
+        assert kernels.lower_bound_constant(fresh, "interval").hex() \
+            == a_chi.hex()
+        assert kernels.moment(fresh, 1.0).hex() == m1.hex()
+
     def test_vp_l1_against_coarse_window(self, vp_kernel):
         # sanity envelope: most of the mass sits in [-64, 64]
         coarse = adaptive(lambda x: np.abs(vp_kernel.evaluate(x)),

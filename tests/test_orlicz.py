@@ -139,6 +139,22 @@ class TestLuxemburg:
         zero = signals.catalog("constant:0")
         assert orlicz.luxemburg_norm(orlicz.power_phi(2), zero,
                                      (0.0, 1.0)) == 0.0
+        assert orlicz.luxemburg_from_samples(
+            orlicz.power_phi(2), np.zeros(4), np.full(4, 0.25)) == 0.0
+
+    @pytest.mark.parametrize("name", ["power:1", "power:2", "zygmund:1,1"])
+    def test_tiny_constant_is_not_zero(self, name):
+        # for a constant c on a unit window the norm is c times the norm of 1
+        phi = orlicz.phi_by_name(name)
+        unit = orlicz.luxemburg_norm(phi, signals.catalog("constant:1"),
+                                     (0.0, 1.0))
+        tiny = signals.catalog("constant:1e-15")
+        expected = 1e-15 * unit
+        assert orlicz.luxemburg_norm(phi, tiny, (0.0, 1.0)) == \
+            pytest.approx(expected, rel=1e-8, abs=0.0)
+        assert orlicz.luxemburg_from_samples(
+            phi, np.full(4, 1e-15), np.full(4, 0.25)) == \
+            pytest.approx(expected, rel=1e-8, abs=0.0)
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 5.0])
     def test_matches_direct_lp_norm(self, p, rng):
