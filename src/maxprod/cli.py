@@ -9,7 +9,8 @@ Subcommands:
 * ``verify``       -- seeded randomized inequality campaigns.
 
 Exit codes: 0 ok, 1 campaign failure, 2 unknown catalog name or malformed
-argument, 3 inadmissible kernel, 4 empty lattice index set, 5 I/O failure.
+argument or CSV row, 3 inadmissible kernel, 4 empty lattice index set, 5 I/O
+failure.
 ``MAXPROD_THREADS`` caps the number of worker threads for per-scale cells.
 """
 
@@ -55,8 +56,8 @@ def _parse_domain(spec: str):
             a, b = (float(t) for t in body.split(","))
         except ValueError:
             raise UnknownNameError(f"malformed domain spec: {spec!r}") from None
-        if not a < b:
-            raise UnknownNameError(f"empty domain interval: {spec!r}")
+        if not -math.inf < a < b < math.inf:
+            raise UnknownNameError(f"empty or unbounded domain: {spec!r}")
         return (a, b)
     raise UnknownNameError(f"unknown domain spec: {spec!r}")
 
@@ -68,14 +69,31 @@ def _parse_scales(spec: str) -> list[int]:
         raise UnknownNameError(f"malformed scales list: {spec!r}") from None
     if not scales or any(b <= a for a, b in zip(scales, scales[1:])):
         raise UnknownNameError("scales must be a non-empty ascending list")
-    return scales
+    return [_positive_int(n, "--scales") for n in scales]
+
+
+def _positive_int(value: int, flag: str) -> int:
+    if value < 1:
+        raise UnknownNameError(f"{flag} must be a positive integer, "
+                               f"got {value}")
+    return value
+
+
+def _positive_float(value: float, flag: str) -> float:
+    if not 0.0 < value < math.inf:
+        raise UnknownNameError(f"{flag} must be a finite positive number, "
+                               f"got {value!r}")
+    return value
 
 
 def _load_signal(args, domain):
     if getattr(args, "csv", None):
         if domain is None:
             raise UnknownNameError("--csv signals need a bounded --domain")
-        return from_csv(args.csv, domain, nonneg=True)
+        try:
+            return from_csv(args.csv, domain, nonneg=True)
+        except ValueError as exc:
+            raise UnknownNameError(str(exc)) from None
     return catalog(args.signal)
 
 
@@ -123,17 +141,18 @@ def _cmd_reconstruct(args) -> int:
     kernel = kernel_by_name(args.kernel)
     domain = _parse_domain(args.domain)
     f = _load_signal(args, domain)
-    config = operator_config(kernel, args.n, domain,
-                             truncation_tol=args.tol)
+    config = operator_config(kernel, _positive_int(args.n, "--n"), domain,
+                             truncation_tol=_positive_float(args.tol, "--tol"))
+    points = _positive_int(args.grid, "--grid")
     if domain is not None:
-        grid = np.linspace(domain[0], domain[1], args.grid)
+        grid = np.linspace(domain[0], domain[1], points)
     else:
         if f.support is None:
             raise UnknownNameError(
                 "line-domain reconstruction needs a compactly supported "
                 "signal")
         lo, hi = f.support[0] - 2.0, f.support[1] + 2.0
-        grid = np.linspace(lo, hi, args.grid)
+        grid = np.linspace(lo, hi, points)
     values = maxprod_kantorovich_grid(config, f, grid)
     fv = np.asarray(f.evaluate(grid), dtype=float)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
@@ -153,9 +172,9 @@ def _cmd_converge(args) -> int:
     f = _load_signal(args, domain)
     scales = _parse_scales(args.scales)
     report = analysis.run_convergence(
-        f, kernel, phi, args.lam, scales,
+        f, kernel, phi, _positive_float(args.lam, "--lambda"), scales,
         domain_kind="line" if domain is None else "interval",
-        truncation_tol=args.tol)
+        truncation_tol=_positive_float(args.tol, "--tol"))
     out = Path(args.out)
     json_path = out.with_suffix(".json")
     csv_path = out.with_suffix(".csv")

@@ -255,10 +255,10 @@ def _outer_sup(kernel: Kernel, beta: float, j_window: int,
 
 def _decay_coefficient(kernel: Kernel) -> float:
     """Coefficient C of the decay certificate, estimating it if unset."""
-    if kernel.decay_coeff is not None:
-        return kernel.decay_coeff
     if kernel.decay_order is None:
         raise TruncationError(f"kernel {kernel.name!r} has no decay order")
+    if kernel.decay_coeff is not None:
+        return kernel.decay_coeff
     u = np.arange(4.0, 4096.0, 1.0 / 16.0)
     u = np.concatenate([u, -u])
     c = float(np.max(np.abs(kernel.evaluate(u)) * np.abs(u) ** kernel.decay_order))

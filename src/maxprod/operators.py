@@ -1,15 +1,13 @@
 """Max-product Kantorovich sampling operator and its linear counterpart.
 
-The max-product operator divides a lattice supremum of kernel-weighted cell
-means by the supremum of the kernel values themselves.  On a bounded
-interval both suprema run over the finite index set J_n; on the real line
-the numerator is finite because the signal has compact support (every other
-cell mean vanishes, so the zero terms dominate negatives), and the
-denominator window is truncated where the kernel decay bound drops below
-``truncation_tol`` times the admissibility constant, which the running
-maximum always reaches.
-
-Kernel values enter the suprema with their sign.
+K_n f(x) = sup_k chi(n x - k) mean_k / sup_k chi(n x - k), signs kept, over
+J_n on an interval, or over Z on the line with zero means off the support.
+Sorted points form tiles of at most ``_BUDGET`` rows x columns; a tile
+evaluates only the columns within a certified half-width w of its floor(n x)
+(clipped to J_n).  Beyond w, |chi| <= tail: 0 for compact kernels (exact),
+C w**-alpha < truncation_tol * a_chi for decay kernels.  A row keeps its
+band numerator only when it beats tail * max|mean|, which bounds every term
+outside the band; other rows also take the whole table's supremum.
 """
 
 from __future__ import annotations
@@ -25,7 +23,9 @@ from .kernels import Kernel, _decay_coefficient, admissible_a_chi
 from .signals import (Domain, MeanValueTable, Signal, cell_means, iceil,
                       ifloor, mean_values)
 
-_CHUNK = 4096
+# Elements (rows x lattice columns) of one kernel-evaluation tile, which
+# sets the size of every temporary whatever n, the point count or --tol.
+_BUDGET = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,8 @@ class OperatorConfig:
             raise InadmissibleKernelError(
                 f"kernel {self.kernel.name!r} has lower-bound constant "
                 f"{self.a_chi}; the operator requires it to be positive")
-        if not self.truncation_tol > 0.0:
-            raise ValueError("truncation_tol must be positive")
+        if not 0.0 < self.truncation_tol < math.inf:
+            raise ValueError("truncation_tol must be finite and positive")
         if self.domain is not None and not self.domain[0] < self.domain[1]:
             raise ValueError("domain must be a nondegenerate interval")
 
@@ -72,72 +72,71 @@ def operator_config(kernel: Kernel, n: int, domain: Domain,
                           truncation_tol=truncation_tol)
 
 
-def _denominator_window(config: OperatorConfig) -> int:
-    """Lattice half-width for the denominator supremum.
-
-    Terms at distance >= w satisfy |chi| <= C w**-alpha < truncation_tol *
-    a_chi, and the window's central term already reaches a_chi, so omitted
-    terms cannot alter the supremum (the tolerance only adds margin on top
-    of the certified-coefficient estimate).
-    """
+def _band(config: OperatorConfig) -> tuple[int, float]:
+    """Certified lattice half-width w and a bound on |chi| beyond it."""
     ker = config.kernel
-    if ker.support is not None:
-        return int(math.ceil(ker.support)) + 1
-    alpha = ker.decay_order
-    if alpha is None:
-        raise TruncationError(
-            f"kernel {ker.name!r} has no truncation certificate")
-    c = _decay_coefficient(ker)
+    if ker.support is not None:  # the extra column is a zero term
+        return int(math.ceil(ker.support)) + 1, 0.0
+    c, alpha = _decay_coefficient(ker), ker.decay_order  # TruncationError
     w = (c / (config.a_chi * config.truncation_tol)) ** (1.0 / alpha)
-    return min(int(math.ceil(w)) + 1, 1_000_000)
+    w = min(int(math.ceil(w)) + 1, 1_000_000)
+    return w, c * float(w) ** -alpha
+
+
+def _tile(config: OperatorConfig, table: MeanValueTable, u: np.ndarray,
+          c_lo: int, c_hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Suprema of chi * mean and chi for rows u = n x over c_lo..c_hi."""
+    ks = np.arange(c_lo, c_hi + 1)
+    chi = np.asarray(config.kernel.evaluate(u[:, None] - ks))
+    means = np.zeros(ks.size)   # a cell off the table has mean 0
+    lo, hi = max(c_lo, table.k_lo), min(c_hi, table.k_hi)
+    if lo <= hi:
+        means[lo - c_lo:hi - c_lo + 1] = \
+            table.values[lo - table.k_lo:hi - table.k_lo + 1]
+    return np.maximum.reduce(chi * means, 1), np.maximum.reduce(chi, 1)
 
 
 def evaluate_with_table_den(config: OperatorConfig, table: MeanValueTable,
                             xs) -> tuple[np.ndarray, float]:
     """Operator values plus the smallest denominator encountered."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    n = config.n
-    ker = config.kernel
-    out = np.empty(xs.shape, dtype=float)
-    den_min = math.inf
-    ks = np.arange(table.k_lo, table.k_hi + 1, dtype=float)
-    if config.domain is not None:
-        a, b = config.domain
-        if np.any(xs < a - 1e-9) or np.any(xs > b + 1e-9):
-            raise ValueError(
-                "evaluation points must lie inside the bounded domain")
-        for start in range(0, xs.size, _CHUNK):
-            x = xs[start:start + _CHUNK]
-            chi = np.asarray(ker.evaluate(n * x[:, None] - ks[None, :]))
-            num = np.max(chi * table.values[None, :], axis=1)
-            den = np.max(chi, axis=1)
-            if np.any(den <= 0.0):
-                raise InadmissibleKernelError(
-                    f"nonpositive lattice supremum for kernel "
-                    f"{ker.name!r} at scale n={n}")
-            den_min = min(den_min, float(den.min()))
-            out[start:start + _CHUNK] = num / den
-        return out, den_min
-    # real line: the numerator ranges over the (finite) support cells, with
-    # the implicit zero means capping it below at 0; the denominator window
-    # is centered on the nearest lattice point
-    w = _denominator_window(config)
-    offs = np.arange(-w, w + 1, dtype=float)
-    floor_guard = config.a_chi * (1.0 - 1e-9)
-    for start in range(0, xs.size, _CHUNK):
-        x = xs[start:start + _CHUNK]
-        chi_num = np.asarray(ker.evaluate(n * x[:, None] - ks[None, :]))
-        num = np.max(chi_num * table.values[None, :], axis=1)
-        num = np.maximum(num, 0.0)
-        kc = np.rint(n * x)
-        chi_den = np.asarray(ker.evaluate((n * x - kc)[:, None] - offs[None, :]))
-        den = np.max(chi_den, axis=1)
-        if np.any(den < floor_guard):
-            raise InadmissibleKernelError(
-                f"lattice supremum fell below the admissibility constant "
-                f"{config.a_chi:.3e} (truncation too aggressive?)")
-        den_min = min(den_min, float(den.min()))
-        out[start:start + _CHUNK] = num / den
+    u = config.n * xs
+    a, b = config.domain or (-math.inf, math.inf)
+    if not np.all((xs >= a - 1e-9) & (xs <= b + 1e-9) & (abs(u) < 2.0 ** 52)):
+        raise ValueError("evaluation points must be finite and inside the "
+                         "domain, with |n x| < 2**52")
+    w, tail = _band(config)
+    order = np.argsort(u)
+    u = u[order]
+    fl = np.floor(u)   # exact integers, since |u| < 2**52
+    lo, hi = (table.k_lo, table.k_hi) if config.domain else (-2**62, 2**62)
+    num, den = np.empty((2, u.size))
+    start = 0
+    while start < u.size:  # the longest run of rows whose band tile fits
+        c_lo, c_hi, stop = max(fl[start] - w, lo), min(fl[-1] + w, hi), u.size
+        if (stop - start) * (c_hi - c_lo + 1) > _BUDGET:
+            ends = np.minimum(fl[start:start + _BUDGET] + w, hi)
+            size = np.arange(1, ends.size + 1) * (ends - c_lo + 1)
+            stop = start + max(1, int(np.count_nonzero(size <= _BUDGET)))
+            c_hi = ends[stop - start - 1]
+        num[start:stop], den[start:stop] = _tile(config, table, u[start:stop],
+                                                 int(c_lo), int(c_hi))
+        start = stop
+    # the certificate is needed only when some band misses part of the table
+    if tail and fl.size and max(fl[-1] - table.k_lo, table.k_hi - fl[0]) > w:
+        bound = tail * float(np.max(np.abs(table.values)))
+        redo = np.flatnonzero(((num <= bound) & (bound > 0.0)) | (den <= tail))
+        step = max(1, _BUDGET // table.values.size)
+        for rows in np.split(redo, range(step, redo.size, step)):
+            whole = _tile(config, table, u[rows], table.k_lo, table.k_hi)
+            num[rows] = np.maximum(num[rows], whole[0])
+            den[rows] = np.maximum(den[rows], whole[1])
+    den_min = float(den.min(initial=math.inf))
+    if den_min <= (0.0 if config.domain else config.a_chi * (1.0 - 1e-9)):
+        raise InadmissibleKernelError(
+            f"lattice supremum {den_min:.3e} at n={config.n} is too small")
+    out = np.empty(xs.shape)
+    out[order] = (num if config.domain else np.maximum(num, 0.0)) / den
     return out, den_min
 
 
@@ -222,10 +221,11 @@ def linear_kantorovich_grid(kernel: Kernel, w: float, f: Signal,
     means = cell_means(f, w, k_lo, k_hi)
     ks = np.arange(k_lo, k_hi + 1, dtype=float)
     out = np.empty(xs.shape, dtype=float)
-    for start in range(0, xs.size, _CHUNK):
-        x = xs[start:start + _CHUNK]
+    rows = max(1, _BUDGET // ks.size)
+    for start in range(0, xs.size, rows):
+        x = xs[start:start + rows]
         chi = np.asarray(kernel.evaluate(w * x[:, None] - ks[None, :]))
-        out[start:start + _CHUNK] = chi @ means
+        out[start:start + rows] = chi @ means
     return out
 
 

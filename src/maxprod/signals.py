@@ -332,6 +332,8 @@ def from_csv(path, domain: tuple[float, float], nonneg: bool = False) -> Signal:
                 if lineno == 1 and not ts:
                     continue  # header
                 raise ValueError(f"{path}:{lineno}: malformed row {row!r}") from None
+            if not (math.isfinite(t) and math.isfinite(v)):
+                raise ValueError(f"{path}:{lineno}: non-finite sample {row!r}")
             ts.append(t)
             vs.append(v)
     if not ts:

@@ -1,0 +1,148 @@
+"""The banded operator core against the dense reference evaluator, and the
+element budget that bounds its temporaries."""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dense_operator import evaluate_with_table_den as dense_evaluate
+from maxprod import kernels, operators, signals
+
+KERNELS = {name: kernels.kernel_by_name(name)
+           for name in ("bspline:4", "bspline:5", "fejer", "vallee-poussin")}
+INTERVAL_SIGNALS = ("constant:1", "ramp", "step", "sawtooth", "abs-sine",
+                    "random")
+LINE_SIGNALS = ("hat", "square-pulse")
+
+
+def _bits(values: np.ndarray) -> bytes:
+    return np.ascontiguousarray(values, dtype=float).tobytes()
+
+
+@st.composite
+def cases(draw):
+    kernel = KERNELS[draw(st.sampled_from(sorted(KERNELS)))]
+    n = draw(st.integers(1, 600))
+    if draw(st.booleans()):
+        f = signals.catalog(draw(st.sampled_from(LINE_SIGNALS)))
+        domain, lo, hi = None, f.support[0] - 2.0, f.support[1] + 2.0
+    else:
+        name = draw(st.sampled_from(INTERVAL_SIGNALS))
+        if name == "random":
+            rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+            f = signals.random_piecewise_poly(rng).to_signal()
+        else:
+            f = signals.catalog(name)
+        domain, lo, hi = (0.0, 1.0), 0.0, 1.0
+    lattice = st.integers(math.ceil(n * lo), math.floor(n * hi)).map(
+        lambda k: k / n)
+    point = st.one_of(st.floats(lo, hi), lattice, st.sampled_from([lo, hi]))
+    xs = draw(st.lists(point, max_size=40))
+    if draw(st.booleans()):
+        xs = xs + xs[::-1]   # duplicates, out of order
+    return operators.operator_config(kernel, n, domain), f, np.array(xs)
+
+
+class TestAgainstDense:
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(cases())
+    def test_bitwise_equal_to_dense(self, case):
+        # lattice arguments are computed as n x - k on both paths and every
+        # supremum runs over a certified superset of its maximizers, so
+        # values and den_min agree to the bit on both domains
+        config, f, xs = case
+        table = signals.mean_values(f, config.n, config.domain_kind,
+                                    interval=config.domain)
+        want, want_den = dense_evaluate(config, table, xs)
+        got, got_den = operators.evaluate_with_table_den(config, table, xs)
+        assert got.shape == want.shape
+        assert _bits(got) == _bits(want)
+        assert got_den == want_den
+
+    @pytest.mark.parametrize("domain, n, xs", [
+        ((0.0, 1.0), 512, [0.9173, 0.95, 0.987, 1.0]),
+        ((0.0, 1.0), 150, [0.5031, 0.517]),   # the table just outgrows w
+        (None, 512, [0.9173, 0.95, 0.987, 1.0, 1.21]),   # 1.21: off-table
+    ])
+    def test_certificate_failure_falls_back(self, domain, n, xs):
+        # one large mean far from near-zero neighbours: inside the band the
+        # row supremum is ~1e-12, below tail * max|mean|, and the true value
+        # comes from the far cell that only the whole-table pass sees
+        config = operators.operator_config(KERNELS["fejer"], n, domain)
+        w, tail = operators._band(config)
+        values = np.full(n, 1e-12)
+        values[0] = 1.0
+        table = signals.MeanValueTable(n=n, k_lo=0, k_hi=n - 1, values=values,
+                                       domain_kind=config.domain_kind)
+        xs = np.array(xs)
+        assert tail > 0.0 and np.all(n * xs - w > 1)   # cell 0 is off-band
+        got, got_den = operators.evaluate_with_table_den(config, table, xs)
+        want, want_den = dense_evaluate(config, table, xs)
+        assert _bits(got) == _bits(want) and got_den == want_den
+        assert np.all(got[:2] > 1e3 * 1e-12)
+
+    def test_empty_points(self):
+        config = operators.operator_config(KERNELS["fejer"], 16, None)
+        table = signals.mean_values(signals.catalog("hat"), 16, "line")
+        got, den = operators.evaluate_with_table_den(config, table, [])
+        assert got.shape == (0,) and den == math.inf
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("domain", [(0.0, 1.0), None])
+    def test_non_finite_points_rejected(self, bad, domain):
+        config = operators.operator_config(KERNELS["bspline:4"], 16, domain)
+        f = signals.catalog("ramp" if domain else "hat")
+        table = signals.mean_values(f, 16, config.domain_kind,
+                                    interval=domain)
+        with pytest.raises(ValueError, match="finite"):
+            operators.evaluate_with_table_den(config, table, [0.5, bad])
+
+
+class TestElementBudget:
+    """Peak traced memory of one large evaluation stays under a fixed
+    ceiling (about 1.5 MiB is used); 4096-row dense chunks at n = 8192 need
+    256 MiB per temporary."""
+
+    CEILING = 8 * 2 ** 20
+
+    @pytest.mark.parametrize("kernel, signal, domain, tol", [
+        ("bspline:4", "abs-sine", (0.0, 1.0), 1e-3),
+        ("fejer", "abs-sine", (0.0, 1.0), 1e-3),
+        ("fejer", "hat", None, 1e-6),
+    ])
+    def test_peak_memory_at_n_8192(self, kernel, signal, domain, tol):
+        n = 8192
+        config = operators.operator_config(KERNELS[kernel], n, domain,
+                                           truncation_tol=tol)
+        f = signals.catalog(signal)
+        table = signals.mean_values(f, n, config.domain_kind, interval=domain)
+        if domain is None:   # the support, and a strip of far field
+            xs = np.concatenate([np.linspace(-0.999, 0.999, 19_800),
+                                 np.linspace(1.5, 2.5, 200)])
+        else:
+            xs = np.linspace(0.0, 1.0, 20_000)
+        tracemalloc.start()
+        try:
+            values, _ = operators.evaluate_with_table_den(config, table, xs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < self.CEILING
+        assert np.all(np.isfinite(values))
+
+
+def test_linear_series_chunking_moves_only_rounding(monkeypatch,
+                                                    fejer_kernel):
+    # the series stays a dense matrix-vector product; how BLAS sums a row
+    # may depend on the chunk's shape, so only the last bit may move
+    hat = signals.catalog("hat")
+    xs = np.linspace(-1.5, 1.5, 301)
+    whole = operators.linear_kantorovich_grid(fejer_kernel, 32.0, hat, xs)
+    monkeypatch.setattr(operators, "_BUDGET", 7)   # one row per chunk
+    rows = operators.linear_kantorovich_grid(fejer_kernel, 32.0, hat, xs)
+    np.testing.assert_allclose(rows, whole, rtol=4 * np.finfo(float).eps,
+                               atol=0.0)

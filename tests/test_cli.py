@@ -174,3 +174,49 @@ class TestVerify:
                          "--signal", "mystery", "--out",
                          str(tmp_path / "x.csv"))
         assert code == 2
+
+
+class TestArgumentValidation:
+    """Bad scales, tolerances and samples exit 2 with a one-line error."""
+
+    @staticmethod
+    def _exit_2(capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == "" and "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--n", "0"), ("--n", "-4"), ("--tol", "0"), ("--tol", "-1e-3"),
+        ("--tol", "nan"), ("--tol", "inf"), ("--grid", "0"),
+    ])
+    def test_reconstruct_rejects(self, capsys, tmp_path, flag, value):
+        err = self._exit_2(capsys, "reconstruct", "--kernel", "fejer",
+                           f"{flag}={value}", "--out", str(tmp_path / "x.csv"))
+        assert flag in err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--scales", "0,8"), ("--scales", "-8,8"), ("--tol", "0"),
+        ("--tol", "nan"), ("--lambda", "nan"), ("--lambda", "0"),
+    ])
+    def test_converge_rejects(self, capsys, tmp_path, flag, value):
+        err = self._exit_2(capsys, "converge", "--kernel", "fejer",
+                           f"{flag}={value}", "--out", str(tmp_path / "rep"))
+        assert flag in err
+
+    @pytest.mark.parametrize("spec", ["interval:0,inf", "interval:nan,1"])
+    def test_unbounded_domain_rejected(self, capsys, tmp_path, spec):
+        err = self._exit_2(capsys, "reconstruct", "--kernel", "fejer",
+                           "--domain", spec, "--out", str(tmp_path / "x.csv"))
+        assert "domain" in err
+
+    def test_non_finite_csv_sample(self, capsys, tmp_path):
+        data = tmp_path / "sig.csv"
+        data.write_text("0,1\n0.5,nan\n1,1\n")
+        out_path = tmp_path / "rec.csv"
+        err = self._exit_2(capsys, "reconstruct", "--kernel", "fejer",
+                           "--csv", str(data), "--out", str(out_path))
+        assert "sig.csv:2: non-finite" in err
+        assert not out_path.exists()

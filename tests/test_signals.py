@@ -79,6 +79,14 @@ class TestFromCsv:
         with pytest.raises(ValueError, match="malformed"):
             signals.from_csv(path, (0.0, 1.0))
 
+    @pytest.mark.parametrize("row", ["0.5,nan", "0.5,inf", "inf,1",
+                                     "0.5,-inf"])
+    def test_non_finite_sample_rejected(self, tmp_path, row):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"t,value\n0,1\n{row}\n1,1\n")
+        with pytest.raises(ValueError, match=r"nonfinite\.csv:3: non-finite"):
+            signals.from_csv(path, (0.0, 1.0))
+
     def test_negative_clamping_warns(self, tmp_path):
         path = tmp_path / "neg.csv"
         path.write_text("0,-1\n0.5,2\n1,-0.5\n")
