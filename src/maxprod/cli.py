@@ -29,7 +29,7 @@ from . import analysis
 from .errors import (EmptyIndexSetError, InadmissibleKernelError,
                      UnknownNameError)
 from .kernels import (check_assumptions, ensure_l1, kernel_by_name,
-                      lower_bound_constant, normalize_domain_kind)
+                      lower_bound_constant)
 from .operators import maxprod_kantorovich_grid, operator_config
 from .orlicz import phi_by_name
 from .signals import catalog, from_csv
@@ -94,15 +94,18 @@ def _load_signal(args, domain):
             return from_csv(args.csv, domain, nonneg=True)
         except ValueError as exc:
             raise UnknownNameError(str(exc)) from None
-    return catalog(args.signal)
+    f = catalog(args.signal)
+    if domain is None and not f.is_line:
+        raise UnknownNameError(f"signal {f.name!r} lives on [0, 1], not on "
+                               "--domain line")
+    return f
 
 
 def _cmd_kernel_info(args) -> int:
     kernel = kernel_by_name(args.kernel)
-    kind = normalize_domain_kind(
-        "interval" if args.domain.startswith(("interval", "bounded"))
-        else args.domain)
-    diag = check_assumptions(kernel, kind, beta=args.beta)
+    kind = "line" if _parse_domain(args.domain) is None else "interval"
+    diag = check_assumptions(kernel, kind,
+                             beta=_positive_float(args.beta, "--beta"))
     l1 = ensure_l1(kernel)
     payload = {
         "kernel": kernel.name,
@@ -119,7 +122,11 @@ def _cmd_kernel_info(args) -> int:
         "admissible": diag.admissible,
     }
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        # strict JSON: a divergent moment is null
+        moments = {name: None if math.isinf(v) else v
+                   for name, v in payload["moments"].items()}
+        print(json.dumps({**payload, "moments": moments}, indent=2,
+                         sort_keys=True, allow_nan=False))
         return EXIT_OK
     print(f"kernel: {kernel.name}")
     for name, value in payload["moments"].items():
@@ -147,12 +154,7 @@ def _cmd_reconstruct(args) -> int:
     if domain is not None:
         grid = np.linspace(domain[0], domain[1], points)
     else:
-        if f.support is None:
-            raise UnknownNameError(
-                "line-domain reconstruction needs a compactly supported "
-                "signal")
-        lo, hi = f.support[0] - 2.0, f.support[1] + 2.0
-        grid = np.linspace(lo, hi, points)
+        grid = np.linspace(f.support[0] - 2.0, f.support[1] + 2.0, points)
     values = maxprod_kantorovich_grid(config, f, grid)
     fv = np.asarray(f.evaluate(grid), dtype=float)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:

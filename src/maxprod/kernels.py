@@ -35,7 +35,7 @@ DIVERGED = math.inf
 
 _GRID = 4096
 _REFINE_TOP = 8
-_GOLDEN_ITERS = 80
+_ZOOM = np.linspace(-1.0, 1.0, 9)  # one zoom round's offsets, in radii
 _INF_INTERVALS = {"interval": (-1.5, 1.5), "line": (-0.5, 0.5)}
 
 
@@ -197,30 +197,27 @@ def kernel_by_name(name: str) -> Kernel:
 # ---------------------------------------------------------------------------
 # lattice moment machinery
 
-def _golden_max(fn, lo: float, hi: float, iters: int = _GOLDEN_ITERS) -> float:
-    """Golden-section maximum of a scalar function on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    invphi2 = invphi * invphi
-    a, b = lo, hi
-    h = b - a
-    c = a + invphi2 * h
-    d = a + invphi * h
-    fc, fd = fn(c), fn(d)
-    best = max(fn(a), fn(b), fc, fd)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = a + invphi2 * h
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + invphi * h
-            fd = fn(d)
-        best = max(best, fc, fd)
-        if h <= 1e-13 * max(1.0, abs(a)):
-            break
+def _zoom_max(fn, xs: np.ndarray, radius: float, lo: float,
+              hi: float) -> float:
+    """Maximum of the vectorized ``fn`` on the grid ``xs`` and near its peaks.
+
+    The top grid points are refined together: each round evaluates ``fn`` on
+    a local grid of half-width ``radius`` (clipped to [lo, hi]) around every
+    candidate in one call, moves each candidate to its local argmax and
+    shrinks the radius to one local step.  It stops at a relative radius of
+    1e-9, where a smooth interior extremum is exact to rounding and going on
+    would only sample cancellation noise.
+    """
+    vals = fn(xs)
+    best = float(vals.max())
+    centers = xs[np.argsort(vals)[-_REFINE_TOP:]]
+    stop = 1e-9 * max(1.0, float(np.max(np.abs(centers))))
+    while radius > stop:
+        pts = np.clip(centers[:, None] + radius * _ZOOM, lo, hi)
+        local = fn(pts.ravel()).reshape(pts.shape)
+        best = max(best, float(local.max()))
+        centers = pts[np.arange(pts.shape[0]), local.argmax(axis=1)]
+        radius *= _ZOOM[1] - _ZOOM[0]
     return best
 
 
@@ -236,21 +233,12 @@ def _inner_sup(kernel: Kernel, beta: float, xs: np.ndarray,
 
 
 def _outer_sup(kernel: Kernel, beta: float, j_window: int,
-               interval: tuple[float, float], grid: int = _GRID) -> float:
+               interval: tuple[float, float]) -> float:
     """sup over x in ``interval`` of the inner lattice supremum."""
     lo, hi = interval
-    xs = np.linspace(lo, hi, grid, endpoint=False)
-    g = _inner_sup(kernel, beta, xs, j_window)
-    best = float(g.max())
-    h = (hi - lo) / grid
-
-    def point(x: float) -> float:
-        return float(_inner_sup(kernel, beta, np.array([x]), j_window)[0])
-
-    for i in np.argsort(g)[-_REFINE_TOP:]:
-        c = float(xs[i])
-        best = max(best, _golden_max(point, max(lo, c - h), min(hi, c + h)))
-    return best
+    return _zoom_max(lambda x: _inner_sup(kernel, beta, x, j_window),
+                     np.linspace(lo, hi, _GRID, endpoint=False),
+                     (hi - lo) / _GRID, lo, hi)
 
 
 def _decay_coefficient(kernel: Kernel) -> float:
@@ -269,20 +257,8 @@ def _decay_coefficient(kernel: Kernel) -> float:
 def _tail_limsup(kernel: Kernel, alpha: float) -> float:
     """Estimate of lim sup |chi(u)| |u|**alpha for |u| -> inf."""
     u = np.arange(64.0, 4096.0, 1.0 / 16.0)
-    best = 0.0
-    for side in (u, -u):
-        g = np.abs(kernel.evaluate(side)) * np.abs(side) ** alpha
-        top = np.argsort(g)[-_REFINE_TOP:]
-
-        def point(x: float) -> float:
-            xx = np.array([x])
-            return float(np.abs(kernel.evaluate(xx))[0] * abs(x) ** alpha)
-
-        best = max(best, float(g.max()))
-        for i in top:
-            c = float(side[i])
-            best = max(best, _golden_max(point, c - 0.1, c + 0.1))
-    return best
+    return _zoom_max(lambda x: np.abs(kernel.evaluate(x)) * np.abs(x) ** alpha,
+                     np.concatenate([u, -u]), 0.1, -math.inf, math.inf)
 
 
 def _tail_terms_grow(kernel: Kernel, beta: float) -> bool:
@@ -358,18 +334,8 @@ def lower_bound_constant(kernel: Kernel, domain_kind: str = "interval") -> float
     fails; the caller decides how to treat it.
     """
     lo, hi = _INF_INTERVALS[normalize_domain_kind(domain_kind)]
-    xs = np.linspace(lo, hi, _GRID + 1)
-    vals = np.asarray(kernel.evaluate(xs), dtype=float)
-    best = float(vals.min())
-    h = (hi - lo) / _GRID
-
-    def neg(x: float) -> float:
-        return -float(kernel.evaluate(np.array([x]))[0])
-
-    for i in np.argsort(vals)[:_REFINE_TOP]:
-        c = float(xs[i])
-        best = min(best, -_golden_max(neg, max(lo, c - h), min(hi, c + h)))
-    return best
+    return -_zoom_max(lambda x: -kernel.evaluate(x),
+                      np.linspace(lo, hi, _GRID + 1), (hi - lo) / _GRID, lo, hi)
 
 
 def admissible_a_chi(kernel: Kernel, kind: str) -> float:
@@ -425,7 +391,7 @@ def ensure_l1(kernel: Kernel, tolerance: float = 1e-6) -> float:
 
 
 def check_assumptions(kernel: Kernel, domain_kind: str = "interval",
-                      beta: float = 2.0, tolerance: float = 1e-6) -> KernelDiagnostics:
+                      beta: float = 2.0) -> KernelDiagnostics:
     """Full admissibility diagnostics.
 
     A kernel is admissible for a domain kind when the moment of order
@@ -436,10 +402,10 @@ def check_assumptions(kernel: Kernel, domain_kind: str = "interval",
     if beta <= 0:
         raise ValueError("beta must be positive")
     kind = normalize_domain_kind(domain_kind)
-    m_map = {0.0: moment(kernel, 0.0, tolerance)}
+    m_map = {0.0: moment(kernel, 0.0)}
     if 1.0 not in (0.0, float(beta)):
-        m_map[1.0] = moment(kernel, 1.0, tolerance)
-    m_map[float(beta)] = moment(kernel, float(beta), tolerance)
+        m_map[1.0] = moment(kernel, 1.0)
+    m_map[float(beta)] = moment(kernel, float(beta))
     a_bounded = lower_bound_constant(kernel, "interval")
     a_line = lower_bound_constant(kernel, "line")
     chi1 = math.isfinite(m_map[float(beta)])

@@ -185,14 +185,14 @@ def luxemburg_norm(phi: PhiFunction, f: Signal, window: tuple[float, float],
 
 
 def luxemburg_from_samples(phi: PhiFunction, values: np.ndarray,
-                           weights: np.ndarray, tol: float = 1e-9) -> float:
+                           weights: np.ndarray) -> float:
     """Luxemburg norm of a sampled non-negative function."""
     values = np.abs(np.asarray(values, dtype=float))
 
     def modular_at(lam: float) -> float:
         return modular_from_samples(phi, values / lam, weights)
 
-    return _luxemburg_bisect(modular_at, tol)
+    return _luxemburg_bisect(modular_at, 1e-9)
 
 
 def maxphi_inequality_check(phi: PhiFunction, values) -> tuple[bool, bool]:

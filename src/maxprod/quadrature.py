@@ -15,6 +15,7 @@ import numpy as np
 from .errors import QuadratureError
 
 OVERFLOW_GUARD = 1e100
+_MAX_ROUNDS = 48  # halvings of the widest panel before giving up
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -49,8 +50,7 @@ def _all_finite(*arrays) -> bool:
     return all(np.all(np.isfinite(a)) for a in arrays)
 
 
-def adaptive(fn, edges, atol: float = 1e-10, rtol: float = 1e-12,
-             max_rounds: int = 48) -> float:
+def adaptive(fn, edges, atol: float = 1e-10, rtol: float = 1e-12) -> float:
     """Adaptive Simpson integration over the panels defined by ``edges``.
 
     Panels are subdivided until the local Richardson error estimate drops
@@ -74,7 +74,7 @@ def adaptive(fn, edges, atol: float = 1e-10, rtol: float = 1e-12,
         return math.inf
     s = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
     result = 0.0
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         lm = 0.5 * (a + m)
         rm = 0.5 * (m + b)
         flm, frm = fn(lm), fn(rm)
@@ -102,5 +102,5 @@ def adaptive(fn, edges, atol: float = 1e-10, rtol: float = 1e-12,
         s = np.concatenate([sl[live], sr[live]])
         m = 0.5 * (a + b)
     raise QuadratureError(
-        f"adaptive Simpson did not converge within {max_rounds} rounds "
+        f"adaptive Simpson did not converge within {_MAX_ROUNDS} rounds "
         f"({a.size} panels still active)")

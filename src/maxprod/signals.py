@@ -104,10 +104,6 @@ class PiecewisePoly:
             raise ValueError("one coefficient row per piece required")
         self.coeffs = [np.atleast_1d(np.asarray(c, dtype=float)) for c in coeffs]
 
-    @classmethod
-    def constant(cls, value: float, domain: tuple[float, float] = (0.0, 1.0)):
-        return cls(domain, [[float(value)]])
-
     @property
     def domain(self) -> tuple[float, float]:
         return float(self.edges[0]), float(self.edges[-1])
@@ -231,9 +227,11 @@ class PiecewisePoly:
 
 def random_piecewise_poly(rng: np.random.Generator,
                           domain: tuple[float, float] = (0.0, 1.0),
-                          max_breakpoints: int = 3, max_degree: int = 3,
-                          amplitude: float = 2.0) -> PiecewisePoly:
-    """Seeded non-negative piecewise polynomial (property-test fixture)."""
+                          max_breakpoints: int = 3) -> PiecewisePoly:
+    """Seeded non-negative piecewise polynomial (property-test fixture).
+
+    Pieces have degree at most 3 and the peak is scaled down to 2 if higher.
+    """
     lo, hi = domain
     span = hi - lo
     nb = int(rng.integers(0, max_breakpoints + 1))
@@ -244,7 +242,7 @@ def random_piecewise_poly(rng: np.random.Generator,
     edges = np.concatenate([[lo], cuts, [hi]])
     coeffs = []
     for _ in range(edges.size - 1):
-        deg = int(rng.integers(0, max_degree + 1))
+        deg = int(rng.integers(0, 4))
         coeffs.append(rng.normal(0.0, 1.0, size=deg + 1))
     poly = PiecewisePoly(edges, coeffs)
     lifted = []
@@ -255,8 +253,8 @@ def random_piecewise_poly(rng: np.random.Generator,
         lifted.append(c)
     poly = PiecewisePoly(poly.edges, lifted)
     peak = poly.maximum()
-    if peak > amplitude:
-        poly = poly.scaled(amplitude / peak)
+    if peak > 2.0:
+        poly = poly.scaled(2.0 / peak)
     return poly
 
 
@@ -276,8 +274,7 @@ def catalog(name: str) -> Signal:
             c = float(key.split(":", 1)[1])
         except ValueError:
             raise UnknownNameError(f"malformed constant signal: {name!r}") from None
-        sig = PiecewisePoly.constant(c).to_signal(name=key)
-        return sig
+        return PiecewisePoly((0.0, 1.0), [(c,)]).to_signal(name=key)
     if key == "ramp":
         return PiecewisePoly((0.0, 1.0), [(1.0, 0.0)]).to_signal(name="ramp")
     if key == "step":

@@ -19,6 +19,14 @@ exponential-instance               trials=2     failures=0    worst_slack=7.878e
 """
 
 
+def _strict_json(text):
+    """Parse RFC 8259 JSON, which has no Infinity and no NaN."""
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -47,6 +55,12 @@ class TestKernelInfo:
         assert code == 0
         payload = json.loads(out)
         assert payload["a_chi_bounded"] == pytest.approx(0.1048, abs=1e-3)
+
+    def test_json_divergent_moment_is_null(self, capsys):
+        code, out, _ = run(capsys, "kernel-info", "--kernel", "fejer",
+                           "--beta", "5", "--json")
+        assert code == 0
+        assert _strict_json(out)["moments"]["m_5"] is None
 
     def test_unknown_kernel_exit_2(self, capsys):
         code, _, err = run(capsys, "kernel-info", "--kernel", "gaussian")
@@ -127,6 +141,17 @@ class TestConverge:
                            "luxemburg_error"]
         mods = [float(r[2]) for r in rows[1:]]
         assert all(a > b for a, b in zip(mods, mods[1:]))
+
+    def test_divergent_modular_is_null(self, capsys, tmp_path):
+        out = tmp_path / "rep"
+        code, _, _ = run(capsys, "converge", "--kernel", "bspline:4",
+                         "--phi", "exponential:1", "--signal", "step",
+                         "--lambda", "1000", "--scales", "8,16",
+                         "--out", str(out))
+        assert code == 0
+        payload = _strict_json((tmp_path / "rep.json").read_text())
+        assert payload["modular_errors"] == [None, None]
+        assert all(0.0 < v < 1.0 for v in payload["luxemburg_errors"])
 
     def test_missing_output_dir_exit_5(self, capsys, tmp_path):
         code, _, err = run(capsys, "converge", "--kernel", "fejer",
@@ -211,6 +236,22 @@ class TestArgumentValidation:
         err = self._exit_2(capsys, "reconstruct", "--kernel", "fejer",
                            "--domain", spec, "--out", str(tmp_path / "x.csv"))
         assert "domain" in err
+
+    @pytest.mark.parametrize("command", ["converge", "reconstruct"])
+    def test_bounded_signal_on_line_rejected(self, capsys, tmp_path,
+                                             command):
+        err = self._exit_2(capsys, command, "--kernel", "fejer", "--signal",
+                           "ramp", "--domain", "line",
+                           "--out", str(tmp_path / "x"))
+        assert "'ramp'" in err and "--domain line" in err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--beta", "0"), ("--beta", "nan"), ("--domain", "line:3"),
+    ])
+    def test_kernel_info_rejects(self, capsys, flag, value):
+        err = self._exit_2(capsys, "kernel-info", "--kernel", "fejer",
+                           f"{flag}={value}")
+        assert flag.lstrip("-") in err
 
     def test_non_finite_csv_sample(self, capsys, tmp_path):
         data = tmp_path / "sig.csv"

@@ -49,3 +49,51 @@ def test_every_public_function_is_named_elsewhere():
             if not word.search(own) and not any(map(word.search, others)):
                 orphans.append(f"{path.stem}.{node.name}")
     assert orphans == []
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(function, parameter, position or None) for each defaulted parameter.
+
+    Positions count from the first argument a caller passes, so a method's
+    self or cls is dropped.
+    """
+    methods = {id(node) for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) for node in cls.body
+               if isinstance(node, ast.FunctionDef) and not any(
+                   getattr(d, "id", None) == "staticmethod"
+                   for d in node.decorator_list)}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        names = [a.arg for a in positional][id(node) in methods:]
+        for a in positional[len(positional) - len(args.defaults):]:
+            yield node.name, a.arg, names.index(a.arg)
+        for a, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield node.name, a.arg, None
+
+
+def test_every_default_is_set_somewhere():
+    # the benchmark drives the package too, so its calls count as callers
+    callers = SCANNED + sorted((ROOT / "bench").glob("*.py"))
+    calls = {}
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr",
+                                                        None))
+                calls.setdefault(name, []).append(node)
+
+    def is_set(call, param, position):
+        if any(k.arg in (param, None) for k in call.keywords):
+            return True
+        return position is not None and (len(call.args) > position or any(
+            isinstance(a, ast.Starred) for a in call.args))
+
+    unset = [f"{path.stem}.{fn}({param})" for path in SOURCES
+             for fn, param, position in _defaulted_parameters(
+                 ast.parse(path.read_text(encoding="utf-8")))
+             if not any(is_set(c, param, position) for c in calls.get(fn, ()))]
+    assert unset == []

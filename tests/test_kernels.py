@@ -141,6 +141,56 @@ class TestLowerBound:
             assert a_bounded <= a_line + 1e-12
 
 
+# a_chi of the catalog, pinned bit for bit: admissibility reads its sign,
+# and bspline:3's -2**-50 on the interval is rounding noise of the spline
+CATALOG_A_CHI = {
+    "fejer": ("0x1.70e6301e60656p-5", "0x1.9f02f6222c71fp-2"),
+    "vallee-poussin": ("0x1.ad1c6a4bc8f08p-4", "0x1.32fffef60d324p-2"),
+    "bspline:1": ("0x0.0p+0", "0x0.0p+0"),
+    "bspline:2": ("0x0.0p+0", "0x1.0000000000000p-1"),
+    "bspline:3": ("-0x1.0000000000000p-50", "0x1.0000000000000p-1"),
+    "bspline:4": ("0x1.5555555555555p-6", "0x1.eaaaaaaaaaaabp-2"),
+    "bspline:5": ("0x1.5555555555555p-5", "0x1.d555555555555p-2"),
+    "bspline:6": ("0x1.f99999999999ap-5", "0x1.c088888888889p-2"),
+}
+
+
+def _bump(name, value):
+    """Kernel with support [-2, 2] that is ``value(u)`` inside it."""
+    return kernels.Kernel(
+        name, lambda u: np.where(np.abs(u) < 2.0, value(np.asarray(u)), 0.0),
+        support=2.0)
+
+
+class TestZoom:
+    """The grid plus zoom search finds extrema that lie between grid points."""
+
+    @pytest.mark.parametrize("kind", ["interval", "line"])
+    def test_infimum_between_grid_points(self, kind):
+        # 0.3 is 409.6 grid steps into [-3/2, 3/2] and 1228.8 into
+        # [-1/2, 1/2]: the best grid point is 8.6e-8 and 2.4e-9 too high
+        ker = _bump("valley", lambda u: 0.25 + (u - 0.3) ** 2)
+        assert kernels.lower_bound_constant(ker, kind) == pytest.approx(
+            0.25, rel=1e-14, abs=0.0)
+
+    def test_moment_maximum_between_grid_points(self):
+        u0 = 0.3
+        ker = _bump("hill", lambda u: np.maximum(0.75 - (u - u0) ** 2, 0.0))
+        assert kernels.moment(ker, 0.0) == pytest.approx(0.75, rel=1e-14,
+                                                         abs=0.0)
+        # d/du [u (3/4 - (u - u0)^2)] = 0 at the root of a quadratic
+        u1 = (4.0 * u0 + math.sqrt(4.0 * u0 ** 2 + 9.0)) / 6.0
+        assert kernels.moment(ker, 1.0) == pytest.approx(
+            u1 * (0.75 - (u1 - u0) ** 2), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("name", sorted(CATALOG_A_CHI))
+    def test_catalog_a_chi_bitwise(self, name):
+        ker = kernels.kernel_by_name(name)
+        got = tuple(kernels.lower_bound_constant(ker, kind).hex()
+                    for kind in ("interval", "line"))
+        assert got == CATALOG_A_CHI[name]
+
+
 class TestAssumptions:
     def test_fejer_admissible_with_beta_two(self, fejer_kernel):
         diag = kernels.check_assumptions(fejer_kernel, "line", beta=2.0)
@@ -216,7 +266,8 @@ class TestKernelInvariants:
         m0 = kernels.moment(ker, 0.0, 1e-8)
         a_chi = kernels.lower_bound_constant(ker, "interval")
         m1 = kernels.moment(ker, 1.0, 1e-6, (0.0, 1.0))
-        assert calls
+        kernels.moment(ker, 2.0)   # the critical order's tail search
+        assert min(calls) > 1      # every search evaluates arrays
         calls.clear()
         assert kernels.moment(ker, 0.0, 1e-8) == m0
         assert kernels.lower_bound_constant(ker, "interval") == a_chi
