@@ -186,7 +186,6 @@ def _quad_panels(f: Signal, window: tuple[float, float],
 
 @dataclass
 class _ErrorSamples:
-    nodes: np.ndarray
     weights: np.ndarray
     deviations: np.ndarray   # |K_n f - f| at the nodes
     sup_error: float
@@ -204,14 +203,14 @@ def _error_samples(f: Signal, kernel: Kernel, n: int, a_chi: float,
     k_grid, den_min = evaluate_with_table_den(config, table, grid)
     sup_error = float(np.max(np.abs(k_grid - f.evaluate(grid))))
     if not need_quadrature:
-        return _ErrorSamples(nodes=np.empty(0), weights=np.empty(0),
-                             deviations=np.empty(0), sup_error=sup_error,
+        return _ErrorSamples(weights=np.empty(0), deviations=np.empty(0),
+                             sup_error=sup_error,
                              den_ok=den_min >= a_chi - 1e-9)
     nodes, weights = quadrature.composite_nodes(_quad_panels(f, window, n))
     k_nodes, den_min_b = evaluate_with_table_den(config, table, nodes)
     deviations = np.abs(k_nodes - f.evaluate(nodes))
     den_ok = min(den_min, den_min_b) >= a_chi - 1e-9
-    return _ErrorSamples(nodes=nodes, weights=weights, deviations=deviations,
+    return _ErrorSamples(weights=weights, deviations=deviations,
                          sup_error=sup_error, den_ok=den_ok)
 
 
@@ -262,8 +261,9 @@ def run_convergence(f: Signal, kernel: Kernel, phi: PhiFunction, lam: float,
         raise ValueError("scales must be non-empty and strictly increasing")
     kind = normalize_domain_kind(domain_kind) if domain_kind else (
         "line" if f.is_line else "interval")
-    if kind == "line" and not f.is_line:
-        raise ValueError("line run requested for a bounded-domain signal")
+    if (kind == "line") != f.is_line:
+        raise ValueError(f"{kind} run requested for a "
+                         f"{'line' if f.is_line else 'bounded-domain'} signal")
     a_chi = admissible_a_chi(kernel, kind)
     domain = None if kind == "line" else f.domain
 
@@ -271,7 +271,8 @@ def run_convergence(f: Signal, kernel: Kernel, phi: PhiFunction, lam: float,
         samples = _error_samples(f, kernel, n, a_chi, domain, truncation_tol)
         mod = modular_from_samples(phi, lam * samples.deviations,
                                    samples.weights)
-        lux = luxemburg_from_samples(phi, samples.deviations, samples.weights)
+        lux = luxemburg_from_samples(phi, samples.deviations, samples.weights,
+                                     1e-9)
         return samples.sup_error, mod, lux, samples.den_ok
 
     workers = _threads(threads)

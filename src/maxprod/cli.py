@@ -172,6 +172,10 @@ def _cmd_converge(args) -> int:
     phi = phi_by_name(args.phi)
     domain = _parse_domain(args.domain)
     f = _load_signal(args, domain)
+    if domain is not None and f.domain != domain:
+        where = "the line" if f.is_line else "[{:g}, {:g}]".format(*f.domain)
+        raise UnknownNameError(f"signal {f.name!r} lives on {where}, not on "
+                               f"--domain {args.domain}")
     scales = _parse_scales(args.scales)
     report = analysis.run_convergence(
         f, kernel, phi, _positive_float(args.lam, "--lambda"), scales,
@@ -288,20 +292,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    codes = {UnknownNameError: EXIT_UNKNOWN_NAME,
+             InadmissibleKernelError: EXIT_INADMISSIBLE,
+             EmptyIndexSetError: EXIT_EMPTY_INDEX_SET, OSError: EXIT_IO}
     try:
         return args.func(args)
-    except UnknownNameError as exc:
+    except tuple(codes) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN_NAME
-    except InadmissibleKernelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INADMISSIBLE
-    except EmptyIndexSetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY_INDEX_SET
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for cls, code in codes.items()
+                    if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -6,8 +6,12 @@ satisfy the doubling condition phi(2u) <= M phi(u); the exponential family
 does not, which is exactly what separates modular from norm convergence in
 the experiments.
 
-A divergent modular is reported as ``math.inf`` (overflow guard in the
-quadrature); quadrature non-convergence raises QuadratureError instead.
+``modular`` and ``luxemburg_norm`` sample |f| once on 16-point Gauss panels
+split at the signal's breakpoints and kinks and reuse the sampled code of
+the convergence runs.  Then phi(c |f|) at the result (c = scale or 1/norm)
+is summed on the panels and on the panels halved; panels where the sums
+disagree beyond ``tol`` relative are halved and the result redone.  A
+divergent modular is ``math.inf``; a failing check raises QuadratureError.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import quadrature
-from .errors import MaxprodError, UnknownNameError
+from .errors import MaxprodError, QuadratureError, UnknownNameError
 from .signals import Signal
 
 _LAMBDA_CAP = 1e12
@@ -102,27 +106,52 @@ def phi_by_name(name: str) -> PhiFunction:
 # ---------------------------------------------------------------------------
 # modular and Luxemburg norm
 
-def _window_edges(f: Signal, window: tuple[float, float]) -> np.ndarray:
+def _sampled(phi: PhiFunction, f: Signal, window: tuple[float, float],
+             tol: float, solve) -> float:
+    """Run ``solve(values, weights, tol) -> (result, c)`` on sampled |f|,
+    then check phi(c |f|) as the module docstring says.  Only panels off by
+    more than their width's share of the tolerance are halved, so an
+    unmarked jump adds one panel per round; the added panels are capped.
+    """
     a, b = float(window[0]), float(window[1])
     if not a < b:
         raise ValueError("window must be a nondegenerate interval")
-    inner = [t for t in f.split_points() if a < t < b]
-    return np.asarray([a, *inner, b])
+    edges = np.asarray([a, *(t for t in f.split_points() if a < t < b), b])
+    budget = edges.size + quadrature._MAX_PANELS
+    for _ in range(quadrature._MAX_ROUNDS):
+        x, w = quadrature.composite_nodes(edges)
+        values = np.abs(f.evaluate(x))
+        result, c = solve(values, w, tol)
+        if math.isinf(result):
+            return result
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        xh, wh = quadrature.composite_nodes(
+            np.sort(np.concatenate([edges, mids])))
+        coarse = (w * phi.evaluate(c * values)).reshape(mids.size, -1)
+        fine = (wh * phi.evaluate(c * np.abs(f.evaluate(xh)))).reshape(
+            mids.size, -1)
+        err = np.abs(fine.sum(axis=1) - coarse.sum(axis=1))
+        share = tol * abs(float(np.sum(fine))) * np.diff(edges) / (b - a)
+        if np.sum(err) <= np.sum(share) < math.inf:
+            return result
+        # a half-panel node that overflows is kept for the next round
+        split = ~(np.isfinite(err) & (err <= share))
+        edges = np.sort(np.concatenate([edges, mids[split]]))
+        if edges.size > budget:
+            break
+    raise QuadratureError(f"sampled quadrature did not reach tol={tol:g} "
+                          f"({edges.size - 1} panels)")
 
 
 def modular(phi: PhiFunction, f: Signal, window: tuple[float, float],
             tol: float = 1e-10, scale: float = 1.0) -> float:
-    """Modular integral of phi(scale * |f|) over the window.
+    """Modular integral of phi(scale * |f|) over the window, to ``tol``.
 
-    Quadrature panels split at the signal's declared breakpoints and kinks.
     Returns ``math.inf`` when the integrand overflows (the signal is not in
     the modular space at this scaling).
     """
-
-    def integrand(x):
-        return phi.evaluate(scale * np.abs(f.evaluate(x)))
-
-    return quadrature.adaptive(integrand, _window_edges(f, window), atol=tol)
+    return _sampled(phi, f, window, tol, lambda values, weights, _: (
+        modular_from_samples(phi, scale * values, weights), scale))
 
 
 def modular_from_samples(phi: PhiFunction, values: np.ndarray,
@@ -135,32 +164,41 @@ def modular_from_samples(phi: PhiFunction, values: np.ndarray,
     return out if abs(out) <= quadrature.OVERFLOW_GUARD else math.inf
 
 
-def _luxemburg_bisect(modular_at, tol: float) -> float:
-    """Shared bracket-and-bisect step: inf{lam > 0 : modular_at(lam) <= 1}.
+def luxemburg_norm(phi: PhiFunction, f: Signal, window: tuple[float, float],
+                   tol: float = 1e-9) -> float:
+    """Luxemburg norm inf{lam > 0 : modular of f/lam <= 1} on the window.
 
-    ``modular_at(lam)`` must be non-increasing in lam (monotonicity of the
-    modular under down-scaling).  Starts from lam = 1, doubles or halves to
-    bracket, then bisects until the bracket is narrower than tol * lam.
+    For convex phi the checked modular bounds its relative error by ``tol``.
     """
-    lam = 1.0
-    if modular_at(lam) <= 1.0:
-        hi = lam
-        lo = 0.5 * lam
-        while (value := modular_at(lo)) <= 1.0:
-            if value == 0.0:
-                return 0.0  # the function vanishes at every node
-            hi = lo
-            lo *= 0.5
-    else:
-        lo = lam
-        hi = 2.0 * lam
-        while modular_at(hi) > 1.0:
-            lo = hi
-            hi *= 2.0
-            if hi > _LAMBDA_CAP:
-                raise MaxprodError(
-                    "Luxemburg bracket exceeded 1e12; the function is not in "
-                    "the modular space on this window")
+
+    def solve(values, weights, tol):
+        lam = luxemburg_from_samples(phi, values, weights, tol)
+        return lam, 1.0 / lam if lam > 0.0 else 1.0
+
+    return _sampled(phi, f, window, tol, solve)
+
+
+def luxemburg_from_samples(phi: PhiFunction, values: np.ndarray,
+                           weights: np.ndarray, tol: float) -> float:
+    """Luxemburg norm of a sampled non-negative function, bisected from its
+    dyadic bracket [hi/2, hi] until the bracket is narrower than tol * hi."""
+    tol = max(tol, np.finfo(float).eps)  # adjacent floats end the bisection
+
+    def modular_at(lam: float) -> float:
+        return modular_from_samples(phi, values / lam, weights)
+
+    hi = 1.0
+    while modular_at(hi) > 1.0:
+        hi *= 2.0
+        if hi > _LAMBDA_CAP:
+            raise MaxprodError(
+                "Luxemburg bracket exceeded 1e12; the function is not in "
+                "the modular space on this window")
+    while (value := modular_at(0.5 * hi)) <= 1.0:
+        if value == 0.0:
+            return 0.0  # the function vanishes at every node
+        hi *= 0.5
+    lo = 0.5 * hi
     while hi - lo > tol * hi:
         mid = 0.5 * (lo + hi)
         if modular_at(mid) <= 1.0:
@@ -168,31 +206,6 @@ def _luxemburg_bisect(modular_at, tol: float) -> float:
         else:
             lo = mid
     return hi
-
-
-def luxemburg_norm(phi: PhiFunction, f: Signal, window: tuple[float, float],
-                   tol: float = 1e-9) -> float:
-    """Luxemburg norm inf{lam > 0 : modular of f/lam <= 1} on the window."""
-    edges = _window_edges(f, window)
-
-    def modular_at(lam: float) -> float:
-        def integrand(x):
-            return phi.evaluate(np.abs(f.evaluate(x)) / lam)
-
-        return quadrature.adaptive(integrand, edges, atol=1e-11)
-
-    return _luxemburg_bisect(modular_at, tol)
-
-
-def luxemburg_from_samples(phi: PhiFunction, values: np.ndarray,
-                           weights: np.ndarray) -> float:
-    """Luxemburg norm of a sampled non-negative function."""
-    values = np.abs(np.asarray(values, dtype=float))
-
-    def modular_at(lam: float) -> float:
-        return modular_from_samples(phi, values / lam, weights)
-
-    return _luxemburg_bisect(modular_at, 1e-9)
 
 
 def maxphi_inequality_check(phi: PhiFunction, values) -> tuple[bool, bool]:

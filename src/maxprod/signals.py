@@ -153,12 +153,7 @@ class PiecewisePoly:
         return PiecewisePoly(self.edges, [c * factor for c in self.coeffs])
 
     def shifted(self, offset: float) -> "PiecewisePoly":
-        coeffs = []
-        for c in self.coeffs:
-            c = c.copy()
-            c[-1] += offset
-            coeffs.append(c)
-        return PiecewisePoly(self.edges, coeffs)
+        return self + PiecewisePoly(self.domain, [(offset,)])
 
     def absolute(self) -> "PiecewisePoly":
         """|p|, with sign-change locations promoted to exact edges."""
@@ -396,27 +391,24 @@ def cell_means(f: Signal, scale: float, k_lo: int, k_hi: int,
     Cells containing declared breakpoints or kinks are split there, so the
     rule is exact for piecewise polynomials up to degree 2*nodes - 1.
     """
-    ks = np.arange(k_lo, k_hi + 1)
-    lo = ks / scale
-    hi = (ks + 1) / scale
-    splits = f.split_points()
-    values = np.empty(ks.size, dtype=float)
-    plain = []
-    for i, k in enumerate(ks):
-        inner = [t for t in splits if lo[i] < t < hi[i]]
-        if inner:
-            x, w = quadrature.composite_nodes([lo[i], *inner, hi[i]], nodes)
-            values[i] = scale * float(np.dot(w, f.evaluate(x)))
-        else:
-            plain.append(i)
-    if plain:
-        idx = np.asarray(plain)
-        xi, wi = quadrature.gauss_legendre(nodes)
-        mid = 0.5 * (lo[idx] + hi[idx])
-        half = 0.5 * (hi[idx] - lo[idx])
-        x = mid[:, None] + half[:, None] * xi[None, :]
+    edges = np.arange(k_lo, k_hi + 2) / scale
+    lo, hi = edges[:-1], edges[1:]
+    splits = np.asarray(f.split_points(), dtype=float)
+    # cell i holds the split points splits[first[i]:stop[i]], strictly inside
+    first = np.searchsorted(splits, lo, side="right")
+    stop = np.searchsorted(splits, hi, side="left")
+    values = np.empty(lo.size, dtype=float)
+    split_cells = stop > first
+    for i in np.flatnonzero(split_cells):
+        x, w = quadrature.composite_nodes(
+            [lo[i], *splits[first[i]:stop[i]], hi[i]], nodes)
+        values[i] = scale * float(np.dot(w, f.evaluate(x)))
+    if not split_cells.all():
+        x, w = quadrature.composite_nodes(edges, nodes)
+        x = x.reshape(lo.size, -1)[~split_cells]
+        w = w.reshape(lo.size, -1)[~split_cells]
         fx = f.evaluate(x.ravel()).reshape(x.shape)
-        values[idx] = scale * np.sum(fx * (half[:, None] * wi[None, :]), axis=1)
+        values[~split_cells] = scale * np.sum(fx * w, axis=1)
     return values
 
 

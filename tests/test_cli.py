@@ -245,6 +245,19 @@ class TestArgumentValidation:
                            "--out", str(tmp_path / "x"))
         assert "'ramp'" in err and "--domain line" in err
 
+    @pytest.mark.parametrize("signal, domain", [
+        ("hat", "interval:0,1"), ("ramp", "interval:0.2,0.8"),
+    ])
+    def test_converge_domain_other_than_signals_rejected(
+            self, capsys, tmp_path, signal, domain):
+        # converge measures on the signal's own domain; a different
+        # interval used to be ignored, with the report of another run
+        err = self._exit_2(capsys, "converge", "--kernel", "fejer",
+                           "--signal", signal, "--domain", domain,
+                           "--scales", "8,16", "--out", str(tmp_path / "rep"))
+        assert f"'{signal}'" in err and f"--domain {domain}" in err
+        assert not (tmp_path / "rep.json").exists()
+
     @pytest.mark.parametrize("flag, value", [
         ("--beta", "0"), ("--beta", "nan"), ("--domain", "line:3"),
     ])

@@ -1,5 +1,7 @@
-"""Static hygiene of the package: no unused imports, and no public function
-that nothing else in the source tree or the tests names."""
+"""Static hygiene of the package: no unused imports, no public function
+that nothing else in the source tree or the tests names, no defaulted
+parameter that no caller sets, and adaptive quadrature only where the
+integrand has kinks no split point marks."""
 
 import ast
 import re
@@ -97,3 +99,17 @@ def test_every_default_is_set_somewhere():
                  ast.parse(path.read_text(encoding="utf-8")))
              if not any(is_set(c, param, position) for c in calls.get(fn, ()))]
     assert unset == []
+
+
+def test_adaptive_quadrature_only_for_unmarked_kinks():
+    # the Orlicz functionals go through the sampled path; adaptive Simpson
+    # stays for the kernel L1 norm and the pair-check sides
+    callers = set()
+    for path in SOURCES:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "adaptive" in (
+                        getattr(node.func, "attr", None),
+                        getattr(node.func, "id", None)):
+                    callers.add(f"{path.stem}.{top.name}")
+    assert callers == {"kernels.l1_norm", "analysis._pair_integrals"}

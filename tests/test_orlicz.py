@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxprod import orlicz, signals
-from maxprod.errors import UnknownNameError
-from maxprod.quadrature import adaptive
+from maxprod import orlicz, quadrature, signals
+from maxprod.errors import QuadratureError, UnknownNameError
 
 SHIPPED = [orlicz.power_phi(1), orlicz.power_phi(2), orlicz.zygmund_phi(1, 1),
            orlicz.zygmund_phi(2, 1.5), orlicz.exponential_phi(1),
@@ -140,7 +139,7 @@ class TestLuxemburg:
         assert orlicz.luxemburg_norm(orlicz.power_phi(2), zero,
                                      (0.0, 1.0)) == 0.0
         assert orlicz.luxemburg_from_samples(
-            orlicz.power_phi(2), np.zeros(4), np.full(4, 0.25)) == 0.0
+            orlicz.power_phi(2), np.zeros(4), np.full(4, 0.25), 1e-9) == 0.0
 
     @pytest.mark.parametrize("name", ["power:1", "power:2", "zygmund:1,1"])
     def test_tiny_constant_is_not_zero(self, name):
@@ -153,21 +152,23 @@ class TestLuxemburg:
         assert orlicz.luxemburg_norm(phi, tiny, (0.0, 1.0)) == \
             pytest.approx(expected, rel=1e-8, abs=0.0)
         assert orlicz.luxemburg_from_samples(
-            phi, np.full(4, 1e-15), np.full(4, 0.25)) == \
+            phi, np.full(4, 1e-15), np.full(4, 0.25), 1e-9) == \
             pytest.approx(expected, rel=1e-8, abs=0.0)
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 5.0])
     def test_matches_direct_lp_norm(self, p, rng):
-        # identity: inf{lam : integral |f/lam|^p <= 1} is the p-norm
+        # identity: inf{lam : integral |f/lam|^p <= 1} is the p-norm, here
+        # from the exact integral of the non-negative polynomial f**p
         phi = orlicz.power_phi(p)
         for _ in range(8):
             poly = signals.random_piecewise_poly(rng)
-            sig = poly.to_signal()
-            lux = orlicz.luxemburg_norm(phi, sig, (0.0, 1.0), tol=1e-10)
-            edges = [0.0, *sig.split_points(), 1.0]
-            direct = adaptive(lambda x: np.abs(sig.evaluate(x)) ** p, edges,
-                              atol=1e-12) ** (1.0 / p)
-            assert lux == pytest.approx(direct, abs=1e-6)
+            lux = orlicz.luxemburg_norm(phi, poly.to_signal(), (0.0, 1.0),
+                                        tol=1e-10)
+            power = signals.PiecewisePoly(poly.edges, [
+                np.polynomial.polynomial.polypow(c[::-1], int(p))[::-1]
+                for c in poly.coeffs])
+            exact = power.integral(0.0, 1.0) ** (1.0 / p)
+            assert lux == pytest.approx(exact, rel=1e-9, abs=0.0)
 
     def test_norm_le_one_implies_modular_le_one(self, rng):
         phi = orlicz.zygmund_phi(1, 1)
@@ -218,3 +219,67 @@ class TestMaxPhiInequality:
     def test_rejects_negative_values(self):
         with pytest.raises(ValueError):
             orlicz.maxphi_inequality_check(orlicz.power_phi(2), [-1.0])
+
+
+class TestSampledPath:
+    """modular and luxemburg_norm sample |f| once and check the result."""
+
+    # every node of Simpson's first pass on [0, 1] is a zero of this signal
+    SIN2 = signals.Signal(name="sin2", domain=(0.0, 1.0),
+                          evaluate=lambda x: np.sin(40.0 * np.pi * x) ** 2)
+
+    def test_signal_vanishing_on_coarse_nodes(self):
+        phi = orlicz.power_phi(2)
+        assert orlicz.modular(phi, self.SIN2, (0.0, 1.0)) == \
+            pytest.approx(0.375, rel=0.0, abs=1e-9)
+        assert orlicz.luxemburg_norm(phi, self.SIN2, (0.0, 1.0),
+                                     tol=1e-10) == \
+            pytest.approx(math.sqrt(0.375), rel=0.0, abs=1e-9)
+
+    def test_undeclared_jump_refines_locally(self):
+        jump = signals.Signal(name="jump", domain=(0.0, 1.0),
+                              evaluate=lambda x: (x > 0.3141) * 1.0)
+        phi = orlicz.power_phi(2)
+        assert orlicz.modular(phi, jump, (0.0, 1.0)) == \
+            pytest.approx(1.0 - 0.3141, rel=1e-9)
+        assert orlicz.luxemburg_norm(phi, jump, (0.0, 1.0)) == \
+            pytest.approx(math.sqrt(1.0 - 0.3141), rel=1e-8)
+
+    def test_overflow_at_a_half_panel_node_is_inf(self):
+        # a spike that only a node of the halved panels hits; phi overflows
+        # there, so the modular diverges even though the first samples miss it
+        node = quadrature.composite_nodes([0.0, 0.5, 1.0])[0][5]
+        spike = signals.Signal(
+            name="spike", domain=(0.0, 1.0),
+            evaluate=lambda x: np.where(np.abs(x - node) < 1e-9, 50.0, 0.5))
+        assert math.isinf(orlicz.modular(orlicz.exponential_phi(2), spike,
+                                         (0.0, 1.0)))
+
+    def test_no_adaptive_quadrature(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("adaptive quadrature called")
+
+        monkeypatch.setattr(quadrature, "adaptive", refuse)
+        for name in ("abs-sine", "step", "sawtooth"):
+            f = signals.catalog(name)
+            for phi in SHIPPED:
+                assert math.isfinite(orlicz.modular(phi, f, (0.0, 1.0)))
+                assert orlicz.luxemburg_norm(phi, f, (0.0, 1.0)) > 0.0
+
+    def test_tolerance_below_rounding(self):
+        # the bisection stops at adjacent floats; the check cannot pass
+        assert orlicz.luxemburg_from_samples(
+            orlicz.power_phi(2), np.full(4, 0.3), np.full(4, 0.25), 0.0) == \
+            pytest.approx(0.3, rel=1e-15)
+        with pytest.raises(QuadratureError):
+            orlicz.luxemburg_norm(orlicz.power_phi(2), signals.catalog("ramp"),
+                                  (0.0, 1.0), tol=0.0)
+
+    def test_unresolvable_integrand_raises(self):
+        # about 3e8 periods on the window: no panel count within the cap
+        # resolves them, so the check fails until the refinement gives up
+        noise = signals.Signal(
+            name="noise", domain=(0.0, 1.0),
+            evaluate=lambda x: np.sin(1e9 * np.asarray(x)) ** 2)
+        with pytest.raises(QuadratureError):
+            orlicz.modular(orlicz.power_phi(1), noise, (0.0, 1.0))
