@@ -13,8 +13,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Sequence
 
@@ -214,13 +212,6 @@ def _error_samples(f: Signal, kernel: Kernel, n: int, a_chi: float,
                          sup_error=sup_error, den_ok=den_ok)
 
 
-def _threads(requested: int | None) -> int:
-    if requested is not None:
-        return max(1, int(requested))
-    env = os.environ.get("MAXPROD_THREADS", "").strip()
-    return max(1, int(env)) if env else 1
-
-
 # ---------------------------------------------------------------------------
 # spec operations
 
@@ -253,8 +244,7 @@ def modulus_of_continuity(f: Signal, delta: float) -> float:
 
 def run_convergence(f: Signal, kernel: Kernel, phi: PhiFunction, lam: float,
                     scales: Sequence[int], domain_kind: str | None = None,
-                    truncation_tol: float = 1e-3,
-                    threads: int | None = None) -> ConvergenceReport:
+                    truncation_tol: float = 1e-3) -> ConvergenceReport:
     """Measure sup, modular and Luxemburg errors of K_n f across scales."""
     scales = [int(n) for n in scales]
     if not scales or any(b <= a for a, b in zip(scales, scales[1:])):
@@ -275,12 +265,7 @@ def run_convergence(f: Signal, kernel: Kernel, phi: PhiFunction, lam: float,
                                      1e-9)
         return samples.sup_error, mod, lux, samples.den_ok
 
-    workers = _threads(threads)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(cell, scales))
-    else:
-        rows = [cell(n) for n in scales]
+    rows = [cell(n) for n in scales]
     sup_errors = [r[0] for r in rows]
     return ConvergenceReport(
         scales=scales, sup_errors=sup_errors,

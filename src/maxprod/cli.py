@@ -11,7 +11,6 @@ Subcommands:
 Exit codes: 0 ok, 1 campaign failure, 2 unknown catalog name or malformed
 argument or CSV row, 3 inadmissible kernel, 4 empty lattice index set, 5 I/O
 failure.
-``MAXPROD_THREADS`` caps the number of worker threads for per-scale cells.
 """
 
 from __future__ import annotations

@@ -2,12 +2,13 @@
 
 K_n f(x) = sup_k chi(n x - k) mean_k / sup_k chi(n x - k), signs kept, over
 J_n on an interval, or over Z on the line with zero means off the support.
-Sorted points form tiles of at most ``_BUDGET`` rows x columns; a tile
-evaluates only the columns within a certified half-width w of its floor(n x)
-(clipped to J_n).  Beyond w, |chi| <= tail: 0 for compact kernels (exact),
-C w**-alpha < truncation_tol * a_chi for decay kernels.  A row keeps its
-band numerator only when it beats tail * max|mean|, which bounds every term
-outside the band; other rows also take the whole table's supremum.
+Each point x evaluates one window of 2w + 1 lattice columns around floor(n x)
+(fewer if J_n is smaller, shifted to stay inside J_n), in chunks of at most
+``_BUDGET`` rows x columns; w is a certified half-width.  Beyond w,
+|chi| <= tail: 0 for compact kernels (exact), C w**-alpha < truncation_tol *
+a_chi for decay kernels.  A row keeps its window numerator only when it beats
+tail * max|mean|, which bounds every term outside the band; other rows also
+take the whole table's supremum.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .kernels import Kernel, _decay_coefficient, admissible_a_chi
 from .signals import (Domain, MeanValueTable, Signal, cell_means, iceil,
                       ifloor, mean_values)
 
-# Elements (rows x lattice columns) of one kernel-evaluation tile, which
+# Elements (rows x lattice columns) of one kernel-evaluation chunk, which
 # sets the size of every temporary whatever n, the point count or --tol.
 _BUDGET = 1 << 14
 
@@ -84,15 +85,15 @@ def _band(config: OperatorConfig) -> tuple[int, float]:
 
 
 def _tile(config: OperatorConfig, table: MeanValueTable, u: np.ndarray,
-          c_lo: int, c_hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Suprema of chi * mean and chi for rows u = n x over c_lo..c_hi."""
-    ks = np.arange(c_lo, c_hi + 1)
+          ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Suprema of chi * mean and chi for rows u = n x over int64 columns ks.
+
+    ``ks`` broadcasts against the rows; a cell off the table has mean 0.
+    """
     chi = np.asarray(config.kernel.evaluate(u[:, None] - ks))
-    means = np.zeros(ks.size)   # a cell off the table has mean 0
-    lo, hi = max(c_lo, table.k_lo), min(c_hi, table.k_hi)
-    if lo <= hi:
-        means[lo - c_lo:hi - c_lo + 1] = \
-            table.values[lo - table.k_lo:hi - table.k_lo + 1]
+    # clipped indices land on the zero pads at either end
+    means = np.take(np.concatenate(([0.0], table.values, [0.0])),
+                    ks - (table.k_lo - 1), mode="clip")
     return np.maximum.reduce(chi * means, 1), np.maximum.reduce(chi, 1)
 
 
@@ -106,38 +107,32 @@ def evaluate_with_table_den(config: OperatorConfig, table: MeanValueTable,
         raise ValueError("evaluation points must be finite and inside the "
                          "domain, with |n x| < 2**52")
     w, tail = _band(config)
-    order = np.argsort(u)
-    u = u[order]
-    fl = np.floor(u)   # exact integers, since |u| < 2**52
+    fl = np.floor(u).astype(np.int64)   # exact, since |u| < 2**52
     lo, hi = (table.k_lo, table.k_hi) if config.domain else (-2**62, 2**62)
+    width = min(2 * w + 1, hi - lo + 1)
+    first = np.clip(fl - w, lo, hi - width + 1)[:, None]
     num, den = np.empty((2, u.size))
-    start = 0
-    while start < u.size:  # the longest run of rows whose band tile fits
-        c_lo, c_hi, stop = max(fl[start] - w, lo), min(fl[-1] + w, hi), u.size
-        if (stop - start) * (c_hi - c_lo + 1) > _BUDGET:
-            ends = np.minimum(fl[start:start + _BUDGET] + w, hi)
-            size = np.arange(1, ends.size + 1) * (ends - c_lo + 1)
-            stop = start + max(1, int(np.count_nonzero(size <= _BUDGET)))
-            c_hi = ends[stop - start - 1]
-        num[start:stop], den[start:stop] = _tile(config, table, u[start:stop],
-                                                 int(c_lo), int(c_hi))
-        start = stop
+    step = max(1, _BUDGET // width)
+    for s in range(0, u.size, step):
+        rows = slice(s, s + step)
+        num[rows], den[rows] = _tile(config, table, u[rows],
+                                     first[rows] + np.arange(width))
     # the certificate is needed only when some band misses part of the table
-    if tail and fl.size and max(fl[-1] - table.k_lo, table.k_hi - fl[0]) > w:
+    if tail and fl.size and max(fl.max() - table.k_lo,
+                                table.k_hi - fl.min()) > w:
         bound = tail * float(np.max(np.abs(table.values)))
         redo = np.flatnonzero(((num <= bound) & (bound > 0.0)) | (den <= tail))
-        step = max(1, _BUDGET // table.values.size)
+        whole = np.arange(table.k_lo, table.k_hi + 1)
+        step = max(1, _BUDGET // whole.size)
         for rows in np.split(redo, range(step, redo.size, step)):
-            whole = _tile(config, table, u[rows], table.k_lo, table.k_hi)
-            num[rows] = np.maximum(num[rows], whole[0])
-            den[rows] = np.maximum(den[rows], whole[1])
+            more = _tile(config, table, u[rows], whole)
+            num[rows] = np.maximum(num[rows], more[0])
+            den[rows] = np.maximum(den[rows], more[1])
     den_min = float(den.min(initial=math.inf))
     if den_min <= (0.0 if config.domain else config.a_chi * (1.0 - 1e-9)):
         raise InadmissibleKernelError(
             f"lattice supremum {den_min:.3e} at n={config.n} is too small")
-    out = np.empty(xs.shape)
-    out[order] = (num if config.domain else np.maximum(num, 0.0)) / den
-    return out, den_min
+    return (num if config.domain else np.maximum(num, 0.0)) / den, den_min
 
 
 def maxprod_kantorovich_grid(config: OperatorConfig, f: Signal,

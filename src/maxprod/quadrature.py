@@ -26,6 +26,7 @@ from .errors import QuadratureError
 OVERFLOW_GUARD = 1e100
 _MAX_ROUNDS = 48  # halvings of the widest panel before giving up
 _MAX_PANELS = 1 << 14  # panels a posteriori halving may add
+_MAX_LIVE = 1 << 17  # panels one adaptive round may evaluate
 _leggauss = functools.cache(lambda n: np.polynomial.legendre.leggauss(n))
 
 
@@ -54,7 +55,9 @@ def adaptive(fn, edges, atol: float = 1e-10, rtol: float = 1e-12) -> float:
     Panels are subdivided until the local Richardson error estimate drops
     below its share of ``atol`` plus ``rtol`` times the local value.
     Returns ``math.inf`` as soon as a node value or a partial sum leaves
-    the representable range (divergence guard).
+    the representable range (divergence guard).  Raises
+    :class:`QuadratureError` after ``_MAX_ROUNDS`` rounds, or before a round
+    that would evaluate more than ``_MAX_LIVE`` panels.
     """
     edges = np.unique(np.asarray(edges, dtype=float))
     if edges.size < 2:
@@ -88,6 +91,8 @@ def adaptive(fn, edges, atol: float = 1e-10, rtol: float = 1e-12) -> float:
         live = ~done
         if not live.any():
             return result
+        if 2 * np.count_nonzero(live) > _MAX_LIVE:
+            break
         a = np.concatenate([a[live], m[live]])
         b = np.concatenate([m[live], b[live]])
         fa = np.concatenate([fa[live], fm[live]])
@@ -97,4 +102,4 @@ def adaptive(fn, edges, atol: float = 1e-10, rtol: float = 1e-12) -> float:
         m = 0.5 * (a + b)
     raise QuadratureError(
         f"adaptive Simpson did not converge within {_MAX_ROUNDS} rounds "
-        f"({a.size} panels still active)")
+        f"and {_MAX_LIVE} live panels ({a.size} panels in the last round)")

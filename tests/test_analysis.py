@@ -89,15 +89,6 @@ class TestRunConvergence:
             [8, 16, 32]) for _ in range(2)]
         assert dataclasses.asdict(runs[0]) == dataclasses.asdict(runs[1])
 
-    def test_threaded_matches_serial(self, fejer_kernel):
-        serial = analysis.run_convergence(
-            signals.catalog("step"), fejer_kernel, orlicz.power_phi(2), 1.0,
-            [8, 16, 32], threads=1)
-        threaded = analysis.run_convergence(
-            signals.catalog("step"), fejer_kernel, orlicz.power_phi(2), 1.0,
-            [8, 16, 32], threads=4)
-        assert dataclasses.asdict(serial) == dataclasses.asdict(threaded)
-
     def test_interval_run_on_line_signal_rejected(self, fejer_kernel):
         with pytest.raises(ValueError, match="interval run"):
             analysis.run_convergence(

@@ -1,7 +1,8 @@
 """Static hygiene of the package: no unused imports, no public function
 that nothing else in the source tree or the tests names, no defaulted
-parameter that no caller sets, and adaptive quadrature only where the
-integrand has kinks no split point marks."""
+parameter that no caller sets, no environment variable or thread pool, and
+adaptive quadrature only where the integrand has kinks no split point
+marks."""
 
 import ast
 import re
@@ -33,6 +34,25 @@ def test_no_unused_imports():
         unused += [f"{path.stem}.{name}" for name in _imported_names(tree)
                    if name not in used]
     assert unused == []
+
+
+def test_no_environment_variables_or_thread_pools():
+    # arguments alone set the behaviour, and every run is single-threaded
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{path.stem}.{name}" for name in names
+                      if name in ("environ", "environb", "getenv")
+                      or name.split(".")[0] == "concurrent"]
+    assert found == []
 
 
 def test_every_public_function_is_named_elsewhere():

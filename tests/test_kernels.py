@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxprod import kernels
-from maxprod.errors import TruncationError, UnknownNameError
+from maxprod.errors import (QuadratureError, TruncationError,
+                            UnknownNameError)
 from maxprod.quadrature import adaptive
 
 FEJER_AT_THREE_HALVES = 4.0 / (9.0 * math.pi ** 2)
@@ -286,3 +287,10 @@ class TestKernelInvariants:
                           np.linspace(-64.0, 64.0, 257), atol=1e-8)
         full = kernels.l1_norm(vp_kernel, 1e-4)
         assert coarse <= full <= coarse + 0.02
+
+
+def test_adaptive_gives_up_at_the_live_panel_cap():
+    # about 3e8 periods: every round halves all live panels, so without a
+    # cap the panel arrays double for 48 rounds
+    with pytest.raises(QuadratureError, match="live panels"):
+        adaptive(lambda x: np.sin(1e9 * x) ** 2, [0.0, 1.0])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -85,6 +86,36 @@ class TestRealLine:
         far = operators.maxprod_kantorovich_grid(config, sq,
                                                  np.array([5.0, -8.0, 20.0]))
         assert np.all(far >= 0.0) and np.all(far < 1e-2)
+
+
+class TestPerPointWindow:
+    """Each point costs one window of at most 2w + 1 kernel pairs, wherever
+    it lies and however many other points share its cells."""
+
+    @pytest.mark.parametrize("name, n, domain, signal, lo, hi", [
+        ("bspline:4", 1024, UNIT, "abs-sine", 0.0, 1.0),
+        # inside the hat's support every row passes the band certificate
+        ("fejer", 256, None, "hat", -0.9, 0.9),
+    ])
+    def test_kernel_pairs_per_point(self, rng, name, n, domain, signal, lo,
+                                    hi):
+        config = operators.operator_config(kernels.kernel_by_name(name), n,
+                                           domain)
+        w, _ = operators._band(config)
+        table = signals.mean_values(signals.catalog(signal), n,
+                                    config.domain_kind, interval=domain)
+        pairs = []
+        evaluate = config.kernel.evaluate
+
+        def counting(u):
+            pairs.append(np.size(u))
+            return evaluate(u)
+
+        config = dataclasses.replace(config, kernel=dataclasses.replace(
+            config.kernel, evaluate=counting))
+        xs = rng.uniform(lo, hi, 20_000)
+        operators.evaluate_with_table_den(config, table, xs)
+        assert sum(pairs) <= xs.size * (2 * w + 1)
 
 
 class TestGridConsistency:
