@@ -2,13 +2,13 @@
 
 K_n f(x) = sup_k chi(n x - k) mean_k / sup_k chi(n x - k), signs kept, over
 J_n on an interval, or over Z on the line with zero means off the support.
-Each point x evaluates one window of 2w + 1 lattice columns around floor(n x)
-(fewer if J_n is smaller, shifted to stay inside J_n), in chunks of at most
-``_BUDGET`` rows x columns; w is a certified half-width.  Beyond w,
-|chi| <= tail: 0 for compact kernels (exact), C w**-alpha < truncation_tol *
-a_chi for decay kernels.  A row keeps its window numerator only when it beats
-tail * max|mean|, which bounds every term outside the band; other rows also
-take the whole table's supremum.
+Each point first takes a core window of 2r + 1 columns around floor(n x),
+shifted to stay inside J_n, in chunks of at most ``_BUDGET`` elements: r = w,
+exact, past a compact support or where the decay band 2w + 1 covers J_n, else
+C r**-alpha <= a_chi / 4.  Then a decay-kernel row takes each ``_BLOCK``-column
+block of the table, d away, whose bound min(sup|chi|, C max(d, r)**-alpha) *
+max|mean| could raise its numerator or denominator.  Skipped columns cannot
+win and max is exact, so results are bitwise those of the whole lattice.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ from .signals import (Domain, MeanValueTable, Signal, cell_means, iceil,
 # Elements (rows x lattice columns) of one kernel-evaluation chunk, which
 # sets the size of every temporary whatever n, the point count or --tol.
 _BUDGET = 1 << 14
+# Lattice columns per block of the decay-kernel pruning stage.
+_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -84,51 +86,73 @@ def _band(config: OperatorConfig) -> tuple[int, float]:
     return w, c * float(w) ** -alpha
 
 
-def _tile(config: OperatorConfig, table: MeanValueTable, u: np.ndarray,
-          ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Suprema of chi * mean and chi for rows u = n x over int64 columns ks.
-
-    ``ks`` broadcasts against the rows; a cell off the table has mean 0.
-    """
-    chi = np.asarray(config.kernel.evaluate(u[:, None] - ks))
-    # clipped indices land on the zero pads at either end
-    means = np.take(np.concatenate(([0.0], table.values, [0.0])),
-                    ks - (table.k_lo - 1), mode="clip")
-    return np.maximum.reduce(chi * means, 1), np.maximum.reduce(chi, 1)
+def _sweep(config: OperatorConfig, table: MeanValueTable, u: np.ndarray,
+           starts: np.ndarray, width: int) -> np.ndarray:
+    """Suprema of chi * mean and chi for each row u = n x over the ``width``
+    columns from its start; a column off the table has mean 0."""
+    padded = np.concatenate(([0.0], table.values, [0.0]))
+    cols = np.arange(width)[:, None]
+    out = np.empty((2, u.size))
+    step = max(1, _BUDGET // width)
+    for s in range(0, u.size, step):
+        ks = starts[s:s + step] + cols
+        chi = np.asarray(config.kernel.evaluate(u[s:s + step] - ks))
+        prod = chi * np.take(padded, ks - (table.k_lo - 1), mode="clip")
+        out[:, s:s + step] = prod.max(0), chi.max(0)
+    return out
 
 
 def evaluate_with_table_den(config: OperatorConfig, table: MeanValueTable,
                             xs) -> tuple[np.ndarray, float]:
     """Operator values plus the smallest denominator encountered."""
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    u = config.n * xs
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim > 1:
+        raise ValueError(f"evaluation points must be 1-D, not {xs.shape}")
+    u = config.n * xs.ravel()
     a, b = config.domain or (-math.inf, math.inf)
     if not np.all((xs >= a - 1e-9) & (xs <= b + 1e-9) & (abs(u) < 2.0 ** 52)):
         raise ValueError("evaluation points must be finite and inside the "
                          "domain, with |n x| < 2**52")
-    w, tail = _band(config)
-    fl = np.floor(u).astype(np.int64)   # exact, since |u| < 2**52
+    ker, (r, tail) = config.kernel, _band(config)
     lo, hi = (table.k_lo, table.k_hi) if config.domain else (-2**62, 2**62)
-    width = min(2 * w + 1, hi - lo + 1)
-    first = np.clip(fl - w, lo, hi - width + 1)[:, None]
-    num, den = np.empty((2, u.size))
-    step = max(1, _BUDGET // width)
-    for s in range(0, u.size, step):
-        rows = slice(s, s + step)
-        num[rows], den[rows] = _tile(config, table, u[rows],
-                                     first[rows] + np.arange(width))
-    # the certificate is needed only when some band misses part of the table
-    if tail and fl.size and max(fl.max() - table.k_lo,
-                                table.k_hi - fl.min()) > w:
-        bound = tail * float(np.max(np.abs(table.values)))
-        redo = np.flatnonzero(((num <= bound) & (bound > 0.0)) | (den <= tail))
-        whole = np.arange(table.k_lo, table.k_hi + 1)
-        step = max(1, _BUDGET // whole.size)
-        for rows in np.split(redo, range(step, redo.size, step)):
-            more = _tile(config, table, u[rows], whole)
-            num[rows] = np.maximum(num[rows], more[0])
-            den[rows] = np.maximum(den[rows], more[1])
+    prune = tail > 0.0 and 2 * r + 1 < hi - lo + 1   # J_n outgrows the band
+    if prune:
+        c, alpha = _decay_coefficient(ker), ker.decay_order
+        r = max(1, math.ceil((4.0 * c / config.a_chi) ** (1.0 / alpha)))
+    width = min(2 * r + 1, hi - lo + 1)
+    first = np.clip(np.floor(u).astype(np.int64) - r, lo, hi - width + 1)
+    num, den = _sweep(config, table, u, first, width)
+    if prune:
+        # columns off the core lie farther than r from u: |chi| <= env there
+        bw = min(_BLOCK, table.values.size)
+        starts = np.minimum(np.arange(table.k_lo, table.k_hi + 1, _BLOCK),
+                            table.k_hi - bw + 1)   # the last block overlaps
+        cells = starts - table.k_lo + np.arange(bw)[:, None]
+        bmax = np.abs(table.values[cells]).max(0)
+        sup, margin = ker.sup_norm or math.inf, 1.0 + 1e-9   # for rounding
+        env_r = min(sup, c * r ** -alpha) * margin
+        todo = np.flatnonzero((num < env_r * bmax.max()) | (den < env_r))
+        step = max(1, _BUDGET // starts.size)
+        for rows in np.split(todo, range(step, todo.size, step)):
+            d = np.maximum(starts - u[rows, None],
+                           u[rows, None] - (starts + bw - 1))
+            env = np.minimum(sup, c * np.maximum(d, r) ** -alpha) * margin
+            bound = env * bmax
+            # each row's best block first, to mask the rest; then every block
+            # whose bound could still win, once
+            at, blk = np.arange(rows.size), bound.argmax(axis=1)
+            while at.size:
+                pn, pd = _sweep(config, table, u[rows[at]], starts[blk], bw)
+                cut = np.flatnonzero(np.diff(at, prepend=-1))
+                i = rows[at[cut]]
+                num[i] = np.maximum(num[i], np.maximum.reduceat(pn, cut))
+                den[i] = np.maximum(den[i], np.maximum.reduceat(pd, cut))
+                bound[at, blk] = env[at, blk] = -math.inf
+                at, blk = np.nonzero((bound > num[rows, None])
+                                     | (env > den[rows, None]))
     den_min = float(den.min(initial=math.inf))
+    # on the line this also certifies the columns never evaluated: each lies
+    # farther than r from u, where |chi| <= a_chi / 4
     if den_min <= (0.0 if config.domain else config.a_chi * (1.0 - 1e-9)):
         raise InadmissibleKernelError(
             f"lattice supremum {den_min:.3e} at n={config.n} is too small")

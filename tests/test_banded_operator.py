@@ -1,6 +1,7 @@
 """The banded operator core against the dense reference evaluator, and the
 element budget that bounds its temporaries."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -70,8 +71,8 @@ class TestAgainstDense:
     ])
     def test_certificate_failure_falls_back(self, domain, n, xs):
         # one large mean far from near-zero neighbours: inside the band the
-        # row supremum is ~1e-12, below tail * max|mean|, and the true value
-        # comes from the far cell that only the whole-table pass sees
+        # row supremum is ~1e-12, and the true value comes from the far cell
+        # that only the block stage reaches
         config = operators.operator_config(KERNELS["fejer"], n, domain)
         w, tail = operators._band(config)
         values = np.full(n, 1e-12)
@@ -84,6 +85,52 @@ class TestAgainstDense:
         want, want_den = dense_evaluate(config, table, xs)
         assert _bits(got) == _bits(want) and got_den == want_den
         assert np.all(got[:2] > 1e3 * 1e-12)
+
+    def test_block_holding_the_point(self):
+        # u = 8.5 lies deep inside block [0, 15], and its winning cell 5 lies
+        # just outside the core (r = 2); the block of cell 20 has the larger
+        # bound, goes first, and beats any bound that used d = -6.5 instead
+        # of r for the block holding u
+        n = 64
+        config = operators.operator_config(KERNELS["fejer"], n, None)
+        values = np.full(n, 1e-12)
+        values[5], values[20] = 1.0, 10.0
+        table = signals.MeanValueTable(n=n, k_lo=0, k_hi=n - 1, values=values,
+                                       domain_kind="line")
+        xs = np.array([8.5 / n])
+        got, got_den = operators.evaluate_with_table_den(config, table, xs)
+        want, want_den = dense_evaluate(config, table, xs)
+        assert _bits(got) == _bits(want) and got_den == want_den
+
+    @pytest.mark.parametrize("kernel, signal, lo, hi", [
+        # the winning cell lies about d cells into the support, not at its
+        # edge, d being the distance from x to the support
+        ("fejer", "hat", 1.1, 3.0),
+        ("vallee-poussin", "square-pulse", -3.0, 3.0),   # signed lobes
+    ])
+    def test_far_field_on_the_line(self, kernel, signal, lo, hi):
+        config = operators.operator_config(KERNELS[kernel], 256, None)
+        table = signals.mean_values(signals.catalog(signal), 256, "line")
+        xs = np.linspace(lo, hi, 2000)
+        got, got_den = operators.evaluate_with_table_den(config, table, xs)
+        want, want_den = dense_evaluate(config, table, xs)
+        assert _bits(got) == _bits(want) and got_den == want_den
+
+    @pytest.mark.parametrize("domain, n, signal", [
+        ((0.0, 1.0), 300, "abs-sine"),
+        (None, 200, "hat"),
+    ])
+    def test_sampled_decay_coefficient(self, domain, n, signal):
+        # the pruning bound trusts a sampled C as far as the band does
+        kernel = dataclasses.replace(KERNELS["fejer"], decay_coeff=None)
+        config = operators.operator_config(kernel, n, domain)
+        table = signals.mean_values(signals.catalog(signal), n,
+                                    config.domain_kind, interval=domain)
+        xs = np.linspace(*(domain or (-3.0, 3.0)), 2000)
+        got, got_den = operators.evaluate_with_table_den(config, table, xs)
+        assert kernel.decay_coeff != KERNELS["fejer"].decay_coeff  # sampled
+        want, want_den = dense_evaluate(config, table, xs)
+        assert _bits(got) == _bits(want) and got_den == want_den
 
     def test_empty_points(self):
         config = operators.operator_config(KERNELS["fejer"], 16, None)
@@ -100,6 +147,15 @@ class TestAgainstDense:
                                     interval=domain)
         with pytest.raises(ValueError, match="finite"):
             operators.evaluate_with_table_den(config, table, [0.5, bad])
+
+    def test_two_dimensional_points_rejected(self):
+        config = operators.operator_config(KERNELS["bspline:4"], 16,
+                                           (0.0, 1.0))
+        table = signals.mean_values(signals.catalog("ramp"), 16, "interval",
+                                    interval=(0.0, 1.0))
+        with pytest.raises(ValueError, match=r"1-D, not \(2, 3\)"):
+            operators.evaluate_with_table_den(config, table,
+                                              np.full((2, 3), 0.5))
 
 
 class TestElementBudget:
@@ -125,6 +181,17 @@ class TestElementBudget:
                                  np.linspace(1.5, 2.5, 200)])
         else:
             xs = np.linspace(0.0, 1.0, 20_000)
+        self._check_peak(config, table, xs)
+
+    def test_peak_memory_in_the_far_field(self):
+        # most rows reach the block stage, whose bound matrix has one column
+        # per 16 cells of the 16386-cell table
+        config = operators.operator_config(KERNELS["fejer"], 8192, None,
+                                           truncation_tol=1e-6)
+        table = signals.mean_values(signals.catalog("hat"), 8192, "line")
+        self._check_peak(config, table, np.linspace(-16.0, 16.0, 20_000))
+
+    def _check_peak(self, config, table, xs):
         tracemalloc.start()
         try:
             values, _ = operators.evaluate_with_table_den(config, table, xs)

@@ -90,15 +90,12 @@ class TestRealLine:
 
 class TestPerPointWindow:
     """Each point costs one window of at most 2w + 1 kernel pairs, wherever
-    it lies and however many other points share its cells."""
+    it lies and however many other points share its cells; decay kernels
+    pay a small core window plus the table blocks that could win."""
 
-    @pytest.mark.parametrize("name, n, domain, signal, lo, hi", [
-        ("bspline:4", 1024, UNIT, "abs-sine", 0.0, 1.0),
-        # inside the hat's support every row passes the band certificate
-        ("fejer", 256, None, "hat", -0.9, 0.9),
-    ])
-    def test_kernel_pairs_per_point(self, rng, name, n, domain, signal, lo,
-                                    hi):
+    @staticmethod
+    def _pairs_per_point(name, n, domain, signal, xs):
+        """Kernel pairs per point, the band half-width w and the table."""
         config = operators.operator_config(kernels.kernel_by_name(name), n,
                                            domain)
         w, _ = operators._band(config)
@@ -113,9 +110,35 @@ class TestPerPointWindow:
 
         config = dataclasses.replace(config, kernel=dataclasses.replace(
             config.kernel, evaluate=counting))
-        xs = rng.uniform(lo, hi, 20_000)
         operators.evaluate_with_table_den(config, table, xs)
-        assert sum(pairs) <= xs.size * (2 * w + 1)
+        return sum(pairs) / xs.size, w, table
+
+    @pytest.mark.parametrize("name, n, domain, signal, lo, hi", [
+        ("bspline:4", 1024, UNIT, "abs-sine", 0.0, 1.0),
+        # inside the hat's support the core window decides nearly every row
+        ("fejer", 256, None, "hat", -0.9, 0.9),
+    ])
+    def test_kernel_pairs_per_point(self, rng, name, n, domain, signal, lo,
+                                    hi):
+        xs = rng.uniform(lo, hi, 20_000)
+        per_point, w, _ = self._pairs_per_point(name, n, domain, signal, xs)
+        assert per_point <= 2 * w + 1
+
+    @pytest.mark.parametrize("name", ["fejer", "vallee-poussin"])
+    def test_decay_core_window_on_the_interval(self, rng, name):
+        # the band is 2w + 1 = 139 / 135 columns; a core of 11 decides
+        # nearly every row
+        xs = rng.uniform(0.0, 1.0, 20_000)
+        per_point, _, _ = self._pairs_per_point(name, 512, UNIT, "abs-sine",
+                                                xs)
+        assert per_point <= 16
+
+    def test_far_field_skips_blocks_that_cannot_win(self, rng):
+        # the band plus the whole table is 49 + 514 pairs per point
+        xs = rng.uniform(1.1, 3.0, 20_000)
+        per_point, w, table = self._pairs_per_point("fejer", 256, None,
+                                                    "hat", xs)
+        assert per_point <= (2 * w + 1 + table.values.size) / 2
 
 
 class TestGridConsistency:
