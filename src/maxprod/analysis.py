@@ -191,10 +191,9 @@ class _ErrorSamples:
 
 
 def _error_samples(f: Signal, kernel: Kernel, n: int, a_chi: float,
-                   domain: Domain, truncation_tol: float = 1e-3,
+                   domain: Domain,
                    need_quadrature: bool = True) -> _ErrorSamples:
-    config = OperatorConfig(kernel=kernel, n=n, domain=domain, a_chi=a_chi,
-                            truncation_tol=truncation_tol)
+    config = OperatorConfig(kernel=kernel, n=n, domain=domain, a_chi=a_chi)
     table = mean_values(f, n, config.domain_kind, interval=domain)
     window = _eval_window(f, kernel, a_chi, n)
     grid = _sup_grid(f, window, n)
@@ -243,8 +242,8 @@ def modulus_of_continuity(f: Signal, delta: float) -> float:
 
 
 def run_convergence(f: Signal, kernel: Kernel, phi: PhiFunction, lam: float,
-                    scales: Sequence[int], domain_kind: str | None = None,
-                    truncation_tol: float = 1e-3) -> ConvergenceReport:
+                    scales: Sequence[int],
+                    domain_kind: str | None = None) -> ConvergenceReport:
     """Measure sup, modular and Luxemburg errors of K_n f across scales."""
     scales = [int(n) for n in scales]
     if not scales or any(b <= a for a, b in zip(scales, scales[1:])):
@@ -258,7 +257,7 @@ def run_convergence(f: Signal, kernel: Kernel, phi: PhiFunction, lam: float,
     domain = None if kind == "line" else f.domain
 
     def cell(n: int):
-        samples = _error_samples(f, kernel, n, a_chi, domain, truncation_tol)
+        samples = _error_samples(f, kernel, n, a_chi, domain)
         mod = modular_from_samples(phi, lam * samples.deviations,
                                    samples.weights)
         lux = luxemburg_from_samples(phi, samples.deviations, samples.weights,

@@ -147,8 +147,7 @@ def _cmd_reconstruct(args) -> int:
     kernel = kernel_by_name(args.kernel)
     domain = _parse_domain(args.domain)
     f = _load_signal(args, domain)
-    config = operator_config(kernel, _positive_int(args.n, "--n"), domain,
-                             truncation_tol=_positive_float(args.tol, "--tol"))
+    config = operator_config(kernel, _positive_int(args.n, "--n"), domain)
     points = _positive_int(args.grid, "--grid")
     if domain is not None:
         grid = np.linspace(domain[0], domain[1], points)
@@ -178,8 +177,7 @@ def _cmd_converge(args) -> int:
     scales = _parse_scales(args.scales)
     report = analysis.run_convergence(
         f, kernel, phi, _positive_float(args.lam, "--lambda"), scales,
-        domain_kind="line" if domain is None else "interval",
-        truncation_tol=_positive_float(args.tol, "--tol"))
+        domain_kind="line" if domain is None else "interval")
     out = Path(args.out)
     json_path = out.with_suffix(".json")
     csv_path = out.with_suffix(".csv")
@@ -207,6 +205,7 @@ def _cmd_verify(args) -> int:
     size = args.draws
     if size < 0:
         raise UnknownNameError(f"--draws must be >= 0, got {size}")
+    tol = _positive_float(args.tol, "--tol")
     if size == 0:
         print("campaign size 0: nothing to verify")
         return EXIT_OK
@@ -217,16 +216,16 @@ def _cmd_verify(args) -> int:
     results.append(analysis.campaign_max_convexity(size, args.seed))
     results.append(analysis.campaign_modular_inequality(
         size, args.seed, kernels=kernels, interval=domain,
-        tolerance=args.tol))
+        tolerance=tol))
     results.append(analysis.campaign_lp_lipschitz(
         size, args.seed, kernels=kernels, interval=domain,
-        tolerance=args.tol))
+        tolerance=tol))
     results.append(analysis.campaign_zygmund_instance(
         max(1, size // 4), args.seed, kernels=kernels, interval=domain,
-        tolerance=args.tol))
+        tolerance=tol))
     results.append(analysis.campaign_exponential_instance(
         max(1, size // 4), args.seed, kernels=kernels, interval=domain,
-        tolerance=args.tol))
+        tolerance=tol))
     failed = False
     for r in results:
         status = "pass" if r.passed else "FAIL"
@@ -259,8 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", default="interval:0,1")
     p.add_argument("--n", type=int, default=32)
     p.add_argument("--grid", type=int, default=512)
-    p.add_argument("--tol", type=float, default=1e-3,
-                   help="lattice truncation tolerance")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_reconstruct)
 
@@ -272,8 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", default="interval:0,1")
     p.add_argument("--scales", default="8,16,32,64")
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--tol", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", required=True, help="output path prefix")
     p.set_defaults(func=_cmd_converge)
 

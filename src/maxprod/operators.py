@@ -2,10 +2,11 @@
 
 K_n f(x) = sup_k chi(n x - k) mean_k / sup_k chi(n x - k), signs kept, over
 J_n on an interval, or over Z on the line with zero means off the support.
-Each point first takes a core window of 2r + 1 columns around floor(n x),
-shifted to stay inside J_n, in chunks of at most ``_BUDGET`` elements: r = w,
-exact, past a compact support or where the decay band 2w + 1 covers J_n, else
-C r**-alpha <= a_chi / 4.  Then a decay-kernel row takes each ``_BLOCK``-column
+Each point first takes a window of lattice columns around floor(n x), shifted
+to stay inside J_n, in chunks of at most ``_BUDGET`` elements.  A compact
+kernel's window of 2r + 1 columns holds its whole support.  A decay kernel's
+row takes all of J_n when |J_n| <= 2r + 1 + ``_BLOCK``, else a core of 2r + 1
+columns, where C r**-alpha <= a_chi / 4, and then each ``_BLOCK``-column
 block of the table, d away, whose bound min(sup|chi|, C max(d, r)**-alpha) *
 max|mean| could raise its numerator or denominator.  Skipped columns cannot
 win and max is exact, so results are bitwise those of the whole lattice.
@@ -25,7 +26,7 @@ from .signals import (Domain, MeanValueTable, Signal, cell_means, iceil,
                       ifloor, mean_values)
 
 # Elements (rows x lattice columns) of one kernel-evaluation chunk, which
-# sets the size of every temporary whatever n, the point count or --tol.
+# sets the size of every temporary whatever n or the point count.
 _BUDGET = 1 << 14
 # Lattice columns per block of the decay-kernel pruning stage.
 _BLOCK = 16
@@ -33,13 +34,12 @@ _BLOCK = 16
 
 @dataclass(frozen=True)
 class OperatorConfig:
-    """Frozen evaluation policy: kernel, scale, domain and truncation."""
+    """Frozen evaluation policy: kernel, scale, domain and a_chi."""
 
     kernel: Kernel
     n: int
     domain: Domain
     a_chi: float
-    truncation_tol: float = 1e-3
 
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 1:
@@ -48,8 +48,6 @@ class OperatorConfig:
             raise InadmissibleKernelError(
                 f"kernel {self.kernel.name!r} has lower-bound constant "
                 f"{self.a_chi}; the operator requires it to be positive")
-        if not 0.0 < self.truncation_tol < math.inf:
-            raise ValueError("truncation_tol must be finite and positive")
         if self.domain is not None and not self.domain[0] < self.domain[1]:
             raise ValueError("domain must be a nondegenerate interval")
 
@@ -59,7 +57,6 @@ class OperatorConfig:
 
 
 def operator_config(kernel: Kernel, n: int, domain: Domain,
-                    truncation_tol: float = 1e-3,
                     a_chi: float | None = None) -> OperatorConfig:
     """Build a config, computing the admissibility constant when not given.
 
@@ -71,19 +68,17 @@ def operator_config(kernel: Kernel, n: int, domain: Domain,
     if a_chi is None:
         a_chi = admissible_a_chi(kernel,
                                  "line" if domain is None else "interval")
-    return OperatorConfig(kernel=kernel, n=int(n), domain=domain, a_chi=a_chi,
-                          truncation_tol=truncation_tol)
+    return OperatorConfig(kernel=kernel, n=int(n), domain=domain, a_chi=a_chi)
 
 
-def _band(config: OperatorConfig) -> tuple[int, float]:
-    """Certified lattice half-width w and a bound on |chi| beyond it."""
+def _radius(config: OperatorConfig) -> int:
+    """Half-width r of a row's core: chi vanishes past it for a compact
+    kernel, and |chi| <= C r**-alpha <= a_chi / 4 for a decay kernel."""
     ker = config.kernel
     if ker.support is not None:  # the extra column is a zero term
-        return int(math.ceil(ker.support)) + 1, 0.0
+        return int(math.ceil(ker.support)) + 1
     c, alpha = _decay_coefficient(ker), ker.decay_order  # TruncationError
-    w = (c / (config.a_chi * config.truncation_tol)) ** (1.0 / alpha)
-    w = min(int(math.ceil(w)) + 1, 1_000_000)
-    return w, c * float(w) ** -alpha
+    return max(1, math.ceil((4.0 * c / config.a_chi) ** (1.0 / alpha)))
 
 
 def _sweep(config: OperatorConfig, table: MeanValueTable, u: np.ndarray,
@@ -113,16 +108,17 @@ def evaluate_with_table_den(config: OperatorConfig, table: MeanValueTable,
     if not np.all((xs >= a - 1e-9) & (xs <= b + 1e-9) & (abs(u) < 2.0 ** 52)):
         raise ValueError("evaluation points must be finite and inside the "
                          "domain, with |n x| < 2**52")
-    ker, (r, tail) = config.kernel, _band(config)
+    ker, r = config.kernel, _radius(config)
     lo, hi = (table.k_lo, table.k_hi) if config.domain else (-2**62, 2**62)
-    prune = tail > 0.0 and 2 * r + 1 < hi - lo + 1   # J_n outgrows the band
-    if prune:
-        c, alpha = _decay_coefficient(ker), ker.decay_order
-        r = max(1, math.ceil((4.0 * c / config.a_chi) ** (1.0 / alpha)))
-    width = min(2 * r + 1, hi - lo + 1)
+    size, compact = hi - lo + 1, ker.support is not None
+    # a pruned row pays the core and at least one block, so a decay kernel
+    # prunes only where J_n is wider than that
+    prune = not compact and size > 2 * r + 1 + _BLOCK
+    width = min(2 * r + 1, size) if compact or prune else size
     first = np.clip(np.floor(u).astype(np.int64) - r, lo, hi - width + 1)
     num, den = _sweep(config, table, u, first, width)
     if prune:
+        c, alpha = _decay_coefficient(ker), ker.decay_order
         # columns off the core lie farther than r from u: |chi| <= env there
         bw = min(_BLOCK, table.values.size)
         starts = np.minimum(np.arange(table.k_lo, table.k_hi + 1, _BLOCK),

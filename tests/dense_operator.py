@@ -18,13 +18,15 @@ from maxprod.operators import OperatorConfig
 from maxprod.signals import MeanValueTable
 
 _CHUNK = 4096
+# Relative size of the terms the line denominator window leaves out.
+_TOL = 1e-3
 
 
 def _denominator_window(config: OperatorConfig) -> int:
     """Lattice half-width for the denominator supremum.
 
-    Terms at distance >= w satisfy |chi| <= C w**-alpha < truncation_tol *
-    a_chi, and the window's central term already reaches a_chi, so omitted
+    Terms at distance >= w satisfy |chi| <= C w**-alpha < _TOL * a_chi,
+    and the window's central term already reaches a_chi, so omitted
     terms cannot alter the supremum (the tolerance only adds margin on top
     of the certified-coefficient estimate).
     """
@@ -36,7 +38,7 @@ def _denominator_window(config: OperatorConfig) -> int:
         raise TruncationError(
             f"kernel {ker.name!r} has no truncation certificate")
     c = _decay_coefficient(ker)
-    w = (c / (config.a_chi * config.truncation_tol)) ** (1.0 / alpha)
+    w = (c / (config.a_chi * _TOL)) ** (1.0 / alpha)
     return min(int(math.ceil(w)) + 1, 1_000_000)
 
 

@@ -161,7 +161,7 @@ class TestConverge:
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         argv = ["converge", "--kernel", "fejer", "--phi", "power:2",
-                "--signal", "step", "--scales", "8,16,32", "--seed", "42"]
+                "--signal", "step", "--scales", "8,16,32"]
         run(capsys, *argv, "--out", str(tmp_path / "one"))
         run(capsys, *argv, "--out", str(tmp_path / "two"))
         assert (tmp_path / "one.json").read_bytes() == \
@@ -213,8 +213,7 @@ class TestArgumentValidation:
         return err
 
     @pytest.mark.parametrize("flag, value", [
-        ("--n", "0"), ("--n", "-4"), ("--tol", "0"), ("--tol", "-1e-3"),
-        ("--tol", "nan"), ("--tol", "inf"), ("--grid", "0"),
+        ("--n", "0"), ("--n", "-4"), ("--grid", "0"),
     ])
     def test_reconstruct_rejects(self, capsys, tmp_path, flag, value):
         err = self._exit_2(capsys, "reconstruct", "--kernel", "fejer",
@@ -223,13 +222,29 @@ class TestArgumentValidation:
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("flag, value", [
-        ("--scales", "0,8"), ("--scales", "-8,8"), ("--tol", "0"),
-        ("--tol", "nan"), ("--lambda", "nan"), ("--lambda", "0"),
+        ("--scales", "0,8"), ("--scales", "-8,8"), ("--lambda", "nan"),
+        ("--lambda", "0"),
     ])
     def test_converge_rejects(self, capsys, tmp_path, flag, value):
         err = self._exit_2(capsys, "converge", "--kernel", "fejer",
                            f"{flag}={value}", "--out", str(tmp_path / "rep"))
         assert flag in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-8"])
+    def test_verify_rejects(self, capsys, value):
+        err = self._exit_2(capsys, "verify", "--draws", "2", f"--tol={value}")
+        assert "--tol" in err
+
+    @pytest.mark.parametrize("command, flag", [
+        ("reconstruct", "--tol"), ("converge", "--tol"),
+        ("converge", "--seed"),
+    ])
+    def test_removed_flags_rejected(self, capsys, tmp_path, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--kernel", "fejer", flag, "1",
+                  "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("spec", ["interval:0,inf", "interval:nan,1"])
     def test_unbounded_domain_rejected(self, capsys, tmp_path, spec):

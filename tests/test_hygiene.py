@@ -133,3 +133,56 @@ def test_adaptive_quadrature_only_for_unmarked_kinks():
                         getattr(node.func, "id", None)):
                     callers.add(f"{path.stem}.{top.name}")
     assert callers == {"kernels.l1_norm", "analysis._pair_integrals"}
+
+
+def _args_reads(fn: ast.FunctionDef) -> set:
+    """Names read off ``args`` in a function, as args.X or getattr(args, X)."""
+    reads = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Attribute) \
+                and getattr(node.value, "id", None) == "args":
+            reads.add(node.attr)
+        elif isinstance(node, ast.Call) \
+                and getattr(node.func, "id", None) == "getattr" \
+                and getattr(node.args[0], "id", None) == "args":
+            reads.add(node.args[1].value)
+    return reads
+
+
+def test_every_cli_flag_is_read():
+    # each subcommand's flags are read by its command function or by a
+    # helper the command hands ``args`` to
+    tree = ast.parse((ROOT / "src" / "maxprod" / "cli.py").read_text(
+        encoding="utf-8"))
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    helpers = {name: {node.func.id for node in ast.walk(fn)
+                      if isinstance(node, ast.Call)
+                      and getattr(node.func, "id", None) in functions
+                      and any(getattr(a, "id", None) == "args"
+                              for a in node.args)}
+               for name, fn in functions.items()}
+
+    def reads(name, seen):
+        seen.add(name)
+        return _args_reads(functions[name]).union(
+            *(reads(h, seen) for h in helpers[name] - seen))
+
+    unread, dests = [], []
+    for stmt in functions["build_parser"].body:
+        call = getattr(stmt, "value", None)
+        if not isinstance(call, ast.Call) \
+                or getattr(call.func.value, "id", None) not in ("p", "sub"):
+            continue
+        if call.func.attr == "add_parser":
+            command, dests = call.args[0].value, []
+        elif call.func.attr == "add_argument":
+            dest = next((k.value.value for k in call.keywords
+                         if k.arg == "dest"),
+                        call.args[0].value.lstrip("-").replace("-", "_"))
+            dests.append(dest)
+        elif call.func.attr == "set_defaults":
+            func = next(k.value.id for k in call.keywords if k.arg == "func")
+            read = reads(func, set())
+            unread += [f"{command} --{d}" for d in dests if d not in read]
+    assert unread == []

@@ -68,18 +68,6 @@ class TestRealLine:
         value = operators.maxprod_kantorovich(config, sq, 0.0)
         assert abs(value - 1.0) <= 0.15
 
-    def test_window_doubling_is_silent(self, fejer_kernel, vp_kernel):
-        sq = signals.catalog("square-pulse")
-        xs = np.linspace(-2.0, 2.0, 201)
-        for kernel in (fejer_kernel, vp_kernel):
-            loose = operators.operator_config(kernel, 32, None,
-                                              truncation_tol=1e-3)
-            tight = operators.operator_config(kernel, 32, None,
-                                              truncation_tol=1e-6)
-            a = operators.maxprod_kantorovich_grid(loose, sq, xs)
-            b = operators.maxprod_kantorovich_grid(tight, sq, xs)
-            assert np.max(np.abs(a - b)) < loose.truncation_tol
-
     def test_far_field_decays_to_zero(self, fejer_kernel):
         sq = signals.catalog("square-pulse")
         config = operators.operator_config(fejer_kernel, 16, None)
@@ -89,16 +77,16 @@ class TestRealLine:
 
 
 class TestPerPointWindow:
-    """Each point costs one window of at most 2w + 1 kernel pairs, wherever
-    it lies and however many other points share its cells; decay kernels
-    pay a small core window plus the table blocks that could win."""
+    """Each point costs one window of kernel pairs, wherever it lies and
+    however many other points share its cells; decay kernels pay a core of
+    2r + 1 columns plus the table blocks that could win."""
 
     @staticmethod
     def _pairs_per_point(name, n, domain, signal, xs):
-        """Kernel pairs per point, the band half-width w and the table."""
+        """Kernel pairs per point, the core radius r and the table."""
         config = operators.operator_config(kernels.kernel_by_name(name), n,
                                            domain)
-        w, _ = operators._band(config)
+        r = operators._radius(config)
         table = signals.mean_values(signals.catalog(signal), n,
                                     config.domain_kind, interval=domain)
         pairs = []
@@ -111,34 +99,36 @@ class TestPerPointWindow:
         config = dataclasses.replace(config, kernel=dataclasses.replace(
             config.kernel, evaluate=counting))
         operators.evaluate_with_table_den(config, table, xs)
-        return sum(pairs) / xs.size, w, table
+        return sum(pairs) / xs.size, r, table
 
     @pytest.mark.parametrize("name, n, domain, signal, lo, hi", [
         ("bspline:4", 1024, UNIT, "abs-sine", 0.0, 1.0),
-        # inside the hat's support the core window decides nearly every row
+        # inside the hat's support the core window (5 columns) decides
+        # nearly every row
         ("fejer", 256, None, "hat", -0.9, 0.9),
     ])
     def test_kernel_pairs_per_point(self, rng, name, n, domain, signal, lo,
                                     hi):
         xs = rng.uniform(lo, hi, 20_000)
-        per_point, w, _ = self._pairs_per_point(name, n, domain, signal, xs)
-        assert per_point <= 2 * w + 1
+        per_point, r, _ = self._pairs_per_point(name, n, domain, signal, xs)
+        ceiling = {"bspline:4": 7, "fejer": 49}[name]
+        assert 2 * r + 1 <= ceiling and per_point <= ceiling
 
     @pytest.mark.parametrize("name", ["fejer", "vallee-poussin"])
     def test_decay_core_window_on_the_interval(self, rng, name):
-        # the band is 2w + 1 = 139 / 135 columns; a core of 11 decides
-        # nearly every row
+        # a core of 2r + 1 = 11 columns decides nearly every row of the
+        # 512-cell table
         xs = rng.uniform(0.0, 1.0, 20_000)
-        per_point, _, _ = self._pairs_per_point(name, 512, UNIT, "abs-sine",
+        per_point, r, _ = self._pairs_per_point(name, 512, UNIT, "abs-sine",
                                                 xs)
-        assert per_point <= 16
+        assert r == 5 and per_point <= 16
 
     def test_far_field_skips_blocks_that_cannot_win(self, rng):
-        # the band plus the whole table is 49 + 514 pairs per point
+        # at most half of 49 + 514 pairs per point, 514 being the table
         xs = rng.uniform(1.1, 3.0, 20_000)
-        per_point, w, table = self._pairs_per_point("fejer", 256, None,
+        per_point, _, table = self._pairs_per_point("fejer", 256, None,
                                                     "hat", xs)
-        assert per_point <= (2 * w + 1 + table.values.size) / 2
+        assert table.values.size == 514 and per_point <= 281.5
 
 
 class TestGridConsistency:
