@@ -27,7 +27,8 @@ from .operators import (OperatorConfig, evaluate_with_table_den,
                         linear_kantorovich_grid, operator_config)
 from .orlicz import (PhiFunction, exponential_phi, luxemburg_from_samples,
                      modular_from_samples, power_phi, zygmund_phi)
-from .signals import (Domain, Signal, mean_values, random_piecewise_poly)
+from .signals import (Domain, MeanValueTable, Signal, mean_values,
+                      random_piecewise_poly)
 
 _SUP_GRID = 2048
 _RATE_FLOOR = 1e-12
@@ -281,11 +282,13 @@ def _pair_integrals(config: OperatorConfig, f: Signal, g: Signal,
     """Integrals of lhs_of(|K_n f - K_n g|) and rhs_of(|f - g|).
 
     Both run over f's evaluation window, on the lattice half-cells merged
-    with the split points of both signals.
+    with the split points of both signals.  The mean tables of f and g are
+    stacked, so each adaptive round evaluates K_n f and K_n g in one
+    operator sweep.
     """
     n, kind, domain = config.n, config.domain_kind, config.domain
-    table_f = mean_values(f, n, kind, interval=domain)
-    table_g = mean_values(g, n, kind, interval=domain)
+    tables = MeanValueTable.stack([mean_values(s, n, kind, interval=domain)
+                                   for s in (f, g)])
     window = _eval_window(f, config.kernel, config.a_chi, n)
     splits = sorted(set(f.split_points()) | set(g.split_points()))
     merged = Signal(name="pair", evaluate=f.evaluate, domain=f.domain,
@@ -295,8 +298,7 @@ def _pair_integrals(config: OperatorConfig, f: Signal, g: Signal,
     edges = _quad_panels(merged, window, n)
 
     def lhs_fn(x):
-        kf, _ = evaluate_with_table_den(config, table_f, x)
-        kg, _ = evaluate_with_table_den(config, table_g, x)
+        kf, kg = evaluate_with_table_den(config, tables, x)[0]
         return lhs_of(np.abs(kf - kg))
 
     def rhs_fn(x):
@@ -492,10 +494,10 @@ def campaign_operator_algebra(trials: int, seed: int,
         sig = {name: poly.to_signal(name=name) for name, poly in (
             ("f", fp), ("g", gp), ("fh", fp + hp), ("fg", fp + gp),
             ("d", (fp - gp).absolute()), ("lf", fp.scaled(lam)))}
-        tables = {name: mean_values(s, n, "interval", interval=interval)
-                  for name, s in sig.items()}
-        vals = {name: evaluate_with_table_den(config, tab, xs)[0]
-                for name, tab in tables.items()}
+        tables = MeanValueTable.stack([
+            mean_values(s, n, "interval", interval=interval)
+            for s in sig.values()])
+        vals = dict(zip(sig, evaluate_with_table_den(config, tables, xs)[0]))
         checks = {
             "monotonicity": float(np.min(vals["fh"] - vals["f"])),
             "sub-additivity": float(np.min(

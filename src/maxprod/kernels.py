@@ -165,10 +165,10 @@ def bspline(order: int) -> Kernel:
         x = np.asarray(x, dtype=float)
         # clip into the support first: the alternating sum cancels only up
         # to rounding outside it, and huge arguments would overflow
-        xc = np.clip(x, -half, half)
+        xc = np.minimum(np.maximum(x, -half), half)
         acc = np.zeros_like(xc)
         for i, c in enumerate(signs):
-            acc = acc + c * np.clip(half + xc - i, 0.0, None) ** (n - 1)
+            acc = acc + c * np.maximum(half + xc - i, 0.0) ** (n - 1)
         return np.where(np.abs(x) >= half, 0.0, acc / fact)
 
     sup = float(evaluate(np.array(0.0)))

@@ -10,6 +10,10 @@ columns, where C r**-alpha <= a_chi / 4, and then each ``_BLOCK``-column
 block of the table, d away, whose bound min(sup|chi|, C max(d, r)**-alpha) *
 max|mean| could raise its numerator or denominator.  Skipped columns cannot
 win and max is exact, so results are bitwise those of the whole lattice.
+A stack of T tables (``MeanValueTable.stack``) shares each chi block, the
+denominator and its certificate; a block is visited for a row when its bound
+on some table beats that table's numerator, so each row of the result is
+bitwise its table's own evaluation.
 """
 
 from __future__ import annotations
@@ -81,25 +85,33 @@ def _radius(config: OperatorConfig) -> int:
     return max(1, math.ceil((4.0 * c / config.a_chi) ** (1.0 / alpha)))
 
 
-def _sweep(config: OperatorConfig, table: MeanValueTable, u: np.ndarray,
-           starts: np.ndarray, width: int) -> np.ndarray:
-    """Suprema of chi * mean and chi for each row u = n x over the ``width``
-    columns from its start; a column off the table has mean 0."""
-    padded = np.concatenate(([0.0], table.values, [0.0]))
+def _sweep(config: OperatorConfig, padded: np.ndarray, k_lo: int,
+           u: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
+    """Suprema of chi * mean, one row per table, and of chi (the last row)
+    for each point u = n x over the ``width`` columns from its start.
+    ``padded`` holds the tables with a zero cell at each end, which every
+    column off the tables reads."""
     cols = np.arange(width)[:, None]
-    out = np.empty((2, u.size))
-    step = max(1, _BUDGET // width)
+    out = np.empty((padded.shape[0] + 1, u.size))
+    step = max(1, _BUDGET // (width * padded.shape[0]))
     for s in range(0, u.size, step):
         ks = starts[s:s + step] + cols
         chi = np.asarray(config.kernel.evaluate(u[s:s + step] - ks))
-        prod = chi * np.take(padded, ks - (table.k_lo - 1), mode="clip")
-        out[:, s:s + step] = prod.max(0), chi.max(0)
+        means = np.take(padded, ks - (k_lo - 1), axis=1, mode="clip")
+        out[:-1, s:s + step] = (chi * means).max(1)
+        out[-1, s:s + step] = chi.max(0)
     return out
 
 
 def evaluate_with_table_den(config: OperatorConfig, table: MeanValueTable,
                             xs) -> tuple[np.ndarray, float]:
-    """Operator values plus the smallest denominator encountered."""
+    """Operator values plus the smallest denominator encountered.
+
+    A table whose ``values`` has shape (T, cells), as built by
+    :meth:`MeanValueTable.stack`, gives values of shape (T, points) from one
+    sweep: chi, the denominator and its certificate are computed once for
+    all T tables.
+    """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim > 1:
         raise ValueError(f"evaluation points must be 1-D, not {xs.shape}")
@@ -116,43 +128,55 @@ def evaluate_with_table_den(config: OperatorConfig, table: MeanValueTable,
     prune = not compact and size > 2 * r + 1 + _BLOCK
     width = min(2 * r + 1, size) if compact or prune else size
     first = np.clip(np.floor(u).astype(np.int64) - r, lo, hi - width + 1)
-    num, den = _sweep(config, table, u, first, width)
+    means = np.atleast_2d(table.values)
+    padded = np.pad(means, ((0, 0), (1, 1)))
+    sweep = _sweep(config, padded, table.k_lo, u, first, width)
+    num, den = sweep[:-1], sweep[-1]
     if prune:
         c, alpha = _decay_coefficient(ker), ker.decay_order
         # columns off the core lie farther than r from u: |chi| <= env there
-        bw = min(_BLOCK, table.values.size)
+        bw = min(_BLOCK, means.shape[1])
         starts = np.minimum(np.arange(table.k_lo, table.k_hi + 1, _BLOCK),
                             table.k_hi - bw + 1)   # the last block overlaps
         cells = starts - table.k_lo + np.arange(bw)[:, None]
-        bmax = np.abs(table.values[cells]).max(0)
+        bmax = np.abs(means[:, cells]).max(1)   # (tables, blocks)
         sup, margin = ker.sup_norm or math.inf, 1.0 + 1e-9   # for rounding
         env_r = min(sup, c * r ** -alpha) * margin
-        todo = np.flatnonzero((num < env_r * bmax.max()) | (den < env_r))
-        step = max(1, _BUDGET // starts.size)
+        todo = np.flatnonzero((num < env_r * bmax.max(1)[:, None]).any(0)
+                              | (den < env_r))
+        step = max(1, _BUDGET // (starts.size * len(means)))
         for rows in np.split(todo, range(step, todo.size, step)):
             d = np.maximum(starts - u[rows, None],
                            u[rows, None] - (starts + bw - 1))
             env = np.minimum(sup, c * np.maximum(d, r) ** -alpha) * margin
-            bound = env * bmax
-            # each row's best block first, to mask the rest; then every block
-            # whose bound could still win, once
-            at, blk = np.arange(rows.size), bound.argmax(axis=1)
+            bound = env * bmax[:, None]   # (tables, rows, blocks)
+            # each table's best block of each row first, to mask the rest
+            # (a block that is best for two tables is swept twice); then,
+            # once, every block whose bound could still raise that table's
+            # numerator or whose envelope could raise the denominator
+            at = np.repeat(np.arange(rows.size), len(bound))
+            blk = bound.argmax(axis=2).T.ravel()
             while at.size:
-                pn, pd = _sweep(config, table, u[rows[at]], starts[blk], bw)
+                part = _sweep(config, padded, table.k_lo, u[rows[at]],
+                              starts[blk], bw)
                 cut = np.flatnonzero(np.diff(at, prepend=-1))
                 i = rows[at[cut]]
-                num[i] = np.maximum(num[i], np.maximum.reduceat(pn, cut))
-                den[i] = np.maximum(den[i], np.maximum.reduceat(pd, cut))
-                bound[at, blk] = env[at, blk] = -math.inf
-                at, blk = np.nonzero((bound > num[rows, None])
-                                     | (env > den[rows, None]))
+                top = np.maximum.reduceat(part, cut, axis=1)
+                num[:, i] = np.maximum(num[:, i], top[:-1])
+                den[i] = np.maximum(den[i], top[-1])
+                bound[:, at, blk] = env[at, blk] = -math.inf
+                visit = env > den[rows, None]
+                for bound_t, num_t in zip(bound, num):
+                    visit |= bound_t > num_t[rows, None]
+                at, blk = np.nonzero(visit)
     den_min = float(den.min(initial=math.inf))
     # on the line this also certifies the columns never evaluated: each lies
     # farther than r from u, where |chi| <= a_chi / 4
     if den_min <= (0.0 if config.domain else config.a_chi * (1.0 - 1e-9)):
         raise InadmissibleKernelError(
             f"lattice supremum {den_min:.3e} at n={config.n} is too small")
-    return (num if config.domain else np.maximum(num, 0.0)) / den, den_min
+    values = (num if config.domain else np.maximum(num, 0.0)) / den
+    return (values if table.values.ndim == 2 else values[0]), den_min
 
 
 def maxprod_kantorovich_grid(config: OperatorConfig, f: Signal,

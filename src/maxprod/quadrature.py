@@ -6,7 +6,9 @@ means, convergence errors, and the Orlicz modular and Luxemburg norm, which
 ``orlicz`` checks a posteriori against the same rule on halved panels.
 Adaptive Simpson stays where kinks go unmarked: ``kernels.l1_norm`` (the
 sign changes of a signed kernel) and the pair-check sides, where the
-operator bends wherever its maximizing lattice cell changes.
+operator bends wherever its maximizing lattice cell changes.  Each round
+evaluates all its new nodes in one integrand call, since an operator sweep
+costs far more per call than per point.
 
 Integrands must accept numpy arrays.  Divergent integrals (overflowing
 values or partial sums) are reported as ``math.inf``; failure to converge
@@ -54,6 +56,9 @@ def adaptive(fn, edges, atol: float = 1e-10, rtol: float = 1e-12) -> float:
 
     Panels are subdivided until the local Richardson error estimate drops
     below its share of ``atol`` plus ``rtol`` times the local value.
+    ``fn`` is called once on the edges and midpoints, then once per round
+    on the quarter points of the live panels, so a costly integrand pays
+    its per-call overhead 1 + rounds times.
     Returns ``math.inf`` as soon as a node value or a partial sum leaves
     the representable range (divergence guard).  Raises
     :class:`QuadratureError` after ``_MAX_ROUNDS`` rounds, or before a round
@@ -66,17 +71,19 @@ def adaptive(fn, edges, atol: float = 1e-10, rtol: float = 1e-12) -> float:
     b = edges[1:]
     total_width = float(edges[-1] - edges[0])
     m = 0.5 * (a + b)
-    fa, fm, fb = fn(a), fn(m), fn(b)
-    if not np.isfinite([fa, fm, fb]).all():
+    values = fn(np.concatenate([edges, m]))
+    if not np.isfinite(values).all():
         return math.inf
+    fa, fb, fm = values[:a.size], values[1:edges.size], values[edges.size:]
     s = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
     result = 0.0
     for _ in range(_MAX_ROUNDS):
         lm = 0.5 * (a + m)
         rm = 0.5 * (m + b)
-        flm, frm = fn(lm), fn(rm)
-        if not np.isfinite([flm, frm]).all():
+        values = fn(np.concatenate([lm, rm]))
+        if not np.isfinite(values).all():
             return math.inf
+        flm, frm = values[:a.size], values[a.size:]
         sl = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
         sr = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         s2 = sl + sr

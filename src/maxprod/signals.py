@@ -59,6 +59,22 @@ class Signal:
 # ---------------------------------------------------------------------------
 # exact piecewise polynomials
 
+def _roots(c: np.ndarray) -> Sequence:
+    """Roots of c (leading coefficient nonzero): closed forms for degrees 1
+    and 2, the derivatives of cubic pieces, and np.roots above."""
+    if c.size == 2:
+        return [-c[1] / c[0]]
+    if c.size > 3:
+        return np.roots(c)
+    a, b, q = (float(v) for v in c)
+    disc = b * b - 4.0 * a * q
+    if disc < 0.0:
+        z = complex(-b / (2.0 * a), math.sqrt(-disc) / (2.0 * a))
+        return [z, z.conjugate()]
+    s = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    return [s / a, q / s] if s else [0.0, 0.0]
+
+
 def _real_roots(coeffs: np.ndarray, lo: float, hi: float) -> list[float]:
     """Real roots of the polynomial strictly inside (lo, hi)."""
     c = np.asarray(coeffs, dtype=float)
@@ -73,7 +89,7 @@ def _real_roots(coeffs: np.ndarray, lo: float, hi: float) -> list[float]:
         return []
     span = hi - lo
     out = []
-    for r in np.roots(c):
+    for r in _roots(c):
         if abs(r.imag) > 1e-9 * (1.0 + abs(r.real)):
             continue
         x = float(r.real)
@@ -103,6 +119,10 @@ class PiecewisePoly:
         if len(coeffs) != self.edges.size - 1:
             raise ValueError("one coefficient row per piece required")
         self.coeffs = [np.atleast_1d(np.asarray(c, dtype=float)) for c in coeffs]
+        # row j holds every piece's coefficient of power top - j; leading
+        # zeros leave Horner's running value at +0.0, so rows match polyval
+        top = max(c.size for c in self.coeffs)
+        self._horner = np.array([self._pad(c, top) for c in self.coeffs]).T
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -112,11 +132,9 @@ class PiecewisePoly:
         x = np.asarray(x, dtype=float)
         idx = np.searchsorted(self.edges, x, side="right") - 1
         idx = np.clip(idx, 0, len(self.coeffs) - 1)
-        out = np.empty_like(x, dtype=float)
-        for i, c in enumerate(self.coeffs):
-            mask = idx == i
-            if mask.any():
-                out[mask] = np.polyval(c, x[mask])
+        out = np.zeros_like(x)
+        for row in self._horner:
+            out = out * x + row[idx]
         return out
 
     def _aligned(self, other: "PiecewisePoly"):
@@ -369,6 +387,29 @@ class MeanValueTable:
         if self.domain_kind == "line":
             return 0.0
         raise IndexError(f"index {k} outside the lattice range")
+
+    @classmethod
+    def stack(cls, tables: Sequence["MeanValueTable"]) -> "MeanValueTable":
+        """One table whose ``values`` row t holds the means of tables[t], so
+        that one operator sweep serves them all.
+
+        The tables must share n and the domain kind, and on an interval the
+        index range.  Line tables are padded to the union of their ranges
+        with the zero means of the cells off their supports.
+        """
+        n, kind = tables[0].n, tables[0].domain_kind
+        ranges = {(t.k_lo, t.k_hi) for t in tables}
+        if any((t.n, t.domain_kind) != (n, kind) for t in tables) or (
+                kind == "interval" and len(ranges) > 1):
+            raise ValueError("stacked mean tables must share n, the domain "
+                             "kind and, on an interval, the index range")
+        k_lo = min(lo for lo, _ in ranges)
+        k_hi = max(hi for _, hi in ranges)
+        values = np.zeros((len(tables), k_hi - k_lo + 1))
+        for row, t in zip(values, tables):
+            row[t.k_lo - k_lo:t.k_hi - k_lo + 1] = t.values
+        return cls(n=n, k_lo=k_lo, k_hi=k_hi, values=values,
+                   domain_kind=kind)
 
 
 def _snap_int(x: float) -> float:

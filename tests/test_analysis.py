@@ -166,6 +166,26 @@ class TestLpLipschitz:
         general = 2.0 * (m0 ** 0.0 * l1) ** 1.0 / a
         assert general == pytest.approx(2.0 * l1 / a, rel=1e-15)
 
+    def test_one_kernel_sweep_per_point(self, monkeypatch):
+        # K_n f and K_n g share each chi(n x - k): a compact kernel costs one
+        # window of 2r + 1 = 7 pairs per distinct point, not two
+        kernel = kernels.bspline(4)
+        pairs, points = [], []
+        counting = dataclasses.replace(kernel, evaluate=lambda u: (
+            pairs.append(np.size(u)), kernel.evaluate(u))[1])
+        evaluate = analysis.evaluate_with_table_den
+
+        def recording(config, table, xs):
+            points.append(np.array(xs))
+            return evaluate(config, table, xs)
+
+        f, g = signals.catalog("step"), signals.catalog("ramp")
+        analysis.check_lp_lipschitz(f, g, counting, 2.0, 16, UNIT)  # constants
+        pairs.clear()
+        monkeypatch.setattr(analysis, "evaluate_with_table_den", recording)
+        analysis.check_lp_lipschitz(f, g, counting, 2.0, 16, UNIT)
+        assert 0 < sum(pairs) <= 7 * np.unique(np.concatenate(points)).size
+
     def test_small_campaign(self):
         result = analysis.campaign_lp_lipschitz(12, seed=11)
         assert result.failures == 0

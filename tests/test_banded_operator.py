@@ -25,19 +25,24 @@ def _bits(values: np.ndarray) -> bytes:
 
 
 @st.composite
+def signals_on(draw, line):
+    if line:
+        return signals.catalog(draw(st.sampled_from(LINE_SIGNALS)))
+    name = draw(st.sampled_from(INTERVAL_SIGNALS))
+    if name == "random":
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        return signals.random_piecewise_poly(rng).to_signal()
+    return signals.catalog(name)
+
+
+@st.composite
 def cases(draw):
     kernel = KERNELS[draw(st.sampled_from(sorted(KERNELS)))]
     n = draw(st.integers(1, 600))
-    if draw(st.booleans()):
-        f = signals.catalog(draw(st.sampled_from(LINE_SIGNALS)))
+    f = draw(signals_on(draw(st.booleans())))
+    if f.is_line:
         domain, lo, hi = None, f.support[0] - 2.0, f.support[1] + 2.0
     else:
-        name = draw(st.sampled_from(INTERVAL_SIGNALS))
-        if name == "random":
-            rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-            f = signals.random_piecewise_poly(rng).to_signal()
-        else:
-            f = signals.catalog(name)
         domain, lo, hi = (0.0, 1.0), 0.0, 1.0
     lattice = st.integers(math.ceil(n * lo), math.floor(n * hi)).map(
         lambda k: k / n)
@@ -46,6 +51,19 @@ def cases(draw):
     if draw(st.booleans()):
         xs = xs + xs[::-1]   # duplicates, out of order
     return operators.operator_config(kernel, n, domain), f, np.array(xs)
+
+
+@st.composite
+def stacked_cases(draw):
+    """A case plus one to three more signals on its domain."""
+    config, f, xs = draw(cases())
+    more = draw(st.lists(signals_on(f.is_line), min_size=1, max_size=3))
+    return config, [f, *more], xs
+
+
+def _table(f, config):
+    return signals.mean_values(f, config.n, config.domain_kind,
+                               interval=config.domain)
 
 
 class TestAgainstDense:
@@ -63,6 +81,48 @@ class TestAgainstDense:
         assert got.shape == want.shape
         assert _bits(got) == _bits(want)
         assert got_den == want_den
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(stacked_cases())
+    def test_stacked_rows_equal_single_tables(self, case):
+        # a stack shares chi, the denominator and the block stage's visits,
+        # which serve whichever table's bound asked for them; each row must
+        # still be its table's own call, and the oracle, to the bit.  Line
+        # tables of hat and square-pulse cover different index ranges.
+        config, fs, xs = case
+        tables = [_table(f, config) for f in fs]
+        got, got_den = operators.evaluate_with_table_den(
+            config, signals.MeanValueTable.stack(tables), xs)
+        assert got.shape == (len(tables), xs.size)
+        for row, table in zip(got, tables):
+            single, single_den = operators.evaluate_with_table_den(
+                config, table, xs)
+            want, want_den = dense_evaluate(config, table, xs)
+            assert _bits(row) == _bits(single) == _bits(want)
+            assert got_den == single_den == want_den
+
+    @pytest.mark.parametrize("name, n, domain, signal, lo, hi", [
+        ("fejer", 512, (0.0, 1.0), "abs-sine", 0.0, 1.0),
+        ("vallee-poussin", 64, (0.0, 1.0), "sawtooth", 0.0, 1.0),
+        ("fejer", 256, None, "hat", -3.0, 3.0),
+        ("vallee-poussin", 128, None, "square-pulse", -3.0, 3.0),
+    ])
+    def test_stacked_rows_that_prune(self, rng, name, n, domain, signal, lo,
+                                     hi):
+        # decay rows past the one-pass size reach the block stage; the far
+        # mean at cell k_lo wins only where the block stage finds it
+        config = operators.operator_config(KERNELS[name], n, domain)
+        base = _table(signals.catalog(signal), config)
+        spike = np.full(base.values.size, 1e-12)
+        spike[0] = 1.0
+        tables = [base, dataclasses.replace(base, values=spike),
+                  dataclasses.replace(base, values=0.5 * base.values)]
+        xs = rng.uniform(lo, hi, 500)
+        got, got_den = operators.evaluate_with_table_den(
+            config, signals.MeanValueTable.stack(tables), xs)
+        for row, table in zip(got, tables):
+            want, want_den = dense_evaluate(config, table, xs)
+            assert _bits(row) == _bits(want) and got_den == want_den
 
     @pytest.mark.parametrize("domain, n, xs", [
         ((0.0, 1.0), 512, [0.9173, 0.95, 0.987, 1.0]),
@@ -173,6 +233,19 @@ class TestAgainstDense:
             operators.evaluate_with_table_den(config, table,
                                               np.full((2, 3), 0.5))
 
+    @pytest.mark.parametrize("other", [
+        dict(n=32),                                   # another scale
+        dict(interval=(0.5, 1.0)),                    # another k_lo
+        dict(domain_kind="line", interval=None),      # another domain kind
+    ])
+    def test_stack_rejects_mismatched_tables(self, other):
+        hat = signals.catalog("hat")
+        args = dict(n=16, domain_kind="interval", interval=(-1.0, 1.0))
+        table = signals.mean_values(hat, **args)
+        with pytest.raises(ValueError, match="must share n"):
+            signals.MeanValueTable.stack(
+                [table, signals.mean_values(hat, **(args | other))])
+
 
 class TestElementBudget:
     """Peak traced memory of one large evaluation stays under a fixed
@@ -204,6 +277,20 @@ class TestElementBudget:
         config = operators.operator_config(KERNELS["fejer"], 8192, None)
         table = signals.mean_values(signals.catalog("hat"), 8192, "line")
         self._check_peak(config, table, np.linspace(-16.0, 16.0, 20_000))
+
+    def test_peak_memory_of_a_six_table_stack(self):
+        # one sweep serves six tables, so its chunks and the block stage's
+        # bound chunks hold 1/6 of the rows; 5000 points span 21 sweep
+        # chunks and some 500 bound chunks, since the step's zero means send
+        # half the rows to the block stage
+        n = 8192
+        config = operators.operator_config(KERNELS["fejer"], n, (0.0, 1.0))
+        table = signals.MeanValueTable.stack([
+            signals.mean_values(signals.catalog(name), n, "interval",
+                                interval=(0.0, 1.0))
+            for name in ("constant:1", "ramp", "step", "sawtooth",
+                         "abs-sine", "constant:0.5")])
+        self._check_peak(config, table, np.linspace(0.0, 1.0, 5_000))
 
     def _check_peak(self, config, table, xs):
         tracemalloc.start()

@@ -294,3 +294,20 @@ def test_adaptive_gives_up_at_the_live_panel_cap():
     # cap the panel arrays double for 48 rounds
     with pytest.raises(QuadratureError, match="live panels"):
         adaptive(lambda x: np.sin(1e9 * x) ** 2, [0.0, 1.0])
+
+
+def test_adaptive_evaluates_each_node_once():
+    # one call on the edges and midpoints, then one per round on the quarter
+    # points of the live panels: 1 + rounds calls, no node twice
+    calls = []
+
+    def integrand(x):
+        calls.append(np.array(x))
+        return np.sqrt(x)
+
+    value = adaptive(integrand, np.linspace(0.0, 1.0, 5), atol=1e-10)
+    assert value == pytest.approx(2.0 / 3.0, rel=1e-9)
+    assert calls[0].size == 2 * 4 + 1 and len(calls) > 2
+    assert all(c.size % 2 == 0 for c in calls[1:])
+    nodes = np.concatenate(calls)
+    assert np.unique(nodes).size == nodes.size

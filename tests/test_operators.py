@@ -130,6 +130,34 @@ class TestPerPointWindow:
                                                     "hat", xs)
         assert table.values.size == 514 and per_point <= 281.5
 
+    @pytest.mark.parametrize("domain, n, names, lo, hi", [
+        (UNIT, 512, ("constant:1", "step", "abs-sine"), 0.0, 1.0),
+        (None, 256, ("hat", "square-pulse"), -3.0, 3.0),
+    ])
+    def test_stack_costs_no_more_than_its_tables(self, rng, domain, n, names,
+                                                 lo, hi):
+        # each table's best block goes first and each bound is held against
+        # its own table's numerator: the step's zero means on [0, 1/2] must
+        # not send those rows through every block that the constant's bound
+        # reaches
+        pairs = []
+        fejer = kernels.fejer()
+        config = dataclasses.replace(
+            operators.operator_config(fejer, n, domain),
+            kernel=dataclasses.replace(fejer, evaluate=lambda u: (
+                pairs.append(np.size(u)), fejer.evaluate(u))[1]))
+        tables = [signals.mean_values(signals.catalog(name), n,
+                                      config.domain_kind, interval=domain)
+                  for name in names]
+        xs = rng.uniform(lo, hi, 5000)
+        for table in tables:
+            operators.evaluate_with_table_den(config, table, xs)
+        separate = sum(pairs)
+        pairs.clear()
+        operators.evaluate_with_table_den(
+            config, signals.MeanValueTable.stack(tables), xs)
+        assert sum(pairs) <= separate
+
 
 class TestGridConsistency:
     def test_grid_matches_pointwise(self, fejer_kernel, rng):

@@ -201,6 +201,43 @@ class TestPiecewisePoly:
             assert poly.maximum() <= 2.0 + 1e-12
             assert len(poly.edges) <= 5
 
+    def test_evaluate_is_polyval_per_piece(self, rng):
+        # one Horner pass over coefficients padded with leading zeros does
+        # polyval's operations in polyval's order, signed zeros included
+        polys = [signals.PiecewisePoly((-1.0, 0.0, 1.0),
+                                       [(-0.0,), (0.0, 1.0, -0.0, -0.0)])]
+        for _ in range(20):
+            a = signals.random_piecewise_poly(rng)
+            b = signals.random_piecewise_poly(rng)
+            polys.append((a - b).absolute())   # mixed degrees, negated
+        for poly in polys:
+            xs = np.concatenate([rng.uniform(-1.5, 1.5, 200), poly.edges,
+                                 -poly.edges])
+            idx = np.clip(np.searchsorted(poly.edges, xs, side="right") - 1,
+                          0, len(poly.coeffs) - 1)
+            want = [np.polyval(poly.coeffs[i], x) for i, x in zip(idx, xs)]
+            assert poly.evaluate(xs).tobytes() == np.array(want).tobytes()
+
+    def test_closed_form_roots_match_np_roots(self, rng):
+        # degrees 1 and 2 are solved in closed form, higher ones by np.roots
+        def real(roots):
+            return sorted(float(r.real) for r in roots
+                          if abs(r.imag) <= 1e-9 * (1.0 + abs(r.real)))
+
+        cases = [(2.0, -1.0), (1.0, -1.0, 0.25), (1.0, -1.0, 0.0),
+                 (1.0, 0.0, 0.0), (1.0, 0.0, 1.0), (3.0, 2.0, 1.0)]
+        cases += [tuple(rng.normal(size=size)) for size in (2, 3, 4)
+                  for _ in range(200)]
+        for c in cases:
+            got, want = real(signals._roots(np.array(c))), real(np.roots(c))
+            assert len(got) == len(want), c
+            np.testing.assert_allclose(got, want, rtol=1e-7, atol=1e-12)
+        # a rounded double root may come out as a near-real complex pair
+        # or as two close real roots: either way both lie at it
+        for a, r in rng.normal(size=(50, 2)):
+            got = real(signals._roots(np.array([a, -2.0 * a * r, a * r * r])))
+            np.testing.assert_allclose(got, np.full(len(got), r), rtol=1e-7)
+
     def test_jump_vs_kink_classification(self):
         step = signals.PiecewisePoly((0.0, 0.5, 1.0), [(0.0,), (1.0,)])
         assert step.to_signal().breakpoints == (0.5,)
