@@ -20,9 +20,8 @@ import numpy as np
 
 from . import quadrature
 from .errors import TruncationError
-from .kernels import (Kernel, _decay_coefficient, admissible_a_chi, bspline,
-                      de_la_vallee_poussin, ensure_l1, fejer, moment,
-                      normalize_domain_kind)
+from .kernels import (Kernel, _decay_coefficient, bspline,
+                      de_la_vallee_poussin, ensure_l1, fejer, moment)
 from .operators import (OperatorConfig, evaluate_with_table_den,
                         linear_kantorovich_grid, operator_config)
 from .orlicz import (PhiFunction, exponential_phi, luxemburg_from_samples,
@@ -133,14 +132,14 @@ def fit_rate(scales, errors) -> float | None:
     return float(slope)
 
 
-def _eval_window(f: Signal, kernel: Kernel, a_chi: float,
-                 n: int) -> tuple[float, float]:
+def _eval_window(config: OperatorConfig, f: Signal) -> tuple[float, float]:
     """Window for error measurement: the domain, or the inflated support."""
     if f.domain is not None:
         return f.domain
     if f.support is None:
         raise TruncationError("real-line signal needs compact support")
     s_lo, s_hi = f.support
+    kernel, n, a_chi = config.kernel, config.n, config.a_chi
     if kernel.support is not None:
         margin = (kernel.support + 2.0) / n
     else:
@@ -191,12 +190,11 @@ class _ErrorSamples:
     den_ok: bool
 
 
-def _error_samples(f: Signal, kernel: Kernel, n: int, a_chi: float,
-                   domain: Domain,
+def _error_samples(config: OperatorConfig, f: Signal,
                    need_quadrature: bool = True) -> _ErrorSamples:
-    config = OperatorConfig(kernel=kernel, n=n, domain=domain, a_chi=a_chi)
-    table = mean_values(f, n, config.domain_kind, interval=domain)
-    window = _eval_window(f, kernel, a_chi, n)
+    n, a_chi = config.n, config.a_chi
+    table = mean_values(f, n, config.domain)
+    window = _eval_window(config, f)
     grid = _sup_grid(f, window, n)
     k_grid, den_min = evaluate_with_table_den(config, table, grid)
     sup_error = float(np.max(np.abs(k_grid - f.evaluate(grid))))
@@ -243,22 +241,15 @@ def modulus_of_continuity(f: Signal, delta: float) -> float:
 
 
 def run_convergence(f: Signal, kernel: Kernel, phi: PhiFunction, lam: float,
-                    scales: Sequence[int],
-                    domain_kind: str | None = None) -> ConvergenceReport:
-    """Measure sup, modular and Luxemburg errors of K_n f across scales."""
+                    scales: Sequence[int]) -> ConvergenceReport:
+    """Measure sup, modular and Luxemburg errors of K_n f across scales, on
+    the signal's own domain."""
     scales = [int(n) for n in scales]
     if not scales or any(b <= a for a, b in zip(scales, scales[1:])):
         raise ValueError("scales must be non-empty and strictly increasing")
-    kind = normalize_domain_kind(domain_kind) if domain_kind else (
-        "line" if f.is_line else "interval")
-    if (kind == "line") != f.is_line:
-        raise ValueError(f"{kind} run requested for a "
-                         f"{'line' if f.is_line else 'bounded-domain'} signal")
-    a_chi = admissible_a_chi(kernel, kind)
-    domain = None if kind == "line" else f.domain
 
     def cell(n: int):
-        samples = _error_samples(f, kernel, n, a_chi, domain)
+        samples = _error_samples(operator_config(kernel, n, f.domain), f)
         mod = modular_from_samples(phi, lam * samples.deviations,
                                    samples.weights)
         lux = luxemburg_from_samples(phi, samples.deviations, samples.weights,
@@ -286,10 +277,10 @@ def _pair_integrals(config: OperatorConfig, f: Signal, g: Signal,
     stacked, so each adaptive round evaluates K_n f and K_n g in one
     operator sweep.
     """
-    n, kind, domain = config.n, config.domain_kind, config.domain
-    tables = MeanValueTable.stack([mean_values(s, n, kind, interval=domain)
+    n = config.n
+    tables = MeanValueTable.stack([mean_values(s, n, config.domain)
                                    for s in (f, g)])
-    window = _eval_window(f, config.kernel, config.a_chi, n)
+    window = _eval_window(config, f)
     splits = sorted(set(f.split_points()) | set(g.split_points()))
     merged = Signal(name="pair", evaluate=f.evaluate, domain=f.domain,
                     support=f.support,
@@ -373,18 +364,16 @@ def check_jackson(f: Signal, kernel: Kernel, n: int) -> InequalityCheck:
     Requires a finite first moment; meaningful for continuous signals (a
     jump inflates the modulus and the bound loses its meaning).
     """
-    a_chi = admissible_a_chi(kernel, "line" if f.is_line else "interval")
+    config = operator_config(kernel, n, f.domain)
     m0 = moment(kernel, 0.0, 1e-8)
     m1 = moment(kernel, 1.0, 1e-8)
     if not math.isfinite(m1):
         raise TruncationError(
             f"first moment of {kernel.name!r} diverges; the Jackson bound "
             "does not apply")
-    samples = _error_samples(f, kernel, n, a_chi,
-                             None if f.is_line else f.domain,
-                             need_quadrature=False)
+    samples = _error_samples(config, f, need_quadrature=False)
     omega = modulus_of_continuity(f, 1.0 / n)
-    rhs = (2.0 * m0 + m1) / a_chi * omega
+    rhs = (2.0 * m0 + m1) / config.a_chi * omega
     context = (f"Jackson: kernel={kernel.name} signal={f.name} n={n} "
                f"omega={omega:.6g}")
     return InequalityCheck.from_sides(samples.sup_error, rhs, 1e-9, context)
@@ -402,13 +391,11 @@ def compare_linear_vs_maxprod(f: Signal, kernel: Kernel,
     about the approximation rate.
     """
     scales = [int(n) for n in scales]
-    a_chi = admissible_a_chi(kernel, "line" if f.is_line else "interval")
     max_err, lin_err = [], []
     for n in scales:
-        samples = _error_samples(f, kernel, n, a_chi,
-                                 None if f.is_line else f.domain,
-                                 need_quadrature=False)
-        window = _eval_window(f, kernel, a_chi, n)
+        config = operator_config(kernel, n, f.domain)
+        samples = _error_samples(config, f, need_quadrature=False)
+        window = _eval_window(config, f)
         if f.domain is not None and kernel.support is not None:
             inset = (kernel.support + 1.0) / n
             a, b = window
@@ -439,8 +426,8 @@ def find_modular_lambda(f: Signal, kernel: Kernel, phi: PhiFunction,
     existence statement "some lambda works" operational.
     """
     scales = [int(n) for n in scales]
-    a_chi = admissible_a_chi(kernel, "line" if f.is_line else "interval")
-    per_scale = [_error_samples(f, kernel, n, a_chi, f.domain) for n in scales]
+    per_scale = [_error_samples(operator_config(kernel, n, f.domain), f)
+                 for n in scales]
 
     def passes(seq: list[float]) -> bool:
         if any(not math.isfinite(v) for v in seq):
@@ -495,7 +482,7 @@ def campaign_operator_algebra(trials: int, seed: int,
             ("f", fp), ("g", gp), ("fh", fp + hp), ("fg", fp + gp),
             ("d", (fp - gp).absolute()), ("lf", fp.scaled(lam)))}
         tables = MeanValueTable.stack([
-            mean_values(s, n, "interval", interval=interval)
+            mean_values(s, n, interval)
             for s in sig.values()])
         vals = dict(zip(sig, evaluate_with_table_den(config, tables, xs)[0]))
         checks = {

@@ -176,8 +176,7 @@ def _cmd_converge(args) -> int:
                                f"--domain {args.domain}")
     scales = _parse_scales(args.scales)
     report = analysis.run_convergence(
-        f, kernel, phi, _positive_float(args.lam, "--lambda"), scales,
-        domain_kind="line" if domain is None else "interval")
+        f, kernel, phi, _positive_float(args.lam, "--lambda"), scales)
     out = Path(args.out)
     json_path = out.with_suffix(".json")
     csv_path = out.with_suffix(".csv")

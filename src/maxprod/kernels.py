@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from . import quadrature
-from .errors import InadmissibleKernelError, TruncationError, UnknownNameError
+from .errors import TruncationError, UnknownNameError
 
 # Moments of higher order than the certified decay are reported as inf.
 DIVERGED = math.inf
@@ -36,16 +36,8 @@ DIVERGED = math.inf
 _GRID = 4096
 _REFINE_TOP = 8
 _ZOOM = np.linspace(-1.0, 1.0, 9)  # one zoom round's offsets, in radii
+# the paper's chi2 (bounded domains) and chi2' (the line) intervals
 _INF_INTERVALS = {"interval": (-1.5, 1.5), "line": (-0.5, 0.5)}
-
-
-def normalize_domain_kind(kind: str) -> str:
-    k = kind.strip().lower()
-    if k in ("interval", "bounded", "bounded_interval"):
-        return "interval"
-    if k in ("line", "real_line", "r"):
-        return "line"
-    raise ValueError(f"unknown domain kind: {kind!r}")
 
 
 @dataclass(eq=False)
@@ -329,23 +321,16 @@ def moment(kernel: Kernel, beta: float, tolerance: float = 1e-6,
 def lower_bound_constant(kernel: Kernel, domain_kind: str = "interval") -> float:
     """Infimum of the kernel over the admissibility interval.
 
-    [-3/2, 3/2] for bounded domains, [-1/2, 1/2] for the real line.  The
-    returned value may be <= 0, which signals that the positivity condition
-    fails; the caller decides how to treat it.
+    [-3/2, 3/2] for ``"interval"`` (bounded domains), [-1/2, 1/2] for
+    ``"line"``.  The returned value may be <= 0, which signals that the
+    positivity condition fails; the caller decides how to treat it.
     """
-    lo, hi = _INF_INTERVALS[normalize_domain_kind(domain_kind)]
+    if domain_kind not in _INF_INTERVALS:
+        raise ValueError(f"domain kind must be 'interval' or 'line', "
+                         f"not {domain_kind!r}")
+    lo, hi = _INF_INTERVALS[domain_kind]
     return -_zoom_max(lambda x: -kernel.evaluate(x),
                       np.linspace(lo, hi, _GRID + 1), (hi - lo) / _GRID, lo, hi)
-
-
-def admissible_a_chi(kernel: Kernel, kind: str) -> float:
-    """Lower-bound constant a_chi, which the operators need positive."""
-    a_chi = lower_bound_constant(kernel, kind)
-    if a_chi <= 0.0:
-        raise InadmissibleKernelError(
-            f"kernel {kernel.name!r} is inadmissible for domain kind "
-            f"{kind!r} (computed lower bound {a_chi:.3e})")
-    return a_chi
 
 
 def l1_norm(kernel: Kernel, tolerance: float = 1e-8) -> float:
@@ -401,7 +386,7 @@ def check_assumptions(kernel: Kernel, domain_kind: str = "interval",
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
-    kind = normalize_domain_kind(domain_kind)
+    a_chi = lower_bound_constant(kernel, domain_kind)
     m_map = {0.0: moment(kernel, 0.0)}
     if 1.0 not in (0.0, float(beta)):
         m_map[1.0] = moment(kernel, 1.0)
@@ -411,9 +396,9 @@ def check_assumptions(kernel: Kernel, domain_kind: str = "interval",
     chi1 = math.isfinite(m_map[float(beta)])
     chi2 = a_bounded > 0.0
     chi2p = a_line > 0.0
-    admissible = chi1 and (chi2 if kind == "interval" else chi2p)
     return KernelDiagnostics(
-        kernel=kernel.name, beta=float(beta), domain_kind=kind, m_beta=m_map,
+        kernel=kernel.name, beta=float(beta), domain_kind=domain_kind,
+        m_beta=m_map,
         a_chi_bounded=a_bounded, a_chi_line=a_line,
         satisfies_chi1=chi1, satisfies_chi2=chi2, satisfies_chi2_prime=chi2p,
-        admissible=admissible)
+        admissible=chi1 and a_chi > 0.0)

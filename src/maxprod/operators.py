@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InadmissibleKernelError, TruncationError
-from .kernels import Kernel, _decay_coefficient, admissible_a_chi
+from .kernels import Kernel, _decay_coefficient, lower_bound_constant
 from .signals import (Domain, MeanValueTable, Signal, cell_means, iceil,
                       ifloor, mean_values)
 
@@ -50,19 +50,17 @@ class OperatorConfig:
             raise ValueError("scale n must be a positive integer")
         if not self.a_chi > 0.0:
             raise InadmissibleKernelError(
-                f"kernel {self.kernel.name!r} has lower-bound constant "
-                f"{self.a_chi}; the operator requires it to be positive")
+                f"kernel {self.kernel.name!r} is inadmissible: its "
+                f"lower-bound constant {self.a_chi:.3e} is not positive")
         if self.domain is not None and not self.domain[0] < self.domain[1]:
             raise ValueError("domain must be a nondegenerate interval")
-
-    @property
-    def domain_kind(self) -> str:
-        return "line" if self.domain is None else "interval"
 
 
 def operator_config(kernel: Kernel, n: int, domain: Domain,
                     a_chi: float | None = None) -> OperatorConfig:
-    """Build a config, computing the admissibility constant when not given.
+    """Build a config, computing the admissibility constant when not given:
+    the kernel's infimum on [-3/2, 3/2] on an interval, on [-1/2, 1/2] on
+    the line.
 
     Passing ``a_chi`` explicitly is the opt-in for kernels whose infimum over
     the standard interval is not positive but whose lattice suprema are still
@@ -70,8 +68,8 @@ def operator_config(kernel: Kernel, n: int, domain: Domain,
     a grid-aligned interval).
     """
     if a_chi is None:
-        a_chi = admissible_a_chi(kernel,
-                                 "line" if domain is None else "interval")
+        a_chi = lower_bound_constant(kernel,
+                                     "line" if domain is None else "interval")
     return OperatorConfig(kernel=kernel, n=int(n), domain=domain, a_chi=a_chi)
 
 
@@ -186,8 +184,7 @@ def maxprod_kantorovich_grid(config: OperatorConfig, f: Signal,
         raise ValueError(
             f"signal {f.name!r} is not non-negative; wrap it with "
             "shift_wrapper to handle functions bounded from below")
-    table = mean_values(f, config.n, config.domain_kind,
-                        interval=config.domain)
+    table = mean_values(f, config.n, config.domain)
     return evaluate_with_table_den(config, table, xs)[0]
 
 
@@ -218,9 +215,7 @@ def shift_wrapper(config: OperatorConfig, f: Signal) -> Callable:
 
     def wrapped(x):
         if "table" not in state:
-            state["table"] = mean_values(shifted, config.n,
-                                         config.domain_kind,
-                                         interval=config.domain)
+            state["table"] = mean_values(shifted, config.n, config.domain)
         vals = evaluate_with_table_den(config, state["table"], x)[0] + c
         return float(vals[0]) if np.isscalar(x) else vals
 

@@ -379,12 +379,12 @@ class MeanValueTable:
     k_lo: int
     k_hi: int
     values: np.ndarray
-    domain_kind: str
+    domain: Domain
 
     def value(self, k: int) -> float:
         if self.k_lo <= k <= self.k_hi:
             return float(self.values[k - self.k_lo])
-        if self.domain_kind == "line":
+        if self.domain is None:
             return 0.0
         raise IndexError(f"index {k} outside the lattice range")
 
@@ -393,23 +393,20 @@ class MeanValueTable:
         """One table whose ``values`` row t holds the means of tables[t], so
         that one operator sweep serves them all.
 
-        The tables must share n and the domain kind, and on an interval the
-        index range.  Line tables are padded to the union of their ranges
-        with the zero means of the cells off their supports.
+        The tables must share n and the domain, so interval tables share
+        their index range.  Line tables are padded to the union of their
+        ranges with the zero means of the cells off their supports.
         """
-        n, kind = tables[0].n, tables[0].domain_kind
-        ranges = {(t.k_lo, t.k_hi) for t in tables}
-        if any((t.n, t.domain_kind) != (n, kind) for t in tables) or (
-                kind == "interval" and len(ranges) > 1):
-            raise ValueError("stacked mean tables must share n, the domain "
-                             "kind and, on an interval, the index range")
-        k_lo = min(lo for lo, _ in ranges)
-        k_hi = max(hi for _, hi in ranges)
+        n, domain = tables[0].n, tables[0].domain
+        if any((t.n, t.domain) != (n, domain) for t in tables):
+            raise ValueError("stacked mean tables must share n and the "
+                             "domain")
+        k_lo = min(t.k_lo for t in tables)
+        k_hi = max(t.k_hi for t in tables)
         values = np.zeros((len(tables), k_hi - k_lo + 1))
         for row, t in zip(values, tables):
             row[t.k_lo - k_lo:t.k_hi - k_lo + 1] = t.values
-        return cls(n=n, k_lo=k_lo, k_hi=k_hi, values=values,
-                   domain_kind=kind)
+        return cls(n=n, k_lo=k_lo, k_hi=k_hi, values=values, domain=domain)
 
 
 def _snap_int(x: float) -> float:
@@ -453,31 +450,22 @@ def cell_means(f: Signal, scale: float, k_lo: int, k_hi: int,
     return values
 
 
-def mean_values(f: Signal, n: int, domain_kind: str | None = None,
-                nodes: int = 16,
-                interval: tuple[float, float] | None = None) -> MeanValueTable:
-    """Kantorovich mean table for scale ``n``.
+def mean_values(f: Signal, n: int, domain: Domain,
+                nodes: int = 16) -> MeanValueTable:
+    """Kantorovich mean table for scale ``n`` on ``domain``.
 
-    On a bounded domain [a, b] the lattice index runs over
+    On a bounded domain [a, b], the signal's own or a sub-interval an
+    operator is evaluated on, the lattice index runs over
     ceil(n a) <= k <= floor(n b) - 1 (an empty range is an error: the caller
-    must pick a scale that fits the interval).  ``interval`` overrides the
-    signal's own domain, for operators evaluated on a sub-interval.  On the
-    real line the signal must have compact support; cells away from the
-    support have mean zero and are represented implicitly.
+    must pick a scale that fits the interval).  On the real line (``None``)
+    the signal must have compact support; cells away from the support have
+    mean zero and are represented implicitly.
     """
     if int(n) != n or n < 1:
         raise ValueError("scale n must be a positive integer")
     n = int(n)
-    if domain_kind is None:
-        kind = "line" if (f.is_line and interval is None) else "interval"
-    else:
-        from .kernels import normalize_domain_kind
-        kind = normalize_domain_kind(domain_kind)
-    if kind == "interval":
-        bounds = interval if interval is not None else f.domain
-        if bounds is None:
-            raise ValueError("bounded-domain table requested for a line signal")
-        a, b = bounds
+    if domain is not None:
+        a, b = domain
         k_lo = iceil(n * a)
         k_hi = ifloor(n * b) - 1
         if k_lo > k_hi:
@@ -492,4 +480,4 @@ def mean_values(f: Signal, n: int, domain_kind: str | None = None,
         k_hi = iceil(n * s_hi)
     values = cell_means(f, float(n), k_lo, k_hi, nodes=nodes)
     return MeanValueTable(n=n, k_lo=k_lo, k_hi=k_hi, values=values,
-                          domain_kind=kind)
+                          domain=domain)

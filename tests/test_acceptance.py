@@ -104,7 +104,7 @@ def _step_l2_errors(fejer_kernel, scales):
     errors = []
     for n in scales:
         config = operators.operator_config(fejer_kernel, n, UNIT)
-        table = signals.mean_values(step, n, "interval", interval=UNIT)
+        table = signals.mean_values(step, n, UNIT)
 
         def sq_dev(x):
             kv, _ = operators.evaluate_with_table_den(config, table, x)

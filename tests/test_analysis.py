@@ -89,12 +89,6 @@ class TestRunConvergence:
             [8, 16, 32]) for _ in range(2)]
         assert dataclasses.asdict(runs[0]) == dataclasses.asdict(runs[1])
 
-    def test_interval_run_on_line_signal_rejected(self, fejer_kernel):
-        with pytest.raises(ValueError, match="interval run"):
-            analysis.run_convergence(
-                signals.catalog("hat"), fejer_kernel, orlicz.power_phi(2),
-                1.0, [8], domain_kind="interval")
-
     def test_real_line_square_pulse(self, fejer_kernel):
         report = analysis.run_convergence(
             signals.catalog("square-pulse"), fejer_kernel,

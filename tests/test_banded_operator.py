@@ -62,8 +62,7 @@ def stacked_cases(draw):
 
 
 def _table(f, config):
-    return signals.mean_values(f, config.n, config.domain_kind,
-                               interval=config.domain)
+    return signals.mean_values(f, config.n, config.domain)
 
 
 class TestAgainstDense:
@@ -74,8 +73,7 @@ class TestAgainstDense:
         # supremum runs over a certified superset of its maximizers, so
         # values and den_min agree to the bit on both domains
         config, f, xs = case
-        table = signals.mean_values(f, config.n, config.domain_kind,
-                                    interval=config.domain)
+        table = signals.mean_values(f, config.n, config.domain)
         want, want_den = dense_evaluate(config, table, xs)
         got, got_den = operators.evaluate_with_table_den(config, table, xs)
         assert got.shape == want.shape
@@ -138,7 +136,7 @@ class TestAgainstDense:
         values = np.full(n, 1e-12)
         values[0] = 1.0
         table = signals.MeanValueTable(n=n, k_lo=0, k_hi=n - 1, values=values,
-                                       domain_kind=config.domain_kind)
+                                       domain=config.domain)
         xs = np.array(xs)
         assert np.all(n * xs - r > 1)   # cell 0 is off the core
         got, got_den = operators.evaluate_with_table_den(config, table, xs)
@@ -156,7 +154,7 @@ class TestAgainstDense:
         values = np.full(n, 1e-12)
         values[0] = 1.0
         table = signals.MeanValueTable(n=n, k_lo=0, k_hi=n - 1, values=values,
-                                       domain_kind="interval")
+                                       domain=(0.0, 1.0))
         xs = np.array([(n - 0.5) / n, 1.0])
         got, got_den = operators.evaluate_with_table_den(config, table, xs)
         want, want_den = dense_evaluate(config, table, xs)
@@ -172,7 +170,7 @@ class TestAgainstDense:
         values = np.full(n, 1e-12)
         values[5], values[20] = 1.0, 10.0
         table = signals.MeanValueTable(n=n, k_lo=0, k_hi=n - 1, values=values,
-                                       domain_kind="line")
+                                       domain=None)
         xs = np.array([8.5 / n])
         got, got_den = operators.evaluate_with_table_den(config, table, xs)
         want, want_den = dense_evaluate(config, table, xs)
@@ -186,7 +184,7 @@ class TestAgainstDense:
     ])
     def test_far_field_on_the_line(self, kernel, signal, lo, hi):
         config = operators.operator_config(KERNELS[kernel], 256, None)
-        table = signals.mean_values(signals.catalog(signal), 256, "line")
+        table = signals.mean_values(signals.catalog(signal), 256, None)
         xs = np.linspace(lo, hi, 2000)
         got, got_den = operators.evaluate_with_table_den(config, table, xs)
         want, want_den = dense_evaluate(config, table, xs)
@@ -200,8 +198,7 @@ class TestAgainstDense:
         # the core radius and the pruning bound trust a sampled C
         kernel = dataclasses.replace(KERNELS["fejer"], decay_coeff=None)
         config = operators.operator_config(kernel, n, domain)
-        table = signals.mean_values(signals.catalog(signal), n,
-                                    config.domain_kind, interval=domain)
+        table = signals.mean_values(signals.catalog(signal), n, domain)
         xs = np.linspace(*(domain or (-3.0, 3.0)), 2000)
         got, got_den = operators.evaluate_with_table_den(config, table, xs)
         assert kernel.decay_coeff != KERNELS["fejer"].decay_coeff  # sampled
@@ -210,7 +207,7 @@ class TestAgainstDense:
 
     def test_empty_points(self):
         config = operators.operator_config(KERNELS["fejer"], 16, None)
-        table = signals.mean_values(signals.catalog("hat"), 16, "line")
+        table = signals.mean_values(signals.catalog("hat"), 16, None)
         got, den = operators.evaluate_with_table_den(config, table, [])
         assert got.shape == (0,) and den == math.inf
 
@@ -219,28 +216,26 @@ class TestAgainstDense:
     def test_non_finite_points_rejected(self, bad, domain):
         config = operators.operator_config(KERNELS["bspline:4"], 16, domain)
         f = signals.catalog("ramp" if domain else "hat")
-        table = signals.mean_values(f, 16, config.domain_kind,
-                                    interval=domain)
+        table = signals.mean_values(f, 16, domain)
         with pytest.raises(ValueError, match="finite"):
             operators.evaluate_with_table_den(config, table, [0.5, bad])
 
     def test_two_dimensional_points_rejected(self):
         config = operators.operator_config(KERNELS["bspline:4"], 16,
                                            (0.0, 1.0))
-        table = signals.mean_values(signals.catalog("ramp"), 16, "interval",
-                                    interval=(0.0, 1.0))
+        table = signals.mean_values(signals.catalog("ramp"), 16, (0.0, 1.0))
         with pytest.raises(ValueError, match=r"1-D, not \(2, 3\)"):
             operators.evaluate_with_table_den(config, table,
                                               np.full((2, 3), 0.5))
 
     @pytest.mark.parametrize("other", [
         dict(n=32),                                   # another scale
-        dict(interval=(0.5, 1.0)),                    # another k_lo
-        dict(domain_kind="line", interval=None),      # another domain kind
+        dict(domain=(0.5, 1.0)),                      # another interval
+        dict(domain=None),                            # the line
     ])
     def test_stack_rejects_mismatched_tables(self, other):
         hat = signals.catalog("hat")
-        args = dict(n=16, domain_kind="interval", interval=(-1.0, 1.0))
+        args = dict(n=16, domain=(-1.0, 1.0))
         table = signals.mean_values(hat, **args)
         with pytest.raises(ValueError, match="must share n"):
             signals.MeanValueTable.stack(
@@ -263,7 +258,7 @@ class TestElementBudget:
         n = 8192
         config = operators.operator_config(KERNELS[kernel], n, domain)
         f = signals.catalog(signal)
-        table = signals.mean_values(f, n, config.domain_kind, interval=domain)
+        table = signals.mean_values(f, n, domain)
         if domain is None:   # the support, and a strip of far field
             xs = np.concatenate([np.linspace(-0.999, 0.999, 19_800),
                                  np.linspace(1.5, 2.5, 200)])
@@ -275,7 +270,7 @@ class TestElementBudget:
         # most rows reach the block stage, whose bound matrix has one column
         # per 16 cells of the 16386-cell table
         config = operators.operator_config(KERNELS["fejer"], 8192, None)
-        table = signals.mean_values(signals.catalog("hat"), 8192, "line")
+        table = signals.mean_values(signals.catalog("hat"), 8192, None)
         self._check_peak(config, table, np.linspace(-16.0, 16.0, 20_000))
 
     def test_peak_memory_of_a_six_table_stack(self):
@@ -286,8 +281,7 @@ class TestElementBudget:
         n = 8192
         config = operators.operator_config(KERNELS["fejer"], n, (0.0, 1.0))
         table = signals.MeanValueTable.stack([
-            signals.mean_values(signals.catalog(name), n, "interval",
-                                interval=(0.0, 1.0))
+            signals.mean_values(signals.catalog(name), n, (0.0, 1.0))
             for name in ("constant:1", "ramp", "step", "sawtooth",
                          "abs-sine", "constant:0.5")])
         self._check_peak(config, table, np.linspace(0.0, 1.0, 5_000))

@@ -18,6 +18,66 @@ zygmund-instance                   trials=2     failures=0    worst_slack=7.832e
 exponential-instance               trials=2     failures=0    worst_slack=7.878e-01  [pass]
 """
 
+CONVERGE_FEJER_HAT_LINE_16_32 = """\
+{
+  "fitted_rate": -0.9999999999999966,
+  "kernel": "fejer",
+  "lambda_used": 1.0,
+  "luxemburg_errors": [
+    0.04942524869693443,
+    0.025035563070559874
+  ],
+  "modular_errors": [
+    0.0024428552076860327,
+    0.0006267794179427599
+  ],
+  "phi": "power:2",
+  "scales": [
+    16,
+    32
+  ],
+  "signal": "hat",
+  "sup_errors": [
+    0.0625,
+    0.03125000000000011
+  ],
+  "valid": [
+    true,
+    true
+  ]
+}
+"""
+
+CONVERGE_BSPLINE4_ABS_SINE_16_32 = """\
+{
+  "fitted_rate": -0.8959747867211507,
+  "kernel": "bspline:4",
+  "lambda_used": 1.0,
+  "luxemburg_errors": [
+    0.1390470495680347,
+    0.07423415203811601
+  ],
+  "modular_errors": [
+    0.019334081991983575,
+    0.00551070932796879
+  ],
+  "phi": "power:2",
+  "scales": [
+    16,
+    32
+  ],
+  "signal": "abs-sine",
+  "sup_errors": [
+    0.35691695639927085,
+    0.19180145382544872
+  ],
+  "valid": [
+    true,
+    true
+  ]
+}
+"""
+
 
 def _strict_json(text):
     """Parse RFC 8259 JSON, which has no Infinity and no NaN."""
@@ -168,6 +228,21 @@ class TestConverge:
             (tmp_path / "two.json").read_bytes()
         assert (tmp_path / "one.csv").read_bytes() == \
             (tmp_path / "two.csv").read_bytes()
+
+    @pytest.mark.parametrize("argv, golden", [
+        (["--kernel", "fejer", "--signal", "hat", "--domain", "line"],
+         CONVERGE_FEJER_HAT_LINE_16_32),
+        (["--kernel", "bspline:4", "--signal", "abs-sine"],
+         CONVERGE_BSPLINE4_ABS_SINE_16_32),
+    ])
+    def test_golden_report(self, capsys, tmp_path, argv, golden):
+        # every digit of a line run and of a bounded run: a refactor of
+        # the operator, the mean tables or the error measures must not
+        # move one
+        code, _, _ = run(capsys, "converge", *argv, "--scales", "16,32",
+                         "--out", str(tmp_path / "rep"))
+        assert code == 0
+        assert (tmp_path / "rep.json").read_text(encoding="utf-8") == golden
 
 
 class TestVerify:

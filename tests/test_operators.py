@@ -12,7 +12,7 @@ UNIT = (0.0, 1.0)
 
 def brute_force_line(kernel, n, f, x, width=3000):
     """Wide-window oracle for the real-line operator."""
-    table = signals.mean_values(f, n, "line")
+    table = signals.mean_values(f, n, None)
     ks = np.arange(math.floor(n * x) - width, math.floor(n * x) + width + 1)
     means = np.array([table.value(k) for k in ks])
     chi = kernel.evaluate(n * x - ks.astype(float))
@@ -87,8 +87,7 @@ class TestPerPointWindow:
         config = operators.operator_config(kernels.kernel_by_name(name), n,
                                            domain)
         r = operators._radius(config)
-        table = signals.mean_values(signals.catalog(signal), n,
-                                    config.domain_kind, interval=domain)
+        table = signals.mean_values(signals.catalog(signal), n, domain)
         pairs = []
         evaluate = config.kernel.evaluate
 
@@ -146,8 +145,7 @@ class TestPerPointWindow:
             operators.operator_config(fejer, n, domain),
             kernel=dataclasses.replace(fejer, evaluate=lambda u: (
                 pairs.append(np.size(u)), fejer.evaluate(u))[1]))
-        tables = [signals.mean_values(signals.catalog(name), n,
-                                      config.domain_kind, interval=domain)
+        tables = [signals.mean_values(signals.catalog(name), n, domain)
                   for name in names]
         xs = rng.uniform(lo, hi, 5000)
         for table in tables:
@@ -240,7 +238,7 @@ class TestOperatorAlgebra:
             for n in (4, 8, 16, 32):
                 config = operators.operator_config(kernel, n, UNIT)
                 table = signals.mean_values(signals.catalog("constant:1"), n,
-                                            "interval", interval=UNIT)
+                                            UNIT)
                 _, den_min = operators.evaluate_with_table_den(
                     config, table, rng.uniform(0.0, 1.0, 64))
                 assert den_min >= a - 1e-9

@@ -6,6 +6,8 @@ from maxprod import signals
 from maxprod.errors import (EmptyIndexSetError, TruncationError,
                             UnknownNameError)
 
+UNIT = (0.0, 1.0)
+
 
 def ev(sig, x):
     return float(sig.evaluate(np.asarray(x, dtype=float)))
@@ -97,35 +99,34 @@ class TestFromCsv:
 
 class TestMeanValues:
     def test_single_cell_ramp(self):
-        table = signals.mean_values(signals.catalog("ramp"), 1)
+        table = signals.mean_values(signals.catalog("ramp"), 1, UNIT)
         assert (table.k_lo, table.k_hi) == (0, 0)
         assert table.values[0] == pytest.approx(0.5, abs=1e-15)
 
     @pytest.mark.parametrize("n", [1, 3, 8])
     def test_constant_means(self, n):
-        table = signals.mean_values(signals.catalog("constant:2.5"), n)
+        table = signals.mean_values(signals.catalog("constant:2.5"), n, UNIT)
         np.testing.assert_allclose(table.values, 2.5, atol=1e-14)
 
     def test_step_split_exact(self):
-        table = signals.mean_values(signals.catalog("step"), 2)
+        table = signals.mean_values(signals.catalog("step"), 2, UNIT)
         np.testing.assert_array_equal(table.values, [0.0, 1.0])
 
     def test_empty_index_set(self):
         with pytest.raises(EmptyIndexSetError):
-            signals.mean_values(signals.catalog("ramp"), 1,
-                                interval=(0.0, 0.4))
+            signals.mean_values(signals.catalog("ramp"), 1, (0.0, 0.4))
 
     def test_line_requires_support(self):
         bare = signals.Signal("flat", lambda x: np.ones_like(
             np.asarray(x, dtype=float)), domain=None)
         with pytest.raises(TruncationError):
-            signals.mean_values(bare, 4)
+            signals.mean_values(bare, 4, None)
 
     def test_polynomial_exactness(self, rng):
         # Gauss rule is exact for the table's polynomial segments
         for _ in range(10):
             poly = signals.random_piecewise_poly(rng)
-            table = signals.mean_values(poly.to_signal(), 8)
+            table = signals.mean_values(poly.to_signal(), 8, UNIT)
             exact = np.array([8.0 * poly.integral(k / 8.0, (k + 1) / 8.0)
                               for k in range(table.k_lo, table.k_hi + 1)])
             np.testing.assert_allclose(table.values, exact, atol=1e-12)
@@ -134,19 +135,19 @@ class TestMeanValues:
         coeffs = np.array([1.0, -2.0, 0.5, 3.0, -1.0, 0.25, 1.0, -0.5,
                            2.0, 1.0, -3.0])  # degree 10
         poly = signals.PiecewisePoly((0.0, 1.0), [coeffs])
-        table = signals.mean_values(poly.to_signal(), 4)
+        table = signals.mean_values(poly.to_signal(), 4, UNIT)
         exact = np.array([4.0 * poly.integral(k / 4.0, (k + 1) / 4.0)
                           for k in range(4)])
         np.testing.assert_allclose(table.values, exact, atol=1e-12)
 
     def test_node_refinement_consistency(self, bounded_signals):
         for sig in bounded_signals:
-            t16 = signals.mean_values(sig, 8, nodes=16)
-            t32 = signals.mean_values(sig, 8, nodes=32)
+            t16 = signals.mean_values(sig, 8, sig.domain, nodes=16)
+            t32 = signals.mean_values(sig, 8, sig.domain, nodes=32)
             np.testing.assert_allclose(t16.values, t32.values, atol=1e-10)
 
     def test_real_line_zero_cells_exact(self):
-        table = signals.mean_values(signals.catalog("hat"), 4)
+        table = signals.mean_values(signals.catalog("hat"), 4, None)
         assert table.value(100) == 0.0
         assert table.value(-100) == 0.0
         edge = [v for k, v in zip(range(table.k_lo, table.k_hi + 1),
@@ -158,7 +159,7 @@ class TestMeanValues:
         # each cell mean lies between the cell extrema
         for _ in range(5):
             poly = signals.random_piecewise_poly(rng, max_breakpoints=0)
-            table = signals.mean_values(poly.to_signal(), 4)
+            table = signals.mean_values(poly.to_signal(), 4, UNIT)
             for k, mean in zip(range(table.k_lo, table.k_hi + 1),
                                table.values):
                 lo, hi = k / 4.0, (k + 1) / 4.0
@@ -169,7 +170,7 @@ class TestMeanValues:
 
     def test_nonneg_signal_nonneg_means(self, rng):
         poly = signals.random_piecewise_poly(rng)
-        table = signals.mean_values(poly.to_signal(), 16)
+        table = signals.mean_values(poly.to_signal(), 16, UNIT)
         assert np.all(table.values >= -1e-15)
 
 
