@@ -31,6 +31,7 @@ from .signals import (Domain, MeanValueTable, Signal, mean_values,
 
 _SUP_GRID = 2048
 _RATE_FLOOR = 1e-12
+CAMPAIGN_SCALES = (4, 8, 16, 32)   # the scales the campaigns draw from
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +472,7 @@ def campaign_operator_algebra(trials: int, seed: int,
     worst = {k: math.inf for k in fails}
     for t in range(trials):
         ker = kernels[t % len(kernels)]
-        n = int(rng.choice([4, 8, 16, 32]))
+        n = int(rng.choice(CAMPAIGN_SCALES))
         config = operator_config(ker, n, interval)
         fp = random_piecewise_poly(rng, domain=interval)
         gp = random_piecewise_poly(rng, domain=interval)

@@ -8,9 +8,19 @@ Subcommands:
 * ``converge``     -- convergence study; writes <out>.json and <out>.csv.
 * ``verify``       -- seeded randomized inequality campaigns.
 
-Exit codes: 0 ok, 1 campaign failure, 2 unknown catalog name or malformed
-argument or CSV row, 3 inadmissible kernel, 4 empty lattice index set, 5 I/O
-failure.
+Exit codes: 0 ok, 1 campaign failure, 2 unknown catalog name or malformed,
+oversized or imprecise argument or CSV row, 3 inadmissible kernel, 4 empty
+lattice index set, 5 I/O failure, 6 numerical failure (a quadrature that
+does not converge, a truncation without a certificate, a Luxemburg norm out
+of range).
+
+Catalog names: ``bspline:<k>`` takes an order k in 1..9 and the phi-functions
+finite parameters.  A run may span at most ``MAX_CELLS`` lattice cells at its
+largest scale n (n times the length of ``--domain``, or on the line of the
+signal's support widened by 2 on each side; ``verify`` counts at n = 32) and
+ask for at most ``MAX_CELLS`` ``--grid`` points; |n x| must stay below
+2**52 on that window.  ``--domain`` must lie inside a catalog signal's own
+domain, and ``converge`` runs on exactly that domain.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ import numpy as np
 
 from . import analysis
 from .errors import (EmptyIndexSetError, InadmissibleKernelError,
-                     UnknownNameError)
+                     MaxprodError, UnknownNameError)
 from .kernels import (check_assumptions, ensure_l1, kernel_by_name,
                       lower_bound_constant)
 from .operators import maxprod_kantorovich_grid, operator_config
@@ -39,6 +49,12 @@ EXIT_UNKNOWN_NAME = 2
 EXIT_INADMISSIBLE = 3
 EXIT_EMPTY_INDEX_SET = 4
 EXIT_IO = 5
+EXIT_NUMERICAL = 6
+
+# converge's peak RSS grows by about 1.9 KiB per lattice cell (503 MiB at
+# 2**18 cells: bspline:4 on abs-sine), so the largest accepted run stays
+# under 1 GiB
+MAX_CELLS = 1 << 18
 
 
 def _parse_domain(spec: str):
@@ -85,6 +101,32 @@ def _positive_float(value: float, flag: str) -> float:
     return value
 
 
+def _check_scale(n: int, window: tuple[float, float]) -> None:
+    """Reject a scale whose lattice over ``window`` is too large to
+    allocate, or whose lattice arguments n x - k are no longer exact."""
+    a, b = window
+    where = f"n={n} on [{a:g}, {b:g}]"
+    if n * (b - a) > MAX_CELLS:
+        raise UnknownNameError(f"{where} spans {n * (b - a):.4g} lattice "
+                               f"cells; at most {MAX_CELLS} are allowed")
+    if n * max(abs(a), abs(b)) >= 2.0 ** 52:
+        raise UnknownNameError(f"{where} reaches |n x| >= 2**52, where "
+                               "lattice arguments lose their precision")
+
+
+def _window(f, domain) -> tuple[float, float]:
+    """The bounded domain, or on the line the support widened by 2."""
+    if domain is not None:
+        return domain
+    return f.support[0] - 2.0, f.support[1] + 2.0
+
+
+def _off_domain(f, spec: str) -> UnknownNameError:
+    where = "the line" if f.is_line else "[{:g}, {:g}]".format(*f.domain)
+    return UnknownNameError(f"signal {f.name!r} lives on {where}, not on "
+                            f"--domain {spec}")
+
+
 def _load_signal(args, domain):
     if getattr(args, "csv", None):
         if domain is None:
@@ -94,9 +136,9 @@ def _load_signal(args, domain):
         except ValueError as exc:
             raise UnknownNameError(str(exc)) from None
     f = catalog(args.signal)
-    if domain is None and not f.is_line:
-        raise UnknownNameError(f"signal {f.name!r} lives on [0, 1], not on "
-                               "--domain line")
+    if f.domain is not None and (domain is None or not (
+            f.domain[0] <= domain[0] and domain[1] <= f.domain[1])):
+        raise _off_domain(f, args.domain)
     return f
 
 
@@ -147,12 +189,13 @@ def _cmd_reconstruct(args) -> int:
     kernel = kernel_by_name(args.kernel)
     domain = _parse_domain(args.domain)
     f = _load_signal(args, domain)
-    config = operator_config(kernel, _positive_int(args.n, "--n"), domain)
-    points = _positive_int(args.grid, "--grid")
-    if domain is not None:
-        grid = np.linspace(domain[0], domain[1], points)
-    else:
-        grid = np.linspace(f.support[0] - 2.0, f.support[1] + 2.0, points)
+    window = _window(f, domain)
+    _check_scale(_positive_int(args.n, "--n"), window)
+    config = operator_config(kernel, args.n, domain)
+    if _positive_int(args.grid, "--grid") > MAX_CELLS:
+        raise UnknownNameError(f"--grid must be at most {MAX_CELLS}, "
+                               f"got {args.grid}")
+    grid = np.linspace(*window, args.grid)
     values = maxprod_kantorovich_grid(config, f, grid)
     fv = np.asarray(f.evaluate(grid), dtype=float)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
@@ -170,11 +213,10 @@ def _cmd_converge(args) -> int:
     phi = phi_by_name(args.phi)
     domain = _parse_domain(args.domain)
     f = _load_signal(args, domain)
-    if domain is not None and f.domain != domain:
-        where = "the line" if f.is_line else "[{:g}, {:g}]".format(*f.domain)
-        raise UnknownNameError(f"signal {f.name!r} lives on {where}, not on "
-                               f"--domain {args.domain}")
+    if f.domain != domain:
+        raise _off_domain(f, args.domain)
     scales = _parse_scales(args.scales)
+    _check_scale(scales[-1], _window(f, domain))
     report = analysis.run_convergence(
         f, kernel, phi, _positive_float(args.lam, "--lambda"), scales)
     out = Path(args.out)
@@ -192,6 +234,7 @@ def _cmd_verify(args) -> int:
     domain = _parse_domain(args.domain)
     if domain is None:
         raise UnknownNameError("verify campaigns run on a bounded domain")
+    _check_scale(max(analysis.CAMPAIGN_SCALES), domain)
     kernels = None
     if args.kernel:
         kernel = kernel_by_name(args.kernel)
@@ -287,7 +330,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     codes = {UnknownNameError: EXIT_UNKNOWN_NAME,
              InadmissibleKernelError: EXIT_INADMISSIBLE,
-             EmptyIndexSetError: EXIT_EMPTY_INDEX_SET, OSError: EXIT_IO}
+             EmptyIndexSetError: EXIT_EMPTY_INDEX_SET, OSError: EXIT_IO,
+             MaxprodError: EXIT_NUMERICAL}   # after its subclasses
     try:
         return args.func(args)
     except tuple(codes) as exc:

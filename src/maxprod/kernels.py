@@ -9,7 +9,8 @@ The catalog ships three families:
 
 * ``fejer``            -- 0.5 * sinc(x/2)**2, non-negative, decay order 2
 * ``vallee-poussin``   -- sin(x/2) sin(3x/2) / (9 x^2 / 4), signed lobes
-* ``bspline:<k>``      -- central B-spline of order k, support [-k/2, k/2]
+* ``bspline:<k>``      -- central B-spline of order k (1 <= k <= 9), support
+  [-k/2, k/2]
 
 Two constants gate admissibility for the sampling operators: the moment of
 order beta (finite for beta up to the decay order) and the infimum of the
@@ -38,6 +39,9 @@ _REFINE_TOP = 8
 _ZOOM = np.linspace(-1.0, 1.0, 9)  # one zoom round's offsets, in radii
 # the paper's chi2 (bounded domains) and chi2' (the line) intervals
 _INF_INTERVALS = {"interval": (-1.5, 1.5), "line": (-0.5, 0.5)}
+# The alternating sum of a B-spline cancels more digits as the order grows:
+# against exact rationals the error is 8.2e-13 at order 9 and 2.0e-12 at 10.
+MAX_BSPLINE_ORDER = 9
 
 
 @dataclass(eq=False)
@@ -138,8 +142,9 @@ def de_la_vallee_poussin() -> Kernel:
 
 def bspline(order: int) -> Kernel:
     """Central B-spline of the given order; support [-order/2, order/2]."""
-    if int(order) != order or order < 1:
-        raise ValueError("B-spline order must be a positive integer")
+    if order not in range(1, MAX_BSPLINE_ORDER + 1):
+        raise ValueError(f"B-spline order must be an integer in "
+                         f"1..{MAX_BSPLINE_ORDER}, not {order!r}")
     n = int(order)
     half = 0.5 * n
     if n == 1:
@@ -177,12 +182,10 @@ def kernel_by_name(name: str) -> Kernel:
         return de_la_vallee_poussin()
     if key.startswith("bspline:"):
         try:
-            order = int(key.split(":", 1)[1])
+            return bspline(int(key.split(":", 1)[1]))
         except ValueError:
-            raise UnknownNameError(f"malformed B-spline name: {name!r}") from None
-        if order < 1:
-            raise UnknownNameError(f"B-spline order must be >= 1: {name!r}")
-        return bspline(order)
+            raise UnknownNameError(f"B-spline order must be an integer in "
+                                   f"1..{MAX_BSPLINE_ORDER}: {name!r}") from None
     raise UnknownNameError(f"unknown kernel: {name!r}")
 
 

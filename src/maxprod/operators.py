@@ -143,7 +143,8 @@ def evaluate_with_table_den(config: OperatorConfig, table: MeanValueTable,
         todo = np.flatnonzero((num < env_r * bmax.max(1)[:, None]).any(0)
                               | (den < env_r))
         step = max(1, _BUDGET // (starts.size * len(means)))
-        for rows in np.split(todo, range(step, todo.size, step)):
+        for start in range(0, todo.size, step):
+            rows = todo[start:start + step]
             d = np.maximum(starts - u[rows, None],
                            u[rows, None] - (starts + bw - 1))
             env = np.minimum(sup, c * np.maximum(d, r) ** -alpha) * margin

@@ -40,9 +40,9 @@ class PhiFunction:
 
 
 def power_phi(p: float) -> PhiFunction:
-    """phi(u) = u**p for p >= 1 (the L^p modular)."""
-    if p < 1:
-        raise ValueError("power exponent must satisfy p >= 1")
+    """phi(u) = u**p for finite p >= 1 (the L^p modular)."""
+    if not 1 <= p < math.inf:
+        raise ValueError(f"power exponent must be finite and >= 1, not {p}")
     p = float(p)
 
     def evaluate(u):
@@ -52,11 +52,11 @@ def power_phi(p: float) -> PhiFunction:
 
 
 def zygmund_phi(alpha: float, beta: float) -> PhiFunction:
-    """phi(u) = u**alpha * log(u + e)**beta for alpha >= 1, beta > 0."""
-    if alpha < 1:
-        raise ValueError("alpha must satisfy alpha >= 1")
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    """phi(u) = u**alpha * log(u + e)**beta for finite alpha >= 1, beta > 0."""
+    if not 1 <= alpha < math.inf:
+        raise ValueError(f"alpha must be finite and >= 1, not {alpha}")
+    if not 0 < beta < math.inf:
+        raise ValueError(f"beta must be finite and positive, not {beta}")
     alpha, beta = float(alpha), float(beta)
 
     def evaluate(u):
@@ -68,14 +68,14 @@ def zygmund_phi(alpha: float, beta: float) -> PhiFunction:
 
 
 def exponential_phi(gamma: float) -> PhiFunction:
-    """phi(u) = exp(u**gamma) - 1 for gamma > 0.
+    """phi(u) = exp(u**gamma) - 1 for finite gamma > 0.
 
     Fails the doubling condition for every gamma.  For gamma < 1 the
     function is not convex near zero; the flag records that and the
     convexity-dependent checks skip such instances.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be finite and positive, not {gamma}")
     gamma = float(gamma)
 
     def evaluate(u):

@@ -1,7 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from maxprod import kernels, signals
+
+# parameters as a user may type them: numbers finite or not, and junk
+_PARAMETERS = st.one_of(
+    st.integers(-10 ** 5, 10 ** 5).map(str), st.floats().map(repr),
+    st.sampled_from(["", "1e400", "-0", " 7 ", "1_0", "0x4"]),
+    st.text(max_size=4))
+
+
+def catalog_names(*prefixes):
+    """Strings a user may pass as a catalog name with these prefixes."""
+    params = st.lists(_PARAMETERS, max_size=3).map(",".join)
+    return st.one_of(st.text(max_size=12),
+                     st.builds(str.__add__, st.sampled_from(prefixes),
+                               params))
 
 
 @pytest.fixture(scope="session")

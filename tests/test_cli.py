@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from maxprod.cli import main
+from maxprod import errors
+from maxprod.cli import MAX_CELLS, main
 
 VERIFY_DRAWS_8_SEED_42 = """\
 operator-algebra/monotonicity      trials=8     failures=0    worst_slack=9.859e-02  [pass]
@@ -280,9 +281,9 @@ class TestArgumentValidation:
     """Bad scales, tolerances and samples exit 2 with a one-line error."""
 
     @staticmethod
-    def _exit_2(capsys, *argv):
-        code, out, err = run(capsys, *argv)
-        assert code == 2
+    def _exit_2(capsys, *argv, code=2):
+        got, out, err = run(capsys, *argv)
+        assert got == code
         assert out == "" and "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
         return err
@@ -355,6 +356,77 @@ class TestArgumentValidation:
         err = self._exit_2(capsys, "kernel-info", "--kernel", "fejer",
                            f"{flag}={value}")
         assert flag.lstrip("-") in err
+
+    @pytest.mark.parametrize("name", ["bspline:0", "bspline:10",
+                                      "bspline:60", "bspline:2000"])
+    def test_bspline_order_out_of_range(self, capsys, name):
+        err = self._exit_2(capsys, "kernel-info", "--kernel", name)
+        assert "1..9" in err
+
+    @pytest.mark.parametrize("phi", ["power:nan", "power:inf",
+                                     "zygmund:nan,1", "zygmund:1,inf",
+                                     "exponential:nan"])
+    def test_non_finite_phi_parameter(self, capsys, tmp_path, phi):
+        err = self._exit_2(capsys, "converge", "--kernel", "fejer", "--phi",
+                           phi, "--out", str(tmp_path / "rep"))
+        assert phi in err
+        assert not (tmp_path / "rep.json").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["converge", "--scales", "3000000000"], "lattice cells"),
+        # on the line the cells span the support widened by 2: 6 n for hat
+        (["converge", "--signal", "hat", "--domain", "line", "--scales",
+          f"8,{MAX_CELLS // 6 + 1}"], "lattice cells"),
+        (["reconstruct", "--n", "1000000000"], "lattice cells"),
+        (["reconstruct", "--n", "8", "--signal", "hat", "--domain",
+          "interval:1000000000000000,1000000000000001"], "2**52"),
+        (["reconstruct", f"--grid={MAX_CELLS + 1}"], "--grid"),
+    ])
+    def test_oversized_or_imprecise_run(self, capsys, tmp_path, argv,
+                                        message):
+        # rejected before anything is allocated: these inputs used to end
+        # in a MemoryError, a kill, or the operator's precision ValueError
+        err = self._exit_2(capsys, argv[0], "--kernel", "fejer", *argv[1:],
+                           "--out", str(tmp_path / "x"))
+        assert message in err
+
+    @pytest.mark.parametrize("domain, message", [
+        ("interval:0,1e300", "lattice cells"),
+        ("interval:140737488355328,140737488355329", "2**52"),   # 2**47
+    ])
+    def test_verify_checks_its_largest_scale(self, capsys, domain, message):
+        err = self._exit_2(capsys, "verify", "--draws", "1", "--domain",
+                           domain)
+        assert "n=32" in err and message in err
+
+    @pytest.mark.parametrize("domain", ["interval:0,2", "interval:-0.5,0.5"])
+    def test_reconstruct_outside_signal_domain(self, capsys, tmp_path,
+                                               domain):
+        err = self._exit_2(capsys, "reconstruct", "--kernel", "fejer",
+                           "--signal", "ramp", "--domain", domain,
+                           "--out", str(tmp_path / "x.csv"))
+        assert "'ramp' lives on [0, 1]" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_numerical_failure_exit_6(self, capsys, tmp_path):
+        # a spike of 1e13 puts the Luxemburg norm past its 1e12 bracket
+        data = tmp_path / "spike.csv"
+        data.write_text("0,0\n0.5,1e13\n1,0\n")
+        err = self._exit_2(capsys, "converge", "--kernel", "fejer", "--csv",
+                           str(data), "--scales", "8,16",
+                           "--out", str(tmp_path / "rep"), code=6)
+        assert "Luxemburg bracket" in err
+
+    @pytest.mark.parametrize("error", [errors.QuadratureError,
+                                       errors.TruncationError])
+    def test_numerical_errors_exit_6(self, capsys, tmp_path, monkeypatch,
+                                     error):
+        def fail(*args):
+            raise error("did not converge")
+
+        monkeypatch.setattr("maxprod.analysis.run_convergence", fail)
+        self._exit_2(capsys, "converge", "--kernel", "fejer",
+                     "--out", str(tmp_path / "rep"), code=6)
 
     def test_non_finite_csv_sample(self, capsys, tmp_path):
         data = tmp_path / "sig.csv"

@@ -1,11 +1,13 @@
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import catalog_names
 from maxprod import kernels
 from maxprod.errors import (QuadratureError, TruncationError,
                             UnknownNameError)
@@ -52,8 +54,27 @@ class TestCatalogValues:
         assert ev(m4_kernel, 0.0) == pytest.approx(2.0 / 3.0, abs=1e-14)
 
     def test_bspline_rejects_bad_order(self):
-        with pytest.raises(ValueError):
-            kernels.bspline(0)
+        for order in (0, kernels.MAX_BSPLINE_ORDER + 1, 40, 2000, 2.5):
+            with pytest.raises(ValueError):
+                kernels.bspline(order)
+
+    def test_bspline_matches_exact_rationals(self):
+        # every accepted order to 1e-12 against the same alternating sum in
+        # exact arithmetic; order 10 misses it by 2.0e-12
+        def exact(order, x):
+            x, half = Fraction(x), Fraction(order, 2)
+            if order == 1:   # the indicator of [-1/2, 1/2)
+                return Fraction(int(-half <= x < half))
+            return sum((-1) ** i * math.comb(order, i)
+                       * max(x + half - i, 0) ** (order - 1)
+                       for i in range(order + 1)) / math.factorial(order - 1)
+
+        for order in range(1, kernels.MAX_BSPLINE_ORDER + 1):
+            xs = np.linspace(-0.5 * order, 0.5 * order, 401)
+            got = kernels.bspline(order).evaluate(xs)
+            err = max(abs(Fraction(float(v)) - exact(order, x))
+                      for v, x in zip(got, xs))
+            assert err <= 1e-12, (order, float(err))
 
     def test_bspline_zero_outside_support(self, m4_kernel):
         xs = np.array([2.0, 2.5, 10.0, -3.0, 1e6])
@@ -66,6 +87,25 @@ class TestCatalogValues:
             kernels.kernel_by_name("gauss")
         with pytest.raises(UnknownNameError):
             kernels.kernel_by_name("bspline:x")
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(catalog_names("bspline:", "fejer", "vallee-poussin"))
+    @example("bspline:10")
+    @example("bspline:40")
+    @example("bspline:2000")
+    def test_kernel_by_name_fuzz(self, name):
+        # a name gives a catalog kernel with finite constants, or an
+        # UnknownNameError
+        try:
+            kernel = kernels.kernel_by_name(name)
+        except UnknownNameError:
+            return
+        orders = range(1, kernels.MAX_BSPLINE_ORDER + 1)
+        assert kernel.name in ("fejer", "vallee-poussin",
+                               *(f"bspline:{k}" for k in orders))
+        assert all(math.isfinite(c) for c in (
+            kernel.support, kernel.decay_order, kernel.decay_coeff,
+            kernel.sup_norm, kernel.l1_norm) if c is not None)
 
 
 class TestMoments:
@@ -140,6 +180,14 @@ class TestLowerBound:
             a_bounded = kernels.lower_bound_constant(kernel, "interval")
             a_line = kernels.lower_bound_constant(kernel, "line")
             assert a_bounded <= a_line + 1e-12
+
+    @pytest.mark.parametrize("kind", ["bounded", "real_line", "Line"])
+    def test_only_two_domain_kinds(self, fejer_kernel, kind):
+        # the CLI's other spellings of a domain stop at the CLI
+        with pytest.raises(ValueError, match="'interval' or 'line'"):
+            kernels.lower_bound_constant(fejer_kernel, kind)
+        with pytest.raises(ValueError, match="'interval' or 'line'"):
+            kernels.check_assumptions(fejer_kernel, kind)
 
 
 # a_chi of the catalog, pinned bit for bit: admissibility reads its sign,

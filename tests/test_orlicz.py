@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import catalog_names
 from maxprod import orlicz, quadrature, signals
 from maxprod.errors import QuadratureError, UnknownNameError
 
@@ -55,6 +56,23 @@ class TestPhiFamilies:
             orlicz.phi_by_name("young:1")
         with pytest.raises(UnknownNameError):
             orlicz.phi_by_name("power:x")
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(catalog_names("power:", "zygmund:", "exponential:"))
+    @example("power:nan")
+    @example("power:inf")
+    @example("zygmund:nan,1")
+    @example("zygmund:1,1e400")
+    @example("exponential:nan")
+    def test_phi_by_name_fuzz(self, name):
+        # a name gives a phi-function with finite parameters, or an
+        # UnknownNameError
+        try:
+            phi = orlicz.phi_by_name(name)
+        except UnknownNameError:
+            return
+        params = phi.name.split(":")[1].split(",")
+        assert all(math.isfinite(float(p)) for p in params)
 
     @given(st.floats(min_value=0.0, max_value=40.0),
            st.floats(min_value=0.0, max_value=40.0))
