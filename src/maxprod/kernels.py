@@ -49,9 +49,13 @@ class Kernel:
     """Evaluatable kernel with truncation certificates.
 
     ``decay_coeff`` is a constant C with |chi(u)| <= C |u|**-decay_order for
-    every u != 0; the catalog sets it exactly, custom kernels get a sampled
-    estimate on first use.  ``l1_norm``/``sup_norm`` hold known closed-form
-    values when available (``l1_norm`` is filled lazily by ``ensure_l1``).
+    every u != 0.  ``envelope`` = (rows, slack) refines it: for integers k
+    with |u - k| >= 1, row c = (a, b) bounds chi(u - k) |u - k|**decay_order
+    by a + b cos(pi u) + slack (|u| + |k|) if k = c mod (len(rows) - 1), and
+    the last row bounds its negative.  The catalog sets both; custom kernels
+    get sampled ones on first use.  ``l1_norm``/``sup_norm`` hold known
+    closed-form values when available (``l1_norm`` is filled lazily by
+    ``ensure_l1``).
     Instances are treated as immutable after construction, which is what
     lets ``constants`` hold each lattice constant once computed.
     """
@@ -61,6 +65,7 @@ class Kernel:
     support: float | None = None
     decay_order: float | None = None
     decay_coeff: float | None = field(default=None, repr=False)
+    envelope: tuple | None = field(default=None, repr=False)
     sup_norm: float | None = None
     l1_norm: float | None = None
     constants: dict = field(default_factory=dict, init=False, repr=False)
@@ -114,9 +119,13 @@ def fejer() -> Kernel:
         x = np.asarray(x, dtype=float)
         return 0.5 * np.sinc(0.5 * x) ** 2
 
-    # |chi(u)| = 2 sin^2(pi u / 2) / (pi u)^2 <= 2 / (pi u)^2 for all u != 0.
+    # |chi(u)| = 2 sin^2(pi u / 2) / (pi u)^2 <= 2 / (pi u)^2 for all u != 0;
+    # sin^2(pi (u - k) / 2) = (1 -+ cos(pi u)) / 2 for even / odd k, and the
+    # slack covers the rounding of np.sinc's argument
+    c = 1.0 / math.pi ** 2
     return Kernel("fejer", evaluate, support=None, decay_order=2.0,
-                  decay_coeff=2.0 / math.pi ** 2, sup_norm=0.5, l1_norm=1.0)
+                  decay_coeff=2.0 * c, sup_norm=0.5, l1_norm=1.0,
+                  envelope=(((c, -c), (c, c), (0.0, 0.0)), 2e-14))
 
 
 def de_la_vallee_poussin() -> Kernel:
@@ -135,9 +144,11 @@ def de_la_vallee_poussin() -> Kernel:
         series = (1.0 - 5.0 * x * x / 12.0) / 3.0
         return np.where(small, series, vals)
 
-    # |sin(x/2) sin(3x/2)| <= 1, hence |chi(u)| <= (4/9) |u|**-2 everywhere.
+    # |sin(x/2) sin(3x/2)| <= 1, hence |chi(u)| <= (4/9) |u|**-2 everywhere,
+    # and sin(x/2) sin(3x/2) = (cos x - cos 2x) / 2 <= 9/16
     return Kernel("vallee-poussin", evaluate, support=None, decay_order=2.0,
-                  decay_coeff=4.0 / 9.0, sup_norm=1.0 / 3.0, l1_norm=None)
+                  decay_coeff=4.0 / 9.0, sup_norm=1.0 / 3.0, l1_norm=None,
+                  envelope=(((0.25, 0.0), (4.0 / 9.0, 0.0)), 2e-14))
 
 
 def bspline(order: int) -> Kernel:
@@ -237,16 +248,29 @@ def _outer_sup(kernel: Kernel, beta: float, j_window: int,
 
 
 def _decay_coefficient(kernel: Kernel) -> float:
-    """Coefficient C of the decay certificate, estimating it if unset."""
+    """Coefficient C of the decay certificate, estimating it and the
+    envelope (one class: the positive part, then C) where unset."""
     if kernel.decay_order is None:
         raise TruncationError(f"kernel {kernel.name!r} has no decay order")
-    if kernel.decay_coeff is not None:
-        return kernel.decay_coeff
-    u = np.arange(4.0, 4096.0, 1.0 / 16.0)
-    u = np.concatenate([u, -u])
-    c = float(np.max(np.abs(kernel.evaluate(u)) * np.abs(u) ** kernel.decay_order))
-    kernel.decay_coeff = 1.1 * c  # safety margin over the sampled peak
+    if kernel.decay_coeff is None or kernel.envelope is None:
+        u = np.arange(4.0, 4096.0, 1.0 / 16.0)
+        u = np.concatenate([u, -u])
+        t = kernel.evaluate(u) * np.abs(u) ** kernel.decay_order
+        # a safety margin of 1.1 over each sampled peak
+        kernel.decay_coeff = kernel.decay_coeff or 1.1 * float(np.max(abs(t)))
+        kernel.envelope = kernel.envelope or ((
+            (1.1 * max(0.0, float(np.max(t))), 0.0),
+            (kernel.decay_coeff, 0.0)), 0.0)
     return kernel.decay_coeff
+
+
+def lattice_envelope(kernel: Kernel, u: np.ndarray, k_max: int) -> np.ndarray:
+    """The rows of ``kernel.envelope`` at the points u, for |k| <= k_max."""
+    _decay_coefficient(kernel)   # samples an envelope where none is declared
+    rows, slack = kernel.envelope
+    phase = np.cos(np.pi * u)
+    return (np.array([a + b * phase for a, b in rows])
+            + slack * (np.abs(u) + k_max))
 
 
 def _tail_limsup(kernel: Kernel, alpha: float) -> float:

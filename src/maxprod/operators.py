@@ -1,23 +1,25 @@
 """Max-product Kantorovich sampling operator and its linear counterpart.
 
 K_n f(x) = sup_k chi(n x - k) mean_k / sup_k chi(n x - k), signs kept, over
-J_n on an interval, or over Z on the line with zero means off the support.
-Each point first takes a window of lattice columns around floor(n x), shifted
-to stay inside J_n, in chunks of at most ``_BUDGET`` elements.  A compact
-kernel's window of 2r + 1 columns holds its whole support.  A decay kernel's
-row takes all of J_n when |J_n| <= 2r + 1 + ``_BLOCK``, else a core of 2r + 1
-columns, where C r**-alpha <= a_chi / 4, and then each ``_BLOCK``-column
-block of the table, d away, whose bound min(sup|chi|, C max(d, r)**-alpha) *
-max|mean| could raise its numerator or denominator.  Skipped columns cannot
-win and max is exact, so results are bitwise those of the whole lattice.
-A stack of T tables (``MeanValueTable.stack``) shares each chi block, the
-denominator and its certificate; a block is visited for a row when its bound
-on some table beats that table's numerator, so each row of the result is
-bitwise its table's own evaluation.
+J_n on an interval, or over Z on the line with zero means off the support;
+the denominator is the numerator of a table of ones, swept with the tables.
+Each point first takes a window of columns around floor(n x), shifted to stay
+in J_n, in chunks of at most ``_BUDGET`` elements.  A compact kernel's window
+of 2r + 1 columns holds its whole support.  A decay kernel's row takes all of
+J_n when |J_n| <= 2r + 1 + ``_BLOCK``, else a core of 2r + 1 columns, where
+C r**-alpha <= a_chi / 4, and then searches the ``_BLOCK``-column blocks: the
+kernel's signed, phase-aware envelope at u = n x, times a run of blocks' max
+|mean| per class of k and sign, times max(d, r)**-alpha bounds the run's terms
+d away.  From rings of runs widening outward from its block, each table dives
+to one block along the best bounds, then splits every run whose bound beats
+its numerator, down to the blocks it sweeps.  Skipped columns cannot win and
+max is exact, so each row of a stack of tables (``MeanValueTable.stack``) is
+bitwise its own table's evaluation over the whole lattice.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -25,7 +27,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import InadmissibleKernelError, TruncationError
-from .kernels import Kernel, _decay_coefficient, lower_bound_constant
+from .kernels import (Kernel, _decay_coefficient, lattice_envelope,
+                      lower_bound_constant)
 from .signals import (Domain, MeanValueTable, Signal, cell_means, iceil,
                       ifloor, mean_values)
 
@@ -34,6 +37,8 @@ from .signals import (Domain, MeanValueTable, Signal, cell_means, iceil,
 _BUDGET = 1 << 14
 # Lattice columns per block of the decay-kernel pruning stage.
 _BLOCK = 16
+# Heap levels of one step of the block search: a run splits into 2**_SPLIT.
+_SPLIT = 3
 
 
 @dataclass(frozen=True)
@@ -85,20 +90,103 @@ def _radius(config: OperatorConfig) -> int:
 
 def _sweep(config: OperatorConfig, padded: np.ndarray, k_lo: int,
            u: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
-    """Suprema of chi * mean, one row per table, and of chi (the last row)
-    for each point u = n x over the ``width`` columns from its start.
-    ``padded`` holds the tables with a zero cell at each end, which every
-    column off the tables reads."""
+    """Suprema of chi * mean, one row per row of ``padded``, for each point
+    u = n x over the ``width`` columns from its start.  ``padded`` holds the
+    tables with a cell at each end, which every column off the tables reads:
+    zero, and one in the table of ones."""
     cols = np.arange(width)[:, None]
-    out = np.empty((padded.shape[0] + 1, u.size))
+    out = np.empty((padded.shape[0], u.size))
     step = max(1, _BUDGET // (width * padded.shape[0]))
     for s in range(0, u.size, step):
         ks = starts[s:s + step] + cols
         chi = np.asarray(config.kernel.evaluate(u[s:s + step] - ks))
         means = np.take(padded, ks - (k_lo - 1), axis=1, mode="clip")
-        out[:-1, s:s + step] = (chi * means).max(1)
-        out[-1, s:s + step] = chi.max(0)
+        out[:, s:s + step] = (chi * means).max(1)
     return out
+
+
+def _visit_blocks(config: OperatorConfig, r: int, table: MeanValueTable,
+                  padded: np.ndarray, u: np.ndarray,
+                  sweep: np.ndarray) -> None:
+    """Raise each row of ``sweep`` by the blocks that could still win."""
+    ker, alpha, k_lo, k_hi = config.kernel, config.kernel.decay_order, \
+        table.k_lo, table.k_hi
+    means = padded[:, 1:-1]
+    bw = min(_BLOCK, means.shape[1])
+    starts = np.minimum(np.arange(k_lo, k_hi + 1, _BLOCK), k_hi - bw + 1)
+    nb, margin = starts.size, 1.0 + 1e-9   # the last block overlaps
+    env_r = _decay_coefficient(ker) * r ** -alpha * margin
+    groups = len(ker.envelope[0])   # k mod groups - 1, then negative means
+    need = sweep < env_r * np.abs(means).max(1)[:, None]
+    # per table, a heap over the blocks of max |mean| per envelope row, and
+    # of minus the first and of the last column of a nonzero mean
+    cls, nz = np.arange(k_lo, k_hi + 1) % (groups - 1), means != 0
+    top = _SPLIT * max(1, -(-(nb - 1).bit_length() // _SPLIT))
+    heap = np.full((len(means), groups + 2, 2 << top), -math.inf)
+    heap[..., 1 << top:(1 << top) + nb] = np.stack([np.maximum.reduceat(
+        np.where(cls == c, means, 0.0), starts - k_lo, axis=1)
+        for c in range(groups - 1)] + [
+            np.maximum.reduceat(-means, starts - k_lo, axis=1).clip(0.0),
+            -np.maximum(starts, k_lo + nz.argmax(1)[:, None]),
+            np.minimum(starts + bw - 1, k_hi - nz[:, ::-1].argmax(1)[:, None])
+        ], axis=1)
+    for lv in range(top - 1, -1, -1):   # node h: max of nodes 2h, 2h + 1
+        heap[..., 1 << lv:2 << lv] = np.maximum(
+            heap[..., 2 << lv:4 << lv:2], heap[..., (2 << lv) + 1:4 << lv:2])
+    # a row's first nodes, rings of growing width outward from its home
+    # block: at each level l = 0, _SPLIT, ... the fan nodes under the home
+    # block's ancestor at l + _SPLIT, less its own ancestor at l > 0
+    fan, end = 1 << _SPLIT, (1 << top) + nb
+    lv, kid = np.repeat(np.arange(0, top, _SPLIT), fan), np.arange(fan)
+
+    def bound(q, h):
+        """Bound on the terms of table t in heap node h for chunk row q."""
+        d = np.maximum(np.maximum(-hp[-2].take(h) - x[q],
+                                  x[q] - hp[-1].take(h)), r)
+        return functools.reduce(np.maximum, (
+            hp[g].take(h) * cp[g].take(q) for g in range(groups))) / (
+                d ** alpha)
+
+    for t, hp in enumerate(heap):
+        todo = np.flatnonzero(need[t])
+        for s in range(0, todo.size, _BUDGET // lv.size):
+            rows = todo[s:s + _BUDGET // lv.size]
+            x = u[rows]
+            cp = lattice_envelope(ker, x, max(-k_lo, k_hi)) * margin
+            home = (end - nb) + np.clip(
+                (np.floor(x).astype(np.int64) - k_lo) // _BLOCK, 0, nb - 1)
+            h = home[:, None] >> lv + _SPLIT << _SPLIT | np.tile(
+                kid, top // _SPLIT)
+            q, f = np.nonzero((h << lv < end)
+                              & ((lv == 0) | (h != home[:, None] >> lv)))
+            first = (q, h[q, f], lv[f], bound(q, h[q, f]))
+            dived = np.full(rows.size, -1)   # the block each row dived to
+            # a dive follows each row's best node down to one block; then
+            # every node whose bound beats the numerator splits
+            for dive in (True, False):
+                stack = [first]
+                while stack:
+                    q, h, j, bd = stack.pop()
+                    bd = bound(q, h) if bd is None else bd
+                    keep = bd > sweep[t].take(rows[q])
+                    if dive:
+                        best = np.full(rows.size, -math.inf)
+                        np.maximum.at(best, q, bd)
+                        keep &= bd >= best[q]
+                    leaf = keep & (j == 0) & (h != dived[q])
+                    np.maximum.at(sweep, (slice(None), rows[q[leaf]]), _sweep(
+                        config, padded, k_lo, x[q[leaf]],
+                        starts[h[leaf] - end + nb], bw))
+                    if dive:
+                        dived[q[leaf]] = h[leaf]
+                    split = np.flatnonzero(keep & (j > 0))
+                    for k in range(0, split.size, _BUDGET // fan):
+                        sp = split[k:k + _BUDGET // fan]
+                        h2 = (h[sp, None] << _SPLIT | kid).ravel()
+                        j2 = np.repeat(j[sp] - _SPLIT, fan)
+                        ok = h2 << j2 < end   # children over the table
+                        stack.append((np.repeat(q[sp], fan)[ok], h2[ok],
+                                      j2[ok], None))
 
 
 def evaluate_with_table_den(config: OperatorConfig, table: MeanValueTable,
@@ -127,47 +215,12 @@ def evaluate_with_table_den(config: OperatorConfig, table: MeanValueTable,
     width = min(2 * r + 1, size) if compact or prune else size
     first = np.clip(np.floor(u).astype(np.int64) - r, lo, hi - width + 1)
     means = np.atleast_2d(table.values)
-    padded = np.pad(means, ((0, 0), (1, 1)))
+    padded = np.ones((len(means) + 1, means.shape[1] + 2))
+    padded[:-1] = np.pad(means, ((0, 0), (1, 1)))
     sweep = _sweep(config, padded, table.k_lo, u, first, width)
-    num, den = sweep[:-1], sweep[-1]
     if prune:
-        c, alpha = _decay_coefficient(ker), ker.decay_order
-        # columns off the core lie farther than r from u: |chi| <= env there
-        bw = min(_BLOCK, means.shape[1])
-        starts = np.minimum(np.arange(table.k_lo, table.k_hi + 1, _BLOCK),
-                            table.k_hi - bw + 1)   # the last block overlaps
-        cells = starts - table.k_lo + np.arange(bw)[:, None]
-        bmax = np.abs(means[:, cells]).max(1)   # (tables, blocks)
-        sup, margin = ker.sup_norm or math.inf, 1.0 + 1e-9   # for rounding
-        env_r = min(sup, c * r ** -alpha) * margin
-        todo = np.flatnonzero((num < env_r * bmax.max(1)[:, None]).any(0)
-                              | (den < env_r))
-        step = max(1, _BUDGET // (starts.size * len(means)))
-        for start in range(0, todo.size, step):
-            rows = todo[start:start + step]
-            d = np.maximum(starts - u[rows, None],
-                           u[rows, None] - (starts + bw - 1))
-            env = np.minimum(sup, c * np.maximum(d, r) ** -alpha) * margin
-            bound = env * bmax[:, None]   # (tables, rows, blocks)
-            # each table's best block of each row first, to mask the rest
-            # (a block that is best for two tables is swept twice); then,
-            # once, every block whose bound could still raise that table's
-            # numerator or whose envelope could raise the denominator
-            at = np.repeat(np.arange(rows.size), len(bound))
-            blk = bound.argmax(axis=2).T.ravel()
-            while at.size:
-                part = _sweep(config, padded, table.k_lo, u[rows[at]],
-                              starts[blk], bw)
-                cut = np.flatnonzero(np.diff(at, prepend=-1))
-                i = rows[at[cut]]
-                top = np.maximum.reduceat(part, cut, axis=1)
-                num[:, i] = np.maximum(num[:, i], top[:-1])
-                den[i] = np.maximum(den[i], top[-1])
-                bound[:, at, blk] = env[at, blk] = -math.inf
-                visit = env > den[rows, None]
-                for bound_t, num_t in zip(bound, num):
-                    visit |= bound_t > num_t[rows, None]
-                at, blk = np.nonzero(visit)
+        _visit_blocks(config, r, table, padded, u, sweep)
+    num, den = sweep[:-1], sweep[-1]
     den_min = float(den.min(initial=math.inf))
     # on the line this also certifies the columns never evaluated: each lies
     # farther than r from u, where |chi| <= a_chi / 4

@@ -11,10 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_operator import evaluate_with_table_den as dense_evaluate
-from maxprod import kernels, operators, signals
+from maxprod import cli, kernels, operators, signals
 
 KERNELS = {name: kernels.kernel_by_name(name)
            for name in ("bspline:4", "bspline:5", "fejer", "vallee-poussin")}
+# decay kernels for signed tables: the catalog's envelopes, and a signed
+# kernel whose coefficient and envelope are sampled on first use
+DECAY_KERNELS = (KERNELS["fejer"], KERNELS["vallee-poussin"],
+                 dataclasses.replace(KERNELS["vallee-poussin"],
+                                     decay_coeff=None, envelope=None))
 INTERVAL_SIGNALS = ("constant:1", "ramp", "step", "sawtooth", "abs-sine",
                     "random")
 LINE_SIGNALS = ("hat", "square-pulse")
@@ -61,6 +66,37 @@ def stacked_cases(draw):
     return config, [f, *more], xs
 
 
+@st.composite
+def signed_cases(draw):
+    """A decay kernel and a scale, one to three tables of negative, zero and
+    positive means, and points.  On [0, 1], n <= 2r + 1 + 16 takes the
+    one-pass window; line tables cover different cells, so the stack pads
+    them."""
+    kernel = draw(st.sampled_from(DECAY_KERNELS))
+    n = draw(st.integers(8, 300))
+    domain = draw(st.sampled_from([(0.0, 1.0), None]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    negative, zero = draw(st.sampled_from([0.0, 0.5, 1.0])), \
+        draw(st.sampled_from([0.0, 0.3, 0.9]))
+    tables = []
+    for _ in range(draw(st.integers(1, 3))):
+        k_lo, cells = (0, n) if domain else (int(rng.integers(-n, n)),
+                                             int(rng.integers(1, 2 * n)))
+        values = rng.uniform(0.01, 2.0, cells) * np.where(
+            rng.random(cells) < negative, -1.0, 1.0)
+        values[rng.random(cells) < zero] = 0.0
+        tables.append(signals.MeanValueTable(
+            n=n, k_lo=k_lo, k_hi=k_lo + cells - 1, values=values,
+            domain=domain))
+    lo, hi = domain or (min(t.k_lo for t in tables) / n - 2.0,
+                        max(t.k_hi for t in tables) / n + 2.0)
+    lattice = st.integers(math.ceil(n * lo), math.floor(n * hi)).map(
+        lambda k: k / n)
+    point = st.one_of(st.floats(lo, hi), lattice, st.sampled_from([lo, hi]))
+    xs = np.array(draw(st.lists(point, min_size=1, max_size=30)))
+    return operators.operator_config(kernel, n, domain), tables, xs
+
+
 def _table(f, config):
     return signals.mean_values(f, config.n, config.domain)
 
@@ -98,6 +134,24 @@ class TestAgainstDense:
             want, want_den = dense_evaluate(config, table, xs)
             assert _bits(row) == _bits(single) == _bits(want)
             assert got_den == single_den == want_den
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(signed_cases())
+    def test_signed_tables_bitwise_equal_to_dense(self, case):
+        # a negative mean is bounded by the envelope's negative row and a
+        # zero mean by nothing, and a row whose numerator is negative must
+        # still find the far cell nearest to zero: each row of the stack is
+        # its table's dense evaluation to the bit.  Only a supremum of zero
+        # may differ in its sign, which follows the order of numpy's
+        # reduction here as in the oracle.
+        config, tables, xs = case
+        got, got_den = operators.evaluate_with_table_den(
+            config, signals.MeanValueTable.stack(tables), xs)
+        for row, table in zip(got, tables):
+            want, want_den = dense_evaluate(config, table, xs)
+            zero = want == 0.0
+            assert np.all(row[zero] == 0.0) and got_den == want_den
+            assert _bits(np.where(zero, 0.0, row)) == _bits(want + 0.0)
 
     @pytest.mark.parametrize("name, n, domain, signal, lo, hi", [
         ("fejer", 512, (0.0, 1.0), "abs-sine", 0.0, 1.0),
@@ -244,8 +298,8 @@ class TestAgainstDense:
 
 class TestElementBudget:
     """Peak traced memory of one large evaluation stays under a fixed
-    ceiling (about 1.5 MiB is used); 4096-row dense chunks at n = 8192 need
-    256 MiB per temporary."""
+    ceiling (at most about 5.5 MiB is used, in the far field); 4096-row
+    dense chunks at n = 8192 need 256 MiB per temporary."""
 
     CEILING = 8 * 2 ** 20
 
@@ -267,17 +321,16 @@ class TestElementBudget:
         self._check_peak(config, table, xs)
 
     def test_peak_memory_in_the_far_field(self):
-        # most rows reach the block stage, whose bound matrix has one column
-        # per 16 cells of the 16386-cell table
+        # most rows reach the block search, over a heap of the 1025 blocks
+        # of the 16386-cell table
         config = operators.operator_config(KERNELS["fejer"], 8192, None)
         table = signals.mean_values(signals.catalog("hat"), 8192, None)
         self._check_peak(config, table, np.linspace(-16.0, 16.0, 20_000))
 
     def test_peak_memory_of_a_six_table_stack(self):
-        # one sweep serves six tables, so its chunks and the block stage's
-        # bound chunks hold 1/6 of the rows; 5000 points span 21 sweep
-        # chunks and some 500 bound chunks, since the step's zero means send
-        # half the rows to the block stage
+        # one sweep serves six tables and the table of ones, so its chunks
+        # hold 1/7 of the rows; each table searches the rows its own
+        # numerator needs, half of them for the step's zero means
         n = 8192
         config = operators.operator_config(KERNELS["fejer"], n, (0.0, 1.0))
         table = signals.MeanValueTable.stack([
@@ -286,14 +339,31 @@ class TestElementBudget:
                          "abs-sine", "constant:0.5")])
         self._check_peak(config, table, np.linspace(0.0, 1.0, 5_000))
 
-    def _check_peak(self, config, table, xs):
+    def test_peak_memory_and_pairs_at_the_cap(self):
+        # the largest table a CLI run may ask for: the block heap and its
+        # setup scale with the table, the search with the points, and each
+        # point sweeps its core and a few blocks, however far the step is
+        n = cli.MAX_CELLS
+        config = operators.operator_config(KERNELS["fejer"], n, (0.0, 1.0))
+        table = signals.mean_values(signals.catalog("step"), n, (0.0, 1.0))
+        pairs, evaluate = [], config.kernel.evaluate
+        config = dataclasses.replace(config, kernel=dataclasses.replace(
+            config.kernel, evaluate=lambda u: (pairs.append(np.size(u)),
+                                               evaluate(u))[1]))
+        xs = np.linspace(0.0, 1.0, 2000)
+        self._check_peak(config, table, xs,
+                         self.CEILING + 6 * table.values.nbytes)
+        r = operators._radius(config)
+        assert sum(pairs) / xs.size <= 2 * r + 1 + 4 * operators._BLOCK
+
+    def _check_peak(self, config, table, xs, ceiling=CEILING):
         tracemalloc.start()
         try:
             values, _ = operators.evaluate_with_table_den(config, table, xs)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < self.CEILING
+        assert peak < ceiling
         assert np.all(np.isfinite(values))
 
 

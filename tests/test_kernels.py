@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import catalog_names
-from maxprod import kernels
+from dense_operator import evaluate_with_table_den as dense_evaluate
+from maxprod import kernels, operators, signals
 from maxprod.errors import (QuadratureError, TruncationError,
                             UnknownNameError)
 from maxprod.quadrature import adaptive
@@ -335,6 +336,50 @@ class TestKernelInvariants:
                           np.linspace(-64.0, 64.0, 257), atol=1e-8)
         full = kernels.l1_norm(vp_kernel, 1e-4)
         assert coarse <= full <= coarse + 0.02
+
+
+class TestLatticeEnvelope:
+    """The catalog's declared lattice envelopes, which the operator's block
+    search trusts to skip columns at least one unit from u."""
+
+    @pytest.mark.parametrize("name", ["fejer", "vallee-poussin"])
+    @pytest.mark.parametrize("centre", [0.0, 3.0 * 2.0 ** 20, -2.0 ** 40,
+                                        2.0 ** 40 + 0.5])
+    def test_declared_rows_bound_the_terms(self, name, centre):
+        # every phase of u near the centre, every k within 64 of it and
+        # some up to 2**30 away; row k mod P bounds the positive part of
+        # chi(u - k) |u - k|**2, the last row its negative part
+        kernel = kernels.kernel_by_name(name)
+        u = centre + np.linspace(-2.0, 2.0, 1601)
+        far = 2.0 ** np.arange(7, 31)
+        k = round(centre) + np.concatenate([np.arange(-64.0, 65.0), far,
+                                            -far, far + 1, -far - 1])
+        v = u[:, None] - k
+        terms = np.where(np.abs(v) >= 1.0,
+                         kernel.evaluate(v) * v ** kernel.decay_order, 0.0)
+        for col, kk in zip(terms.T, k):
+            bound = kernels.lattice_envelope(kernel, u, abs(kk))
+            assert np.all(col <= bound[int(kk % (len(bound) - 1))])
+            assert np.all(-col <= bound[-1])
+        assert (terms < 0).any() == (name == "vallee-poussin")
+
+    @pytest.mark.parametrize("domain", [None, (0.0, 96.0)])
+    def test_rows_at_phase_zero(self, domain):
+        # at u = n x even, fejer's even columns have phase zero and are
+        # bounded by the slack alone; one ulp off, by a phase of ~1e-13
+        n = 512
+        config = operators.operator_config(kernels.fejer(), n, domain)
+        table = signals.mean_values(signals.catalog("hat"), n, domain) \
+            if domain is None else signals.MeanValueTable(
+                n=n, k_lo=0, k_hi=96 * n - 1, domain=domain,
+                values=np.where(np.arange(96 * n) >= 90 * n, 1.0, 0.0))
+        x = 2.0 * np.array([384, 1000, 4321, 24576]) / n
+        xs = np.concatenate([x, np.nextafter(x, -np.inf),
+                             np.nextafter(x, np.inf)])
+        xs = xs[(xs >= 0.0) & (xs <= 96.0)] if domain else xs
+        got, got_den = operators.evaluate_with_table_den(config, table, xs)
+        want, want_den = dense_evaluate(config, table, xs)
+        assert got.tobytes() == want.tobytes() and got_den == want_den
 
 
 def test_adaptive_gives_up_at_the_live_panel_cap():

@@ -123,22 +123,40 @@ class TestPerPointWindow:
         assert r == 5 and per_point <= 16
 
     def test_far_field_skips_blocks_that_cannot_win(self, rng):
-        # at most half of 49 + 514 pairs per point, 514 being the table
+        # a quarter of 49 + 514 pairs per point, 514 being the table; a
+        # bound blind to the phase of fejer's terms costs 198
         xs = rng.uniform(1.1, 3.0, 20_000)
         per_point, _, table = self._pairs_per_point("fejer", 256, None,
                                                     "hat", xs)
-        assert table.values.size == 514 and per_point <= 281.5
+        assert table.values.size == 514 and per_point <= 140.0
+
+    @pytest.mark.parametrize("name, signal, n, lo, hi, cells, ceiling", [
+        # the positive part of vallee-poussin's terms is bounded by 1/4,
+        # not 4/9: 172 pairs per point without it
+        ("vallee-poussin", "square-pulse", 256, 1.1, 3.0, 258, 48.0),
+        # far rows of a 16386-cell table: 3106 pairs per point if every row
+        # bounds every block with the plain envelope C |u - k|**-2
+        ("fejer", "hat", 8192, -16.0, 16.0, 16386, 500.0),
+    ])
+    def test_far_field_of_signed_and_large_tables(self, rng, name, signal, n,
+                                                  lo, hi, cells, ceiling):
+        xs = rng.uniform(lo, hi, 20_000)
+        per_point, _, table = self._pairs_per_point(name, n, None, signal,
+                                                    xs)
+        assert table.values.size == cells and per_point <= ceiling
 
     @pytest.mark.parametrize("domain, n, names, lo, hi", [
         (UNIT, 512, ("constant:1", "step", "abs-sine"), 0.0, 1.0),
         (None, 256, ("hat", "square-pulse"), -3.0, 3.0),
+        (None, 1024, ("square-pulse", "hat"), -3.0, 3.0),
     ])
     def test_stack_costs_no_more_than_its_tables(self, rng, domain, n, names,
                                                  lo, hi):
-        # each table's best block goes first and each bound is held against
-        # its own table's numerator: the step's zero means on [0, 1/2] must
-        # not send those rows through every block that the constant's bound
-        # reaches
+        # each table searches the rows it needs against its own numerator:
+        # the step's zero means on [0, 1/2] must not send those rows through
+        # every block that the constant's bound reaches.  A line table padded
+        # to the stack's cells bounds only its own nonzero cells, so it costs
+        # no more than alone
         pairs = []
         fejer = kernels.fejer()
         config = dataclasses.replace(
@@ -152,9 +170,17 @@ class TestPerPointWindow:
             operators.evaluate_with_table_den(config, table, xs)
         separate = sum(pairs)
         pairs.clear()
-        operators.evaluate_with_table_den(
-            config, signals.MeanValueTable.stack(tables), xs)
+        stack = signals.MeanValueTable.stack(tables)
+        operators.evaluate_with_table_den(config, stack, xs)
         assert sum(pairs) <= separate
+        for table, padded in zip(tables, stack.values):
+            pairs.clear()
+            operators.evaluate_with_table_den(config, table, xs)
+            alone = sum(pairs)
+            pairs.clear()
+            operators.evaluate_with_table_den(
+                config, dataclasses.replace(stack, values=padded), xs)
+            assert sum(pairs) <= alone
 
 
 class TestGridConsistency:
