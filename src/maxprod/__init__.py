@@ -2,13 +2,11 @@
 Orlicz-space error measures (modulars, Luxemburg norms) and an empirical
 verification harness for the operator inequalities."""
 
-from .analysis import (CampaignResult, ComparisonTable, ConvergenceReport,
-                       InequalityCheck, check_jackson,
-                       check_lp_lipschitz, check_modular_inequality,
-                       check_zygmund_lipschitz, compare_linear_vs_maxprod,
-                       campaign_exponential_instance, campaign_lp_lipschitz,
-                       campaign_max_convexity, campaign_modular_inequality,
-                       campaign_operator_algebra, campaign_zygmund_instance,
+from .analysis import (PAIR_FAMILIES, CampaignResult, ComparisonTable,
+                       ConvergenceReport, InequalityCheck, PairFamily,
+                       campaign_max_convexity, campaign_operator_algebra,
+                       campaign_pair_inequality, check_jackson,
+                       check_modular_inequality, compare_linear_vs_maxprod,
                        find_modular_lambda, fit_rate, modulus_of_continuity,
                        run_convergence)
 from .errors import (EmptyIndexSetError, InadmissibleKernelError,

@@ -13,19 +13,21 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, replace
-from typing import Callable, Sequence
+from dataclasses import asdict, dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import quadrature
 from .errors import TruncationError
 from .kernels import (Kernel, _decay_coefficient, bspline,
-                      de_la_vallee_poussin, ensure_l1, fejer, moment)
+                      de_la_vallee_poussin, ensure_l1, fejer, kernel_by_name,
+                      moment)
 from .operators import (OperatorConfig, evaluate_with_table_den,
                         linear_kantorovich_grid, operator_config)
 from .orlicz import (PhiFunction, exponential_phi, luxemburg_from_samples,
-                     modular_from_samples, power_phi, zygmund_phi)
+                     maxphi_inequality_check, modular_from_samples,
+                     phi_by_name, power_phi, zygmund_phi)
 from .signals import (Domain, MeanValueTable, Signal, mean_values,
                       random_piecewise_poly)
 
@@ -111,6 +113,10 @@ class CampaignResult:
     trials: int
     failures: int
     worst_slack: float
+
+    def __post_init__(self):
+        if self.trials < 0:
+            raise ValueError("trials must be >= 0")
 
     @property
     def passed(self) -> bool:
@@ -268,95 +274,88 @@ def run_convergence(f: Signal, kernel: Kernel, phi: PhiFunction, lam: float,
         signal=f.name)
 
 
-def _pair_integrals(config: OperatorConfig, f: Signal, g: Signal,
-                    lhs_of: Callable, rhs_of: Callable, atol: float,
-                    rtol: float) -> tuple[float, float]:
-    """Integrals of lhs_of(|K_n f - K_n g|) and rhs_of(|f - g|).
+# ---------------------------------------------------------------------------
+# pair inequalities: the modular inequality and its four trial families
 
-    Both run over f's evaluation window, on the lattice half-cells merged
-    with the split points of both signals.  The mean tables of f and g are
-    stacked, so each adaptive round evaluates K_n f and K_n g in one
-    operator sweep.
+@dataclass(frozen=True)
+class PairFamily:
+    """One family of modular-inequality trials, and how it reports them.
+
+    ``form`` maps the modular sides to the reported ones: "modular" keeps
+    them; "lp" takes their p-th roots, which at lambda = 1 with phi = u**p
+    is the L^p bound |K_n f - K_n g|_p <= 2 (m0^(p-1) l1)^(1/p) / a
+    |f - g|_p; "zygmund" divides them by lambda, which with zygmund:1,1 is
+    the u log u instance with constant 2 l1 / a.  ``atol`` and ``rtol`` are
+    the adaptive Simpson tolerances of both sides (atol in reported units,
+    so the Zygmund integrals get atol * lambda).  ``verify`` runs
+    max(1, draws // share) trials of the family.
     """
-    n = config.n
-    tables = MeanValueTable.stack([mean_values(s, n, config.domain)
-                                   for s in (f, g)])
-    window = _eval_window(config, f)
-    splits = sorted(set(f.split_points()) | set(g.split_points()))
-    merged = Signal(name="pair", evaluate=f.evaluate, domain=f.domain,
-                    support=f.support,
-                    kinks=tuple(t for t in splits
-                                if window[0] < t < window[1]))
-    edges = _quad_panels(merged, window, n)
 
-    def lhs_fn(x):
-        kf, kg = evaluate_with_table_den(config, tables, x)[0]
-        return lhs_of(np.abs(kf - kg))
-
-    def rhs_fn(x):
-        return rhs_of(np.abs(f.evaluate(x) - g.evaluate(x)))
-
-    return (quadrature.adaptive(lhs_fn, edges, atol=atol, rtol=rtol),
-            quadrature.adaptive(rhs_fn, edges, atol=atol, rtol=rtol))
+    name: str
+    kernels: tuple[str, ...]   # catalog names, taken in turn
+    phis: tuple[str, ...]
+    form: str
+    atol: float
+    rtol: float
+    share: int
 
 
-def check_modular_inequality(f: Signal, g: Signal, kernel: Kernel,
-                             phi: PhiFunction, lam: float, n: int,
-                             domain: Domain,
-                             tolerance: float = 1e-8) -> InequalityCheck:
+PAIR_FAMILIES = {family.name: family for family in (
+    PairFamily("modular-inequality", ("fejer", "bspline:4"),
+               ("power:1", "power:2", "zygmund:1,1", "exponential:1"),
+               "modular", 1e-9, 1e-10, 1),
+    # the p-th root of a small integral needs the tighter tolerances
+    PairFamily("lp-lipschitz", ("fejer", "bspline:4", "vallee-poussin"),
+               ("power:1", "power:2", "power:3"), "lp", 1e-12, 1e-11, 1),
+    PairFamily("zygmund-instance", ("fejer", "bspline:4"), ("zygmund:1,1",),
+               "zygmund", 1e-10, 1e-10, 4),
+    PairFamily("exponential-instance", ("fejer", "bspline:4"),
+               ("exponential:1",), "modular", 1e-9, 1e-10, 4),
+)}
+_PAIR_SCALES = (16, 32)
+
+
+def check_modular_inequality(family: PairFamily, f: Signal, g: Signal,
+                             kernel: Kernel, phi: PhiFunction, lam: float,
+                             n: int, domain: Domain,
+                             tolerance: float) -> InequalityCheck:
     """Modular Lipschitz inequality for the operator pair (K_n f, K_n g).
 
     lhs integrates phi(lam |K_n f - K_n g|); rhs is l1/m0 times the modular
-    of (m0/a) * 2 lam * |f - g|.  An infinite rhs makes the check vacuous
-    (flagged in the context string).
+    of (m0/a) * 2 lam * |f - g|; both are reported in ``family.form``.  The
+    integrals run over f's evaluation window, on the lattice half-cells
+    merged with the split points of both signals; the mean tables of f and
+    g are stacked, so each adaptive round evaluates K_n f and K_n g in one
+    operator sweep.  An infinite rhs makes the check vacuous (flagged in
+    the context string).
     """
     config = operator_config(kernel, n, domain)
     m0 = moment(kernel, 0.0, 1e-8)
     factor = 2.0 * lam * m0 / config.a_chi
-    lhs, rhs_modular = _pair_integrals(
-        config, f, g, lambda d: phi.evaluate(lam * d),
-        lambda d: phi.evaluate(factor * d), atol=1e-9, rtol=1e-10)
-    rhs = (ensure_l1(kernel) / m0) * rhs_modular
-    context = (f"modular inequality: kernel={kernel.name} phi={phi.name} "
+    tables = MeanValueTable.stack([mean_values(s, n, domain) for s in (f, g)])
+    window = _eval_window(config, f)
+    edges = np.union1d(_quad_panels(f, window, n), [
+        t for t in g.split_points() if window[0] < t < window[1]])
+
+    def lhs_fn(x):
+        kf, kg = evaluate_with_table_den(config, tables, x)[0]
+        return phi.evaluate(lam * np.abs(kf - kg))
+
+    def rhs_fn(x):
+        return phi.evaluate(factor * np.abs(f.evaluate(x) - g.evaluate(x)))
+
+    scale = lam if family.form == "zygmund" else 1.0
+    lhs, rhs = (quadrature.adaptive(fn, edges, atol=family.atol * scale,
+                                    rtol=family.rtol)
+                for fn in (lhs_fn, rhs_fn))
+    rhs *= ensure_l1(kernel) / m0
+    if family.form == "lp":   # phi(u) = u**p, so phi(2) = 2**p
+        root = 1.0 / math.log2(float(phi.evaluate(2.0)))
+        lhs, rhs = lhs ** root, rhs ** root
+    context = (f"{family.name}: kernel={kernel.name} phi={phi.name} "
                f"lambda={lam:g} n={n}")
-    return InequalityCheck.from_sides(lhs, rhs, tolerance, context)
-
-
-def check_lp_lipschitz(f: Signal, g: Signal, kernel: Kernel, p: float, n: int,
-                       domain: Domain,
-                       tolerance: float = 1e-8) -> InequalityCheck:
-    """L^p Lipschitz bound: |K_n f - K_n g|_p <= C(p, kernel) |f - g|_p."""
-    if p < 1:
-        raise ValueError("p must satisfy p >= 1")
-    config = operator_config(kernel, n, domain)
-    m0 = moment(kernel, 0.0, 1e-8)
-    lhs_p, fg_p = _pair_integrals(config, f, g, lambda d: d ** p,
-                                  lambda d: d ** p, atol=1e-12, rtol=1e-11)
-    constant = (2.0 * (m0 ** (p - 1.0) * ensure_l1(kernel)) ** (1.0 / p)
-                / config.a_chi)
-    rhs = constant * fg_p ** (1.0 / p)
-    context = (f"Lp Lipschitz: kernel={kernel.name} p={p:g} n={n} "
-               f"constant={constant:.6g}")
-    return InequalityCheck.from_sides(lhs_p ** (1.0 / p), rhs, tolerance,
+    return InequalityCheck.from_sides(lhs / scale, rhs / scale, tolerance,
                                       context)
-
-
-def check_zygmund_lipschitz(f: Signal, g: Signal, kernel: Kernel, lam: float,
-                            n: int, domain: Domain,
-                            tolerance: float = 1e-8) -> InequalityCheck:
-    """Zygmund-space (u log u) instance with its sharper constant.
-
-    lhs: integral of |Kf - Kg| log(lam |Kf - Kg| + e);
-    rhs: (2 l1 / a) * integral of |f - g| log((m0/a) 2 lam |f - g| + e).
-    """
-    config = operator_config(kernel, n, domain)
-    factor = 2.0 * lam * moment(kernel, 0.0, 1e-8) / config.a_chi
-    lhs, rhs_integral = _pair_integrals(
-        config, f, g, lambda d: d * np.log(lam * d + math.e),
-        lambda d: d * np.log(factor * d + math.e), atol=1e-10, rtol=1e-10)
-    rhs = (2.0 * ensure_l1(kernel) / config.a_chi) * rhs_integral
-    context = (f"Zygmund instance: kernel={kernel.name} lambda={lam:g} n={n}")
-    return InequalityCheck.from_sides(lhs, rhs, tolerance, context)
 
 
 def check_jackson(f: Signal, kernel: Kernel, n: int) -> InequalityCheck:
@@ -451,22 +450,20 @@ def find_modular_lambda(f: Signal, kernel: Kernel, phi: PhiFunction,
 # ---------------------------------------------------------------------------
 # randomized campaigns (shared by the test suite and the CLI verifier)
 
-def _default_kernels() -> list[Kernel]:
-    return [fejer(), de_la_vallee_poussin(), bspline(4), bspline(5)]
-
-
 def campaign_operator_algebra(trials: int, seed: int,
                               kernels: Sequence[Kernel] | None = None,
-                              interval: tuple[float, float] = (0.0, 1.0),
-                              slack: float = 1e-12) -> list[CampaignResult]:
+                              interval: tuple[float, float] = (0.0, 1.0)
+                              ) -> list[CampaignResult]:
     """Seeded checks of the four operator algebra properties.
 
     Per trial: monotonicity under f <= g, sub-additivity, the difference
-    bound through |f - g|, and positive homogeneity.  Signals are exact
-    piecewise polynomials, so the mean tables carry no quadrature slack.
+    bound through |f - g|, and positive homogeneity, each to 1e-12.
+    Signals are exact piecewise polynomials, so the mean tables carry no
+    quadrature slack.
     """
     rng = np.random.default_rng(seed)
-    kernels = list(kernels) if kernels is not None else _default_kernels()
+    if kernels is None:
+        kernels = [fejer(), de_la_vallee_poussin(), bspline(4), bspline(5)]
     fails = {"monotonicity": 0, "sub-additivity": 0, "difference-bound": 0,
              "homogeneity": 0}
     worst = {k: math.inf for k in fails}
@@ -482,9 +479,8 @@ def campaign_operator_algebra(trials: int, seed: int,
         sig = {name: poly.to_signal(name=name) for name, poly in (
             ("f", fp), ("g", gp), ("fh", fp + hp), ("fg", fp + gp),
             ("d", (fp - gp).absolute()), ("lf", fp.scaled(lam)))}
-        tables = MeanValueTable.stack([
-            mean_values(s, n, interval)
-            for s in sig.values()])
+        tables = MeanValueTable.stack([mean_values(s, n, interval)
+                                       for s in sig.values()])
         vals = dict(zip(sig, evaluate_with_table_den(config, tables, xs)[0]))
         checks = {
             "monotonicity": float(np.min(vals["fh"] - vals["f"])),
@@ -498,20 +494,18 @@ def campaign_operator_algebra(trials: int, seed: int,
         }
         for name, margin in checks.items():
             worst[name] = min(worst[name], margin)
-            if margin < -slack:
+            if margin < -1e-12:
                 fails[name] += 1
     return [CampaignResult(family=f"operator-algebra/{name}", trials=trials,
                            failures=fails[name], worst_slack=worst[name])
             for name in fails]
 
 
-def campaign_max_convexity(trials: int, seed: int,
-                           phis: Sequence[PhiFunction] | None = None) -> CampaignResult:
-    """Randomized finite max-sets against the convexity/max inequality."""
+def campaign_max_convexity(trials: int, seed: int) -> CampaignResult:
+    """Randomized finite max-sets against the convexity/max inequality,
+    for power:2, zygmund:1,1 and exponential:1 in turn."""
     rng = np.random.default_rng(seed)
-    if phis is None:
-        phis = [power_phi(2), zygmund_phi(1, 1), exponential_phi(1)]
-    from .orlicz import maxphi_inequality_check
+    phis = [power_phi(2), zygmund_phi(1, 1), exponential_phi(1)]
     failures = 0
     for t in range(trials):
         size = int(rng.integers(1, 64))
@@ -526,106 +520,38 @@ def campaign_max_convexity(trials: int, seed: int,
                           failures=failures, worst_slack=0.0)
 
 
-def _draw_lambda(rng, phi: PhiFunction) -> float:
-    if not phi.delta2:
-        return float(rng.uniform(0.01, 0.05))
-    return float(rng.uniform(0.25, 2.0))
+def campaign_pair_inequality(family: PairFamily, trials: int, seed: int,
+                             kernels: Sequence[Kernel] | None,
+                             interval: tuple[float, float],
+                             tolerance: float) -> CampaignResult:
+    """Seeded trials of one pair family on random piecewise polynomials.
 
-
-def _pair_campaign(family: str, trials: int, seed: int,
-                   interval: tuple[float, float],
-                   draw: Callable) -> CampaignResult:
-    """Seeded pair-inequality trials.
-
-    ``draw(t, rng)`` draws trial t's parameters and returns the check to
-    run; the pair (f, g) of random piecewise polynomials is drawn after it.
+    Trial t takes kernel t mod K (the family's own unless ``kernels`` names
+    some) and cycles n over (16, 32) and phi over the family's list.  On
+    the "lp" form p changes every trial and n every p cycle, at lambda = 1;
+    otherwise n changes every trial and phi every kernel cycle, and lambda
+    is drawn from [0.25, 2] for a doubling phi and from [0.01, 0.05] for
+    one that is not.  The pair (f, g) is drawn after lambda.
     """
-    if trials < 0:
-        raise ValueError("trials must be >= 0")
     rng = np.random.default_rng(seed)
-    failures = 0
-    worst = math.inf
+    kernels = kernels or [kernel_by_name(name) for name in family.kernels]
+    phis = [phi_by_name(name) for name in family.phis]
+    failures, worst = 0, math.inf
     for t in range(trials):
-        check = draw(t, rng)
+        kernel = kernels[t % len(kernels)]
+        if family.form == "lp":
+            phi, lam = phis[t % len(phis)], 1.0
+            n = _PAIR_SCALES[(t // len(phis)) % 2]
+        else:
+            phi = phis[(t // len(kernels)) % len(phis)]
+            n = _PAIR_SCALES[t % 2]
+            lam = float(rng.uniform(0.25, 2.0) if phi.delta2
+                        else rng.uniform(0.01, 0.05))
         f = random_piecewise_poly(rng, domain=interval).to_signal(name="f")
         g = random_piecewise_poly(rng, domain=interval).to_signal(name="g")
-        result = check(f, g)
+        result = check_modular_inequality(family, f, g, kernel, phi, lam, n,
+                                          interval, tolerance)
         worst = min(worst, result.slack)
         failures += not result.passed
-    return CampaignResult(family=family, trials=trials, failures=failures,
-                          worst_slack=worst)
-
-
-def campaign_modular_inequality(trials: int, seed: int,
-                                kernels: Sequence[Kernel] | None = None,
-                                phis: Sequence[PhiFunction] | None = None,
-                                scales: Sequence[int] = (16, 32),
-                                interval: tuple[float, float] = (0.0, 1.0),
-                                tolerance: float = 1e-8) -> CampaignResult:
-    """Randomized modular-inequality trials over kernels x phis x scales."""
-    kernels = list(kernels) if kernels is not None else [fejer(), bspline(4)]
-    if phis is None:
-        phis = [power_phi(1), power_phi(2), zygmund_phi(1, 1),
-                exponential_phi(1)]
-
-    def draw(t, rng):
-        ker = kernels[t % len(kernels)]
-        phi = phis[(t // len(kernels)) % len(phis)]
-        n = int(scales[t % len(scales)])
-        lam = _draw_lambda(rng, phi)
-        return lambda f, g: check_modular_inequality(
-            f, g, ker, phi, lam, n, interval, tolerance)
-
-    return _pair_campaign("modular-inequality", trials, seed, interval, draw)
-
-
-def campaign_lp_lipschitz(trials: int, seed: int,
-                          kernels: Sequence[Kernel] | None = None,
-                          ps: Sequence[float] = (1.0, 2.0, 3.0),
-                          scales: Sequence[int] = (16, 32),
-                          interval: tuple[float, float] = (0.0, 1.0),
-                          tolerance: float = 1e-8) -> CampaignResult:
-    """Randomized L^p Lipschitz-bound trials."""
-    kernels = list(kernels) if kernels is not None else [
-        fejer(), bspline(4), de_la_vallee_poussin()]
-
-    def draw(t, rng):
-        ker = kernels[t % len(kernels)]
-        p = float(ps[t % len(ps)])
-        n = int(scales[(t // len(ps)) % len(scales)])
-        return lambda f, g: check_lp_lipschitz(f, g, ker, p, n, interval,
-                                               tolerance)
-
-    return _pair_campaign("lp-lipschitz", trials, seed, interval, draw)
-
-
-def campaign_zygmund_instance(trials: int, seed: int,
-                              kernels: Sequence[Kernel] | None = None,
-                              interval: tuple[float, float] = (0.0, 1.0),
-                              tolerance: float = 1e-8) -> CampaignResult:
-    """Randomized trials of the u log u instance with its own constant."""
-    kernels = list(kernels) if kernels is not None else [fejer(), bspline(4)]
-
-    def draw(t, rng):
-        ker = kernels[t % len(kernels)]
-        n = (16, 32)[t % 2]
-        lam = float(rng.uniform(0.25, 2.0))
-        return lambda f, g: check_zygmund_lipschitz(f, g, ker, lam, n,
-                                                    interval, tolerance)
-
-    return _pair_campaign("zygmund-instance", trials, seed, interval, draw)
-
-
-def campaign_exponential_instance(trials: int, seed: int,
-                                  kernels: Sequence[Kernel] | None = None,
-                                  interval: tuple[float, float] = (0.0, 1.0),
-                                  tolerance: float = 1e-8) -> CampaignResult:
-    """Randomized trials of the exponential-space modular inequality.
-
-    These are modular-inequality trials with the single phi exp(u) - 1; it
-    fails the doubling condition, so lambda is drawn from [0.01, 0.05].
-    """
-    result = campaign_modular_inequality(
-        trials, seed, kernels=kernels, phis=[exponential_phi(1.0)],
-        interval=interval, tolerance=tolerance)
-    return replace(result, family="exponential-instance")
+    return CampaignResult(family=family.name, trials=trials,
+                          failures=failures, worst_slack=worst)

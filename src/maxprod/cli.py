@@ -251,23 +251,13 @@ def _cmd_verify(args) -> int:
     if size == 0:
         print("campaign size 0: nothing to verify")
         return EXIT_OK
-    results = []
-    results += analysis.campaign_operator_algebra(size, args.seed,
-                                                  kernels=kernels,
-                                                  interval=domain)
+    results = analysis.campaign_operator_algebra(size, args.seed,
+                                                 kernels=kernels,
+                                                 interval=domain)
     results.append(analysis.campaign_max_convexity(size, args.seed))
-    results.append(analysis.campaign_modular_inequality(
-        size, args.seed, kernels=kernels, interval=domain,
-        tolerance=tol))
-    results.append(analysis.campaign_lp_lipschitz(
-        size, args.seed, kernels=kernels, interval=domain,
-        tolerance=tol))
-    results.append(analysis.campaign_zygmund_instance(
-        max(1, size // 4), args.seed, kernels=kernels, interval=domain,
-        tolerance=tol))
-    results.append(analysis.campaign_exponential_instance(
-        max(1, size // 4), args.seed, kernels=kernels, interval=domain,
-        tolerance=tol))
+    results += [analysis.campaign_pair_inequality(
+        family, max(1, size // family.share), args.seed, kernels, domain, tol)
+        for family in analysis.PAIR_FAMILIES.values()]
     failed = False
     for r in results:
         status = "pass" if r.passed else "FAIL"

@@ -227,7 +227,8 @@ def evaluate_with_table_den(config: OperatorConfig, table: MeanValueTable,
     if den_min <= (0.0 if config.domain else config.a_chi * (1.0 - 1e-9)):
         raise InadmissibleKernelError(
             f"lattice supremum {den_min:.3e} at n={config.n} is too small")
-    values = (num if config.domain else np.maximum(num, 0.0)) / den
+    # + 0.0: a zero supremum is +0.0 whatever order numpy reduced in
+    values = (num + 0.0 if config.domain else np.maximum(num, 0.0)) / den
     return (values if table.values.ndim == 2 else values[0]), den_min
 
 

@@ -28,7 +28,7 @@ from .errors import QuadratureError
 OVERFLOW_GUARD = 1e100
 _MAX_ROUNDS = 48  # halvings of the widest panel before giving up
 _MAX_PANELS = 1 << 14  # panels a posteriori halving may add
-_MAX_LIVE = 1 << 17  # panels one adaptive round may evaluate
+_MAX_LIVE = 1 << 17  # panels a round may evaluate, or twice the edges given
 _leggauss = functools.cache(lambda n: np.polynomial.legendre.leggauss(n))
 
 
@@ -62,11 +62,12 @@ def adaptive(fn, edges, atol: float = 1e-10, rtol: float = 1e-12) -> float:
     Returns ``math.inf`` as soon as a node value or a partial sum leaves
     the representable range (divergence guard).  Raises
     :class:`QuadratureError` after ``_MAX_ROUNDS`` rounds, or before a round
-    that would evaluate more than ``_MAX_LIVE`` panels.
+    that would evaluate more than ``_MAX_LIVE`` panels or twice the edges.
     """
     edges = np.unique(np.asarray(edges, dtype=float))
     if edges.size < 2:
         return 0.0
+    max_live = max(_MAX_LIVE, 2 * edges.size)
     a = edges[:-1]
     b = edges[1:]
     total_width = float(edges[-1] - edges[0])
@@ -98,7 +99,7 @@ def adaptive(fn, edges, atol: float = 1e-10, rtol: float = 1e-12) -> float:
         live = ~done
         if not live.any():
             return result
-        if 2 * np.count_nonzero(live) > _MAX_LIVE:
+        if 2 * np.count_nonzero(live) > max_live:
             break
         a = np.concatenate([a[live], m[live]])
         b = np.concatenate([m[live], b[live]])
@@ -109,4 +110,4 @@ def adaptive(fn, edges, atol: float = 1e-10, rtol: float = 1e-12) -> float:
         m = 0.5 * (a + b)
     raise QuadratureError(
         f"adaptive Simpson did not converge within {_MAX_ROUNDS} rounds "
-        f"and {_MAX_LIVE} live panels ({a.size} panels in the last round)")
+        f"and {max_live} live panels ({a.size} panels in the last round)")

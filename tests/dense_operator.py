@@ -59,7 +59,7 @@ def evaluate_with_table_den(config: OperatorConfig, table: MeanValueTable,
         for start in range(0, xs.size, _CHUNK):
             x = xs[start:start + _CHUNK]
             chi = np.asarray(ker.evaluate(n * x[:, None] - ks[None, :]))
-            num = np.max(chi * table.values[None, :], axis=1)
+            num = np.max(chi * table.values[None, :], axis=1) + 0.0
             den = np.max(chi, axis=1)
             if np.any(den <= 0.0):
                 raise InadmissibleKernelError(

@@ -63,7 +63,7 @@ def test_criterion_3_operator_algebra(catalog_kernels):
              if k.name in ("fejer", "vallee-poussin", "bspline:4",
                            "bspline:5")]
     results = analysis.campaign_operator_algebra(500, seed=42, kernels=suite,
-                                                 interval=UNIT, slack=1e-12)
+                                                 interval=UNIT)
     elapsed = time.perf_counter() - t0
     for r in results:
         assert r.failures == 0, (r.family, r.worst_slack)
@@ -75,9 +75,8 @@ def test_criterion_3_operator_algebra(catalog_kernels):
 
 def test_criterion_4_max_convexity():
     t0 = time.perf_counter()
-    result = analysis.campaign_max_convexity(
-        1000, seed=42, phis=[orlicz.power_phi(2), orlicz.zygmund_phi(1, 1),
-                             orlicz.exponential_phi(1)])
+    # power:2, zygmund:1,1 and exponential:1 in turn
+    result = analysis.campaign_max_convexity(1000, seed=42)
     elapsed = time.perf_counter() - t0
     assert result.failures == 0
     assert elapsed < 5.0
@@ -86,11 +85,10 @@ def test_criterion_4_max_convexity():
 
 def test_criterion_5_modular_inequality(fejer_kernel, m4_kernel):
     t0 = time.perf_counter()
-    result = analysis.campaign_modular_inequality(
-        200, seed=42, kernels=[fejer_kernel, m4_kernel],
-        phis=[orlicz.power_phi(1), orlicz.power_phi(2),
-              orlicz.zygmund_phi(1, 1), orlicz.exponential_phi(1)],
-        scales=(16, 32), interval=UNIT, tolerance=1e-8)
+    # power:1, power:2, zygmund:1,1 and exponential:1 at n = 16 and 32
+    result = analysis.campaign_pair_inequality(
+        analysis.PAIR_FAMILIES["modular-inequality"], 200, 42,
+        [fejer_kernel, m4_kernel], UNIT, 1e-8)
     elapsed = time.perf_counter() - t0
     assert result.failures == 0
     assert result.trials == 200
@@ -117,9 +115,9 @@ def _step_l2_errors(fejer_kernel, scales):
 
 def test_criterion_6_lp_lipschitz_and_convergence(fejer_kernel):
     t0 = time.perf_counter()
-    result = analysis.campaign_lp_lipschitz(
-        100, seed=42, ps=(1.0, 2.0, 3.0), scales=(16, 32), interval=UNIT,
-        tolerance=1e-8)
+    # p = 1, 2, 3 at n = 16 and 32
+    result = analysis.campaign_pair_inequality(
+        analysis.PAIR_FAMILIES["lp-lipschitz"], 100, 42, None, UNIT, 1e-8)
     assert result.failures == 0 and result.trials == 100
 
     scales = [8, 16, 32, 64, 128, 256]

@@ -7,6 +7,8 @@ import pytest
 from maxprod import analysis, kernels, orlicz, signals
 
 UNIT = (0.0, 1.0)
+MODULAR, LP, ZYGMUND = (analysis.PAIR_FAMILIES[name] for name in (
+    "modular-inequality", "lp-lipschitz", "zygmund-instance"))
 
 
 class TestModulusOfContinuity:
@@ -101,26 +103,31 @@ class TestModularInequality:
     def test_equal_signals_zero_both_sides(self, fejer_kernel):
         ramp = signals.catalog("ramp")
         check = analysis.check_modular_inequality(
-            ramp, ramp, fejer_kernel, orlicz.power_phi(2), 1.0, 32, UNIT)
+            MODULAR, ramp, ramp, fejer_kernel, orlicz.power_phi(2), 1.0, 32,
+            UNIT, 1e-8)
         assert check.passed and check.lhs == 0.0 and check.rhs == 0.0
 
     def test_ramp_vs_constant(self, fejer_kernel):
         check = analysis.check_modular_inequality(
-            signals.catalog("ramp"), signals.catalog("constant:0.5"),
-            fejer_kernel, orlicz.power_phi(2), 1.0, 32, UNIT)
+            MODULAR, signals.catalog("ramp"), signals.catalog("constant:0.5"),
+            fejer_kernel, orlicz.power_phi(2), 1.0, 32, UNIT, 1e-8)
         assert check.passed and check.slack > 0.0
 
     def test_small_random_campaign(self):
-        result = analysis.campaign_modular_inequality(24, seed=7)
+        result = analysis.campaign_pair_inequality(MODULAR, 24, 7, None, UNIT,
+                                                   1e-8)
         assert result.failures == 0
 
     @pytest.mark.parametrize("campaign", [
-        analysis.campaign_modular_inequality, analysis.campaign_lp_lipschitz,
-        analysis.campaign_zygmund_instance,
-        analysis.campaign_exponential_instance])
+        analysis.campaign_operator_algebra, analysis.campaign_max_convexity,
+        *(pytest.param(lambda trials, seed, family=family:
+                       analysis.campaign_pair_inequality(
+                           family, trials, seed, None, UNIT, 1e-8),
+                       id="campaign_" + family.name.replace("-", "_"))
+          for family in analysis.PAIR_FAMILIES.values())])
     def test_negative_trials_rejected(self, campaign):
         with pytest.raises(ValueError, match="trials"):
-            campaign(-3, seed=0)
+            campaign(-3, 0)
 
     def test_vacuous_when_rhs_infinite(self, m4_kernel):
         # huge scaling drives the exponential modular past the overflow
@@ -128,7 +135,8 @@ class TestModularInequality:
         f = signals.catalog("step")
         g = signals.catalog("constant:1")
         check = analysis.check_modular_inequality(
-            f, g, m4_kernel, orlicz.exponential_phi(2), 50.0, 16, UNIT)
+            MODULAR, f, g, m4_kernel, orlicz.exponential_phi(2), 50.0, 16,
+            UNIT, 1e-8)
         assert check.passed and math.isinf(check.rhs)
         assert "vacuous" in check.context
 
@@ -142,14 +150,15 @@ class TestModularInequality:
 class TestLpLipschitz:
     def test_equal_signals(self, fejer_kernel):
         saw = signals.catalog("sawtooth")
-        check = analysis.check_lp_lipschitz(saw, saw, fejer_kernel, 2.0, 16,
-                                            UNIT)
+        check = analysis.check_modular_inequality(
+            LP, saw, saw, fejer_kernel, orlicz.power_phi(2), 1.0, 16, UNIT,
+            1e-8)
         assert check.passed and check.lhs == 0.0
 
     def test_step_vs_ramp_with_signed_kernel(self, vp_kernel):
-        check = analysis.check_lp_lipschitz(
-            signals.catalog("step"), signals.catalog("ramp"), vp_kernel, 2.0,
-            16, UNIT)
+        check = analysis.check_modular_inequality(
+            LP, signals.catalog("step"), signals.catalog("ramp"), vp_kernel,
+            orlicz.power_phi(2), 1.0, 16, UNIT, 1e-8)
         assert check.passed
 
     def test_p1_constant_specialization(self, fejer_kernel):
@@ -159,6 +168,21 @@ class TestLpLipschitz:
         a = kernels.lower_bound_constant(fejer_kernel, "interval")
         general = 2.0 * (m0 ** 0.0 * l1) ** 1.0 / a
         assert general == pytest.approx(2.0 * l1 / a, rel=1e-15)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 2.5])
+    def test_root_of_the_power_modular(self, vp_kernel, p):
+        # the p-th root of the power:p modular inequality at lambda = 1 is
+        # the L^p bound with constant 2 (m0^(p-1) l1)^(1/p) / a; here
+        # |f - g| = 1/2 on [0, 1], so |f - g|_p = 1/2
+        m0 = kernels.moment(vp_kernel, 0.0, 1e-8)
+        l1 = kernels.ensure_l1(vp_kernel)
+        a = kernels.lower_bound_constant(vp_kernel, "interval")
+        check = analysis.check_modular_inequality(
+            LP, signals.catalog("constant:1"), signals.catalog("constant:0.5"),
+            vp_kernel, orlicz.power_phi(p), 1.0, 16, UNIT, 1e-8)
+        constant = 2.0 * (m0 ** (p - 1.0) * l1) ** (1.0 / p) / a
+        assert check.rhs == pytest.approx(constant * 0.5, rel=1e-12)
+        assert check.lhs == pytest.approx(0.5, rel=1e-12)
 
     def test_one_kernel_sweep_per_point(self, monkeypatch):
         # K_n f and K_n g share each chi(n x - k): a compact kernel costs one
@@ -174,15 +198,41 @@ class TestLpLipschitz:
             return evaluate(config, table, xs)
 
         f, g = signals.catalog("step"), signals.catalog("ramp")
-        analysis.check_lp_lipschitz(f, g, counting, 2.0, 16, UNIT)  # constants
+        args = (LP, f, g, counting, orlicz.power_phi(2), 1.0, 16, UNIT, 1e-8)
+        analysis.check_modular_inequality(*args)  # constants
         pairs.clear()
         monkeypatch.setattr(analysis, "evaluate_with_table_den", recording)
-        analysis.check_lp_lipschitz(f, g, counting, 2.0, 16, UNIT)
+        analysis.check_modular_inequality(*args)
         assert 0 < sum(pairs) <= 7 * np.unique(np.concatenate(points)).size
 
     def test_small_campaign(self):
-        result = analysis.campaign_lp_lipschitz(12, seed=11)
+        result = analysis.campaign_pair_inequality(LP, 12, 11, None, UNIT, 1e-8)
         assert result.failures == 0
+
+
+class TestZygmundInstance:
+    @pytest.mark.parametrize("lam", [0.25, 1.0, 2.0])
+    def test_modular_over_lambda(self, fejer_kernel, lam):
+        # the zygmund:1,1 modular inequality over lambda: lhs integrates
+        # |Kf - Kg| log(lam |Kf - Kg| + e), rhs is 2 l1 / a times the
+        # integral of |f - g| log((m0/a) 2 lam |f - g| + e)
+        m0 = kernels.moment(fejer_kernel, 0.0, 1e-8)
+        l1 = kernels.ensure_l1(fejer_kernel)
+        a = kernels.lower_bound_constant(fejer_kernel, "interval")
+        check = analysis.check_modular_inequality(
+            ZYGMUND, signals.catalog("constant:1"),
+            signals.catalog("constant:0.5"), fejer_kernel,
+            orlicz.zygmund_phi(1, 1), lam, 16, UNIT, 1e-8)
+        rhs = 2.0 * l1 / a * 0.5 * math.log(2.0 * lam * m0 / a * 0.5 + math.e)
+        assert check.rhs == pytest.approx(rhs, rel=1e-12)
+        assert check.lhs == pytest.approx(0.5 * math.log(0.5 * lam + math.e),
+                                          rel=1e-12)
+        assert check.passed
+
+    def test_small_campaign(self):
+        result = analysis.campaign_pair_inequality(ZYGMUND, 8, 3, None, UNIT,
+                                                   1e-8)
+        assert result.failures == 0 and result.trials == 8
 
 
 class TestJackson:

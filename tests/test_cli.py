@@ -1,10 +1,18 @@
+import contextlib
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from maxprod import errors
+from conftest import catalog_names
+from maxprod import cli, errors
 from maxprod.cli import MAX_CELLS, main
 
 VERIFY_DRAWS_8_SEED_42 = """\
@@ -436,3 +444,91 @@ class TestArgumentValidation:
                            "--csv", str(data), "--out", str(out_path))
         assert "sig.csv:2: non-finite" in err
         assert not out_path.exists()
+
+
+# numbers as a user may type them into a domain, a scale list or a CSV cell
+_NUMBERS = st.one_of(
+    st.floats().map(repr), st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.floats(-3.0, 3.0).map(repr),
+    st.sampled_from(["", "1e400", "-1e400", "1e-320", "-0", " 2 ", "1_0"]))
+_CSV = "t,value\n0,0\n0.25,2\n0.5,0.5\n1,1\n"
+
+
+@contextlib.contextmanager
+def _small_runs():
+    """A scratch directory, with the run-size cap lowered to 2**12 cells so
+    that every run a fuzzer gets accepted stays small."""
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(cli, "MAX_CELLS", 1 << 12):
+        yield Path(tmp)
+
+
+def _documented_exit(*argv):
+    """Run the CLI in-process: exit 0 or a documented code, with a one-line
+    error (argparse's usage errors exit 2 through SystemExit)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([str(a) for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3, 4, 5, 6), (argv, code, err.getvalue())
+    if code:
+        assert err.getvalue().startswith(("error: ", "usage: ")), argv
+    return code
+
+
+class TestFuzz:
+    """--domain, --scales and CSV rows as a user may type them: every input
+    exits 0 or with a documented code, never with a traceback."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.one_of(
+        catalog_names("interval:", "bounded:", "line", "interval"),
+        st.builds("interval:{},{}".format, _NUMBERS, _NUMBERS)))
+    @example("interval:0,1e-300")
+    @example("interval:-1e308,1e308")
+    @example("interval:1e15,1e15")
+    def test_domain(self, spec):
+        _documented_exit("kernel-info", "--kernel", "fejer", f"--domain={spec}")
+        _documented_exit("verify", "--draws", "0", f"--domain={spec}")
+        with _small_runs() as tmp:
+            (tmp / "sig.csv").write_text(_CSV)
+            for signal in (["--signal", "hat"], ["--csv", tmp / "sig.csv"]):
+                _documented_exit("reconstruct", "--kernel", "bspline:4",
+                                 *signal, f"--domain={spec}", "--n", "4",
+                                 "--grid", "8", "--out", tmp / "rec.csv")
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.one_of(
+        st.text(alphabet="0123456789,-+ _.e", max_size=12),
+        st.lists(_NUMBERS, max_size=4).map(",".join)))
+    @example("4,8,4096")
+    @example("4,8,4097")
+    @example(" 4, 8 ,")
+    def test_scales(self, spec):
+        with _small_runs() as tmp:
+            _documented_exit("converge", "--kernel", "bspline:4",
+                             "--signal", "ramp", f"--scales={spec}",
+                             "--out", tmp / "rep")
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.one_of(
+        st.lists(st.lists(st.one_of(_NUMBERS, st.text(max_size=4)),
+                          max_size=3), max_size=6),
+        st.lists(st.tuples(st.floats(-1.0, 2.0), _NUMBERS).map(list),
+                 max_size=6).map(sorted)))
+    @example([["0", "0"], ["0.5", "1e300"], ["1", "0"]])
+    @example([["0", "-1e300"], ["1", "1e300"]])
+    @example([["0", "1"]])
+    def test_csv_rows(self, rows):
+        with _small_runs() as tmp:
+            with open(tmp / "sig.csv", "w", newline="",
+                      encoding="utf-8") as fh:
+                csv.writer(fh).writerows(rows)
+            _documented_exit("reconstruct", "--kernel", "bspline:4", "--csv",
+                             tmp / "sig.csv", "--n", "8", "--grid", "16",
+                             "--out", tmp / "rec.csv")
+            _documented_exit("converge", "--kernel", "bspline:4", "--csv",
+                             tmp / "sig.csv", "--scales", "4,8",
+                             "--out", tmp / "rep")

@@ -389,6 +389,15 @@ def test_adaptive_gives_up_at_the_live_panel_cap():
         adaptive(lambda x: np.sin(1e9 * x) ** 2, [0.0, 1.0])
 
 
+def test_adaptive_live_panel_cap_grows_with_the_edges():
+    # 160,000 panels, each quarter period of a triangle wave whose kinks no
+    # edge marks: every round keeps 80,000 kinked panels live, and a fixed
+    # cap of 2**17 live panels gave up on them
+    edges = np.linspace(0.0, 1.0, 160_001)
+    value = adaptive(lambda x: np.abs((40_000 * x + 0.123) % 1.0 - 0.5), edges)
+    assert value == pytest.approx(0.25, abs=1e-12)
+
+
 def test_adaptive_evaluates_each_node_once():
     # one call on the edges and midpoints, then one per round on the quarter
     # points of the live panels: 1 + rounds calls, no node twice
