@@ -20,8 +20,7 @@ import numpy as np
 
 from . import quadrature
 from .errors import TruncationError
-from .kernels import (Kernel, _decay_coefficient, bspline,
-                      de_la_vallee_poussin, ensure_l1, fejer, kernel_by_name,
+from .kernels import (Kernel, _decay_coefficient, ensure_l1, kernel_by_name,
                       moment)
 from .operators import (OperatorConfig, evaluate_with_table_den,
                         linear_kantorovich_grid, operator_config)
@@ -34,6 +33,8 @@ from .signals import (Domain, MeanValueTable, Signal, mean_values,
 _SUP_GRID = 2048
 _RATE_FLOOR = 1e-12
 CAMPAIGN_SCALES = (4, 8, 16, 32)   # the scales the campaigns draw from
+# the operator-algebra campaign's kernels, taken in turn
+ALGEBRA_KERNELS = ("fejer", "vallee-poussin", "bspline:4", "bspline:5")
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +464,7 @@ def campaign_operator_algebra(trials: int, seed: int,
     """
     rng = np.random.default_rng(seed)
     if kernels is None:
-        kernels = [fejer(), de_la_vallee_poussin(), bspline(4), bspline(5)]
+        kernels = [kernel_by_name(name) for name in ALGEBRA_KERNELS]
     fails = {"monotonicity": 0, "sub-additivity": 0, "difference-bound": 0,
              "homogeneity": 0}
     worst = {k: math.inf for k in fails}

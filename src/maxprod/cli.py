@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -251,12 +252,16 @@ def _cmd_verify(args) -> int:
     if size == 0:
         print("campaign size 0: nothing to verify")
         return EXIT_OK
-    results = analysis.campaign_operator_algebra(size, args.seed,
-                                                 kernels=kernels,
-                                                 interval=domain)
+    # one instance per catalog kernel, so that the campaigns share each
+    # constant the kernel memoizes
+    shared = functools.cache(kernel_by_name)
+    results = analysis.campaign_operator_algebra(size, args.seed, kernels=(
+        kernels or [shared(name) for name in analysis.ALGEBRA_KERNELS]),
+        interval=domain)
     results.append(analysis.campaign_max_convexity(size, args.seed))
     results += [analysis.campaign_pair_inequality(
-        family, max(1, size // family.share), args.seed, kernels, domain, tol)
+        family, max(1, size // family.share), args.seed,
+        kernels or [shared(name) for name in family.kernels], domain, tol)
         for family in analysis.PAIR_FAMILIES.values()]
     failed = False
     for r in results:

@@ -268,9 +268,10 @@ def lattice_envelope(kernel: Kernel, u: np.ndarray, k_max: int) -> np.ndarray:
     """The rows of ``kernel.envelope`` at the points u, for |k| <= k_max."""
     _decay_coefficient(kernel)   # samples an envelope where none is declared
     rows, slack = kernel.envelope
-    phase = np.cos(np.pi * u)
-    return (np.array([a + b * phase for a, b in rows])
-            + slack * (np.abs(u) + k_max))
+    a, b = np.array(rows).T[..., None]
+    # without a phase the cosine would only add b cos(pi u) = 0 to a
+    phase = np.cos(np.pi * u) if b.any() else 0.0
+    return a + b * phase + slack * (np.abs(u) + k_max)
 
 
 def _tail_limsup(kernel: Kernel, alpha: float) -> float:

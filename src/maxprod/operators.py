@@ -12,9 +12,12 @@ kernel's signed, phase-aware envelope at u = n x, times a run of blocks' max
 |mean| per class of k and sign, times max(d, r)**-alpha bounds the run's terms
 d away.  From rings of runs widening outward from its block, each table dives
 to one block along the best bounds, then splits every run whose bound beats
-its numerator, down to the blocks it sweeps.  Skipped columns cannot win and
-max is exact, so each row of a stack of tables (``MeanValueTable.stack``) is
-bitwise its own table's evaluation over the whole lattice.
+its numerator, down to the blocks it sweeps.  Before that search, a row
+past all the nonzero cells of its table tries a certificate from line hulls
+that sweeps one column per envelope group (``_settle_one_sided``).  Skipped
+columns cannot win and max is exact, so each row of a stack of tables
+(``MeanValueTable.stack``) is bitwise its own table's evaluation over the
+whole lattice.
 """
 
 from __future__ import annotations
@@ -39,6 +42,11 @@ _BUDGET = 1 << 14
 _BLOCK = 16
 # Heap levels of one step of the block search: a run splits into 2**_SPLIT.
 _SPLIT = 3
+# Relative margin of every envelope bound over the rounding of chi.
+_MARGIN = 1.0 + 1e-9
+# Hull neighbours either side of a row's largest bound that the one-sided
+# certificate may sweep too, where the far field is flat.
+_TIES = 8
 
 
 @dataclass(frozen=True)
@@ -105,6 +113,131 @@ def _sweep(config: OperatorConfig, padded: np.ndarray, k_lo: int,
     return out
 
 
+def _hull_layers(a: np.ndarray, w: np.ndarray) -> list[tuple]:
+    """Upper envelope over c >= 0 of the lines a + w c, listed by decreasing
+    a, and the envelope of the lines off it.  Per layer: the index of its
+    lines; their a and w between _TIES + 2 lines at -inf on either side; the
+    c where each meets the next, and the envelope's value there."""
+    layers, off = [], np.ones(a.size, dtype=bool)
+    for _ in range(2):
+        rest = np.flatnonzero(off)
+        # a line under a steeper one listed before it never reaches the top
+        stair = rest[w[rest] > np.maximum.accumulate(
+            np.concatenate(([0.0], w[rest])))[:-1]]
+        al, wl, top = a[stair].tolist(), w[stair].tolist(), []
+        for j, (aj, wj) in enumerate(zip(al, wl)):
+            # drop the last line while the new one meets the one before it
+            # no later than the last one does
+            while len(top) > 1 and ((al[top[-2]] - aj) * (
+                    wl[top[-1]] - wl[top[-2]]) <= (al[top[-2]] - al[top[-1]])
+                    * (wj - wl[top[-2]])):
+                top.pop()
+            top.append(j)
+        hull = stair[top]
+        off[hull] = False
+        ha, hw = a[hull], w[hull]
+        cuts = (ha[:-1] - ha[1:]) / (hw[1:] - hw[:-1])
+        layers.append((hull, np.pad(ha, _TIES + 2, constant_values=-math.inf),
+                       np.pad(hw, _TIES + 2), cuts, ha[:-1] + hw[:-1] * cuts))
+    return layers
+
+
+def _settle_one_sided(config: OperatorConfig, r: int, table: MeanValueTable,
+                      padded: np.ndarray, u: np.ndarray, sweep: np.ndarray,
+                      need: np.ndarray) -> None:
+    """Clear ``need`` for the rows past all the nonzero cells of their table,
+    more than r columns off, that two layers of line hulls settle.
+
+    From the table's nonzero edge e on u's side, a = +-(k - e) <= 0 and
+    v = +-(u - e) > r: a cell's envelope bound E(u) |m_k| |u - k|**-alpha is
+    at most T iff a + |m_k|**(1/alpha) c <= v, c = (E(u) / T)**(1/alpha), one
+    line in c per cell of each envelope group.  The line on top where the
+    group's envelope meets v, the head, is its cell of the largest bound.
+    That cell is swept, and with T the numerator then the row is settled when
+    every other line stays below v at c, less 2**-40 (v + the nonzero span)
+    for rounding.  Where the far field is flat, the bounds of the head's
+    neighbours tie with its own within the envelope's margin: a row that
+    settles without _TIES hull neighbours on either side sweeps them too.
+    """
+    ker, k_lo = config.kernel, table.k_lo
+    if not any(b for _, b in ker.envelope[0]):
+        return   # loose: the swept cells would mostly fall short of it
+    alpha, groups = ker.decay_order, len(ker.envelope[0])
+    cls = np.arange(k_lo, table.k_hi + 1) % (groups - 1)
+    k_max = max(-k_lo, table.k_hi)
+    for t in np.flatnonzero(need[:-1].any(1)):   # each with a nonzero mean
+        row = padded[t, 1:-1]
+        nz = np.flatnonzero(row)
+        for sign, edge in ((1, nz[-1]), (-1, nz[0])):
+            e, span = k_lo + edge, nz[-1] - nz[0]
+            rows = np.flatnonzero(need[t] & ((u > e + r) if sign > 0
+                                             else (u < e - r)))
+            if not rows.size:
+                continue
+            cells = nz[::-sign]   # by distance from the edge
+            m, hulls = row[cells], []
+            for g in range(groups):
+                sel = cells[(m < 0) if g == groups - 1 else
+                            (m > 0) & (cls[cells] == g)]
+                if sel.size:   # the group, its two layers, its hull's cells
+                    one, two = _hull_layers(sign * (sel - edge).astype(float),
+                                            np.abs(row[sel]) ** (1.0 / alpha))
+                    hull = np.pad(sel[one[0]], _TIES + 2, mode="edge")
+                    hulls.append((g, one, two, k_lo + hull, row[hull]))
+
+            def swept(q, j):
+                """Raise rows q by the hull cell j of each group."""
+                ks, ms = (np.array([h[i][jg] for h, jg in zip(hulls, j)])
+                          for i in (3, 4))
+                sweep[t, q] = np.maximum(sweep[t, q], (
+                    ker.evaluate(u[q] - ks) * ms).max(0))
+                return sweep[t, q]
+
+            def fit(i, width):
+                """Whether chunk rows i settle once the cells within
+                ``width`` of each head are swept.  Along a hull the lines at
+                c rise to a top and fall after it, so a line that tops both
+                its neighbours tops its hull, and where the first hull's top
+                lies in the window the lines next to the window top the rest
+                of it.  The cuts, which rounding may misplace, only pick
+                which lines to test."""
+                ok = num[i] > 0.0
+                for (_, (_, a1, w1, cut1, _), (_, a2, w2, cut2, _), _, _), j, \
+                        cg in zip(hulls, heads[:, i], c[:, i]):
+                    at, k = (_TIES + 2 + np.searchsorted(cut, cg)
+                             for cut in (cut1, cut2))
+                    with np.errstate(invalid="ignore"):   # 0 * inf at T = 0
+                        l1, t1, r1, out_l, out_r = (
+                            a1[p] + w1[p] * cg for p in (at - 1, at, at + 1,
+                                                         j - width - 1,
+                                                         j + width + 1))
+                        l2, t2, r2 = (a2[p] + w2[p] * cg
+                                      for p in (k - 1, k, k + 1))
+                    rest = np.where(abs(at - j) <= width,
+                                    np.maximum(out_l, out_r), t1)
+                    ok &= (l1 <= t1) & (r1 <= t1) & (l2 <= t2) & (r2 <= t2) & (
+                        np.maximum(rest, t2) <= lim[i])
+                return ok
+
+            step = _BUDGET // len(hulls)
+            for s in range(0, rows.size, step):
+                q = rows[s:s + step]
+                v = sign * (u[q] - e)
+                heads = np.array([_TIES + 2 + np.searchsorted(h[1][4], v)
+                                  for h in hulls])
+                num = swept(q, heads)
+                env = lattice_envelope(ker, u[q], k_max)[
+                    [h[0] for h in hulls]] * _MARGIN
+                with np.errstate(all="ignore"):   # where T = 0 it fails
+                    c = (np.maximum(env, 0.0) / num) ** (1.0 / alpha)
+                lim = v - 2.0 ** -40 * (v + span)
+                ok = np.flatnonzero(fit(slice(None), _TIES))
+                wide = ok[~fit(ok, 0)]
+                for d in range(-_TIES, _TIES + 1) if wide.size else ():
+                    swept(q[wide], heads[:, wide] + d)
+                need[t, q[ok]] = False
+
+
 def _visit_blocks(config: OperatorConfig, r: int, table: MeanValueTable,
                   padded: np.ndarray, u: np.ndarray,
                   sweep: np.ndarray) -> None:
@@ -114,10 +247,13 @@ def _visit_blocks(config: OperatorConfig, r: int, table: MeanValueTable,
     means = padded[:, 1:-1]
     bw = min(_BLOCK, means.shape[1])
     starts = np.minimum(np.arange(k_lo, k_hi + 1, _BLOCK), k_hi - bw + 1)
-    nb, margin = starts.size, 1.0 + 1e-9   # the last block overlaps
-    env_r = _decay_coefficient(ker) * r ** -alpha * margin
+    nb = starts.size   # the last block overlaps
+    env_r = _decay_coefficient(ker) * r ** -alpha * _MARGIN
     groups = len(ker.envelope[0])   # k mod groups - 1, then negative means
     need = sweep < env_r * np.abs(means).max(1)[:, None]
+    _settle_one_sided(config, r, table, padded, u, sweep, need)
+    if not need.any():
+        return
     # per table, a heap over the blocks of max |mean| per envelope row, and
     # of minus the first and of the last column of a nonzero mean
     cls, nz = np.arange(k_lo, k_hi + 1) % (groups - 1), means != 0
@@ -152,7 +288,7 @@ def _visit_blocks(config: OperatorConfig, r: int, table: MeanValueTable,
         for s in range(0, todo.size, _BUDGET // lv.size):
             rows = todo[s:s + _BUDGET // lv.size]
             x = u[rows]
-            cp = lattice_envelope(ker, x, max(-k_lo, k_hi)) * margin
+            cp = lattice_envelope(ker, x, max(-k_lo, k_hi)) * _MARGIN
             home = (end - nb) + np.clip(
                 (np.floor(x).astype(np.int64) - k_lo) // _BLOCK, 0, nb - 1)
             h = home[:, None] >> lv + _SPLIT << _SPLIT | np.tile(

@@ -46,7 +46,8 @@ def power_phi(p: float) -> PhiFunction:
     p = float(p)
 
     def evaluate(u):
-        return np.asarray(u, dtype=float) ** p
+        with np.errstate(over="ignore"):   # inf: the modular diverges
+            return np.asarray(u, dtype=float) ** p
 
     return PhiFunction(f"power:{p:g}", evaluate, convex=True, delta2=True)
 

@@ -20,6 +20,11 @@ KERNELS = {name: kernels.kernel_by_name(name)
 DECAY_KERNELS = (KERNELS["fejer"], KERNELS["vallee-poussin"],
                  dataclasses.replace(KERNELS["vallee-poussin"],
                                      decay_coeff=None, envelope=None))
+# vallee-poussin with an envelope 0.01 (1 + cos(pi u)) looser than its own:
+# the phase lets the line hulls run on a signed kernel, whose largest term
+# need not sit at the cell of the largest bound
+PHASED_VP = dataclasses.replace(KERNELS["vallee-poussin"], envelope=(
+    ((0.26, 0.01), (4.0 / 9.0 + 0.01, 0.01)), 2e-14))
 INTERVAL_SIGNALS = ("constant:1", "ramp", "step", "sawtooth", "abs-sine",
                     "random")
 LINE_SIGNALS = ("hat", "square-pulse")
@@ -97,6 +102,50 @@ def signed_cases(draw):
     return operators.operator_config(kernel, n, domain), tables, xs
 
 
+@st.composite
+def one_sided_cases(draw):
+    """A decay kernel and a scale, one to three signed tables that end in
+    zero stretches, and points past the nonzero cells of one of them on
+    both sides: the rows the line hulls settle, or hand on to the block
+    search.  Ramps and hats give long hulls, random means short ones, flat
+    means one line per group with every rival off it; points reach 10**15
+    cells off, where the envelope's slack grows with |u|."""
+    kernel = draw(st.sampled_from(DECAY_KERNELS + (PHASED_VP,)))
+    n = draw(st.integers(8, 400))
+    domain = draw(st.sampled_from([(0.0, 1.0), None]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    tables = []
+    for _ in range(draw(st.integers(1, 3))):
+        k_lo, cells = (0, n) if domain else (int(rng.integers(-n, n)),
+                                             int(rng.integers(2, 2 * n)))
+        t = np.linspace(0.0, 1.0, cells)
+        values = {"random": rng.uniform(0.01, 2.0, cells),
+                  "ramp": 0.01 + t ** rng.uniform(0.2, 3.0),
+                  "hat": 1.01 - np.abs(2.0 * t - 1.0),
+                  "flat": np.ones(cells)}[
+            draw(st.sampled_from(["random", "ramp", "hat", "flat"]))]
+        values *= np.where(rng.random(cells) < draw(st.sampled_from(
+            [0.0, 0.2, 1.0])), -1.0, 1.0)
+        values[rng.random(cells) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+        lead, trail = rng.integers(0, cells // 2 + 1, size=2)
+        values[:lead], values[cells - trail:] = 0.0, 0.0
+        tables.append(signals.MeanValueTable(
+            n=n, k_lo=k_lo, k_hi=k_lo + cells - 1, values=values,
+            domain=domain))
+    table = tables[draw(st.integers(0, len(tables) - 1))]
+    lo, hi = domain or (table.k_lo / n - 3.0, (table.k_hi + 1) / n + 3.0)
+    nz = table.k_lo + np.flatnonzero(table.values)
+    first, last = (nz[0] / n, (nz[-1] + 1) / n) if nz.size else (hi, hi)
+    far = 10.0 ** rng.uniform(3.0, 15.0, 10) / n if domain is None else \
+        np.empty(0)
+    xs = np.concatenate([rng.uniform(lo, first, 20), rng.uniform(last, hi, 20),
+                         np.arange(math.ceil(n * lo), math.floor(n * hi) + 1,
+                                   draw(st.integers(1, 9))) / n,
+                         first - far[:5], last + far[5:]])
+    xs = xs[(xs <= first) | (xs >= last)]
+    return operators.operator_config(kernel, n, domain), tables, xs
+
+
 def _table(f, config):
     return signals.mean_values(f, config.n, config.domain)
 
@@ -148,6 +197,46 @@ class TestAgainstDense:
         for row, table in zip(got, tables):
             want, want_den = dense_evaluate(config, table, xs)
             assert _bits(row) == _bits(want) and got_den == want_den
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(one_sided_cases())
+    def test_one_sided_rows_bitwise_equal_to_dense(self, case):
+        # past a table's nonzero cells the line hulls name each group's
+        # cell of the largest bound and settle the row when no other line
+        # reaches u; the rest take the block search.  Either way each row
+        # of the stack is its table's dense evaluation to the bit
+        config, tables, xs = case
+        got, got_den = operators.evaluate_with_table_den(
+            config, signals.MeanValueTable.stack(tables), xs)
+        for row, table in zip(got, tables):
+            want, want_den = dense_evaluate(config, table, xs)
+            assert _bits(row) == _bits(want) and got_den == want_den
+
+    @pytest.mark.parametrize("ties", [0, operators._TIES])
+    def test_near_ties_settle_with_their_hull_neighbours(self, monkeypatch,
+                                                         ties):
+        # means (u0 - k)**2 (1 - g (k - k0)**2) put Fejer's even-k bounds at
+        # u0 = 249 within 1e-9 of each other over ten cells around k0 = 179:
+        # the hulls settle that row only by sweeping the neighbours of the
+        # cell of the largest bound, else it takes the block search
+        n, k = 64, np.arange(200.0)
+        means = (249.0 - k) ** 2 * (1.0 - 1.5e-11 * (k - 179.0) ** 2)
+        table = signals.MeanValueTable(n=n, k_lo=0, k_hi=199,
+                                       values=means / means.max(), domain=None)
+        config = operators.operator_config(KERNELS["fejer"], n, None)
+        xs = np.array([249.0, 249.25, 249.5, 260.0]) / n
+        left, settle = [], operators._settle_one_sided
+
+        def spy(*args):
+            settle(*args)
+            left.append(args[-1][0].copy())   # need, after the hulls
+
+        monkeypatch.setattr(operators, "_TIES", ties)
+        monkeypatch.setattr(operators, "_settle_one_sided", spy)
+        got, got_den = operators.evaluate_with_table_den(config, table, xs)
+        want, want_den = dense_evaluate(config, table, xs)
+        assert _bits(got) == _bits(want) and got_den == want_den
+        assert left[0].tolist() == [ties == 0, False, False, False]
 
     def test_zero_suprema_are_positive_zeros(self, rng):
         # on an interval a row whose terms are negative but for a zero mean
@@ -370,6 +459,26 @@ class TestElementBudget:
                          self.CEILING + 6 * table.values.nbytes)
         r = operators._radius(config)
         assert sum(pairs) / xs.size <= 2 * r + 1 + 4 * operators._BLOCK
+
+    def test_peak_memory_and_pairs_one_sided_at_the_cap(self):
+        # the largest hat table a CLI run may ask for, and points 1 to 3
+        # units off its support: the line hulls grow with the table and
+        # their rows go in chunks.  A row costs its core and one column per
+        # class of k, and 16 more where its bounds tie within the
+        # envelope's slack: 7.1 pairs per point, 3,445 with the block
+        # search alone
+        n = cli.MAX_CELLS // 6
+        config = operators.operator_config(KERNELS["fejer"], n, None)
+        table = signals.mean_values(signals.catalog("hat"), n, None)
+        pairs, evaluate = [], config.kernel.evaluate
+        config = dataclasses.replace(config, kernel=dataclasses.replace(
+            config.kernel, evaluate=lambda u: (pairs.append(np.size(u)),
+                                               evaluate(u))[1]))
+        xs = np.concatenate([np.linspace(-4.0, -2.0, 1000),
+                             np.linspace(2.0, 4.0, 1000)])
+        self._check_peak(config, table, xs,
+                         self.CEILING + 6 * table.values.nbytes)
+        assert sum(pairs) / xs.size <= 16
 
     def _check_peak(self, config, table, xs, ceiling=CEILING):
         tracemalloc.start()

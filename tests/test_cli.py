@@ -2,6 +2,9 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -252,6 +255,23 @@ class TestConverge:
                          "--out", str(tmp_path / "rep"))
         assert code == 0
         assert (tmp_path / "rep.json").read_text(encoding="utf-8") == golden
+
+    def test_overflow_is_one_error_line(self, tmp_path):
+        # a spike of 1e300 overflows the power modular to inf, which the
+        # Luxemburg bracket rejects with exit 6; numpy's overflow warning
+        # must not reach stderr beside the error line.  A fresh interpreter
+        # with warnings on shows what a user sees
+        spike = tmp_path / "spike.csv"
+        spike.write_text("0,0\n0.5,1e300\n1,0\n", encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "maxprod", "converge",
+             "--kernel", "bspline:4", "--csv", str(spike), "--scales", "4,8",
+             "--out", str(tmp_path / "rep")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 6 and done.stdout == ""
+        assert done.stderr.startswith("error: ")
+        assert done.stderr.count("\n") == 1
 
 
 class TestVerify:
