@@ -2,21 +2,18 @@
 Orlicz-space error measures (modulars, Luxemburg norms) and an empirical
 verification harness for the operator inequalities."""
 
-from .analysis import (PAIR_FAMILIES, CampaignResult, ComparisonTable,
-                       ConvergenceReport, InequalityCheck, PairFamily,
-                       campaign_max_convexity, campaign_operator_algebra,
-                       campaign_pair_inequality, check_jackson,
-                       check_modular_inequality, compare_linear_vs_maxprod,
-                       find_modular_lambda, fit_rate, modulus_of_continuity,
-                       run_convergence)
+from .analysis import (PAIR_FAMILIES, CampaignResult, ConvergenceReport,
+                       InequalityCheck, PairFamily, campaign_max_convexity,
+                       campaign_operator_algebra, campaign_pair_inequality,
+                       check_jackson, check_modular_inequality, fit_rate,
+                       modulus_of_continuity, run_convergence)
 from .errors import (EmptyIndexSetError, InadmissibleKernelError,
                      MaxprodError, QuadratureError, TruncationError,
                      UnknownNameError)
 from .kernels import (Kernel, KernelDiagnostics, bspline, check_assumptions,
                       de_la_vallee_poussin, ensure_l1, fejer, kernel_by_name,
                       l1_norm, lower_bound_constant, moment)
-from .operators import (OperatorConfig, linear_kantorovich,
-                        linear_kantorovich_grid, maxprod_kantorovich,
+from .operators import (OperatorConfig, maxprod_kantorovich,
                         maxprod_kantorovich_grid, operator_config,
                         shift_wrapper)
 from .orlicz import (PhiFunction, exponential_phi, luxemburg_norm,

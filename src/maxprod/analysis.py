@@ -23,7 +23,7 @@ from .errors import TruncationError
 from .kernels import (Kernel, _decay_coefficient, ensure_l1, kernel_by_name,
                       moment)
 from .operators import (OperatorConfig, evaluate_with_table_den,
-                        linear_kantorovich_grid, operator_config)
+                        operator_config)
 from .orlicz import (PhiFunction, exponential_phi, luxemburg_from_samples,
                      maxphi_inequality_check, modular_from_samples,
                      phi_by_name, power_phi, zygmund_phi)
@@ -31,6 +31,7 @@ from .signals import (Domain, MeanValueTable, Signal, mean_values,
                       random_piecewise_poly)
 
 _SUP_GRID = 2048
+_SLICE = 1 << 16   # quadrature nodes per operator call
 _RATE_FLOOR = 1e-12
 CAMPAIGN_SCALES = (4, 8, 16, 32)   # the scales the campaigns draw from
 # the operator-algebra campaign's kernels, taken in turn
@@ -95,17 +96,6 @@ class InequalityCheck:
         slack = rhs - lhs
         return cls(lhs=lhs, rhs=rhs, slack=slack,
                    passed=slack >= -tolerance, context=context)
-
-
-@dataclass
-class ComparisonTable:
-    """Side-by-side sup errors of the linear and max-product operators."""
-
-    scales: list[int]
-    maxprod_sup_errors: list[float]
-    linear_sup_errors: list[float]
-    maxprod_rate: float | None
-    linear_rate: float | None
 
 
 @dataclass
@@ -211,9 +201,15 @@ def _error_samples(config: OperatorConfig, f: Signal,
                              sup_error=sup_error,
                              den_ok=den_min >= a_chi - 1e-9)
     nodes, weights = quadrature.composite_nodes(_quad_panels(f, window, n))
-    k_nodes, den_min_b = evaluate_with_table_den(config, table, nodes)
-    deviations = np.abs(k_nodes - f.evaluate(nodes))
-    den_ok = min(den_min, den_min_b) >= a_chi - 1e-9
+    deviations = np.empty(nodes.size)
+    # operator rows are independent, so slicing the nodes bounds the
+    # operator's temporaries without moving a value
+    for s in range(0, nodes.size, _SLICE):
+        x = nodes[s:s + _SLICE]
+        k_nodes, den_slice = evaluate_with_table_den(config, table, x)
+        np.abs(k_nodes - f.evaluate(x), out=deviations[s:s + _SLICE])
+        den_min = min(den_min, den_slice)
+    den_ok = den_min >= a_chi - 1e-9
     return _ErrorSamples(weights=weights, deviations=deviations,
                          sup_error=sup_error, den_ok=den_ok)
 
@@ -331,7 +327,7 @@ def check_modular_inequality(family: PairFamily, f: Signal, g: Signal,
     the context string).
     """
     config = operator_config(kernel, n, domain)
-    m0 = moment(kernel, 0.0, 1e-8)
+    m0 = moment(kernel, 0.0)
     factor = 2.0 * lam * m0 / config.a_chi
     tables = MeanValueTable.stack([mean_values(s, n, domain) for s in (f, g)])
     window = _eval_window(config, f)
@@ -346,9 +342,10 @@ def check_modular_inequality(family: PairFamily, f: Signal, g: Signal,
         return phi.evaluate(factor * np.abs(f.evaluate(x) - g.evaluate(x)))
 
     scale = lam if family.form == "zygmund" else 1.0
-    lhs, rhs = (quadrature.adaptive(fn, edges, atol=family.atol * scale,
-                                    rtol=family.rtol)
-                for fn in (lhs_fn, rhs_fn))
+    with np.errstate(over="ignore"):   # an infinite side is divergence
+        lhs, rhs = (quadrature.adaptive(fn, edges, atol=family.atol * scale,
+                                        rtol=family.rtol)
+                    for fn in (lhs_fn, rhs_fn))
     rhs *= ensure_l1(kernel) / m0
     if family.form == "lp":   # phi(u) = u**p, so phi(2) = 2**p
         root = 1.0 / math.log2(float(phi.evaluate(2.0)))
@@ -366,8 +363,8 @@ def check_jackson(f: Signal, kernel: Kernel, n: int) -> InequalityCheck:
     jump inflates the modulus and the bound loses its meaning).
     """
     config = operator_config(kernel, n, f.domain)
-    m0 = moment(kernel, 0.0, 1e-8)
-    m1 = moment(kernel, 1.0, 1e-8)
+    m0 = moment(kernel, 0.0)
+    m1 = moment(kernel, 1.0)
     if not math.isfinite(m1):
         raise TruncationError(
             f"first moment of {kernel.name!r} diverges; the Jackson bound "
@@ -378,74 +375,6 @@ def check_jackson(f: Signal, kernel: Kernel, n: int) -> InequalityCheck:
     context = (f"Jackson: kernel={kernel.name} signal={f.name} n={n} "
                f"omega={omega:.6g}")
     return InequalityCheck.from_sides(samples.sup_error, rhs, 1e-9, context)
-
-
-def compare_linear_vs_maxprod(f: Signal, kernel: Kernel,
-                              scales: Sequence[int]) -> ComparisonTable:
-    """Sup errors of the linear series and the max-product operator, per n.
-
-    The table is evidence only: no ordering between the two columns is
-    asserted, since the theoretical comparison is between bound forms, not
-    realized errors.  On a bounded domain with a compactly supported kernel
-    the grid is inset by the kernel reach: outside that strip the truncated
-    linear series is structurally incomplete and its error says nothing
-    about the approximation rate.
-    """
-    scales = [int(n) for n in scales]
-    max_err, lin_err = [], []
-    for n in scales:
-        config = operator_config(kernel, n, f.domain)
-        samples = _error_samples(config, f, need_quadrature=False)
-        window = _eval_window(config, f)
-        if f.domain is not None and kernel.support is not None:
-            inset = (kernel.support + 1.0) / n
-            a, b = window
-            if a + inset < b - inset:
-                window = (a + inset, b - inset)
-        grid = _sup_grid(f, window, n)
-        sv = linear_kantorovich_grid(kernel, float(n), f, grid)
-        lin_err.append(float(np.max(np.abs(sv - f.evaluate(grid)))))
-        max_err.append(samples.sup_error)
-    return ComparisonTable(scales=scales, maxprod_sup_errors=max_err,
-                           linear_sup_errors=lin_err,
-                           maxprod_rate=fit_rate(scales, max_err),
-                           linear_rate=fit_rate(scales, lin_err))
-
-
-def find_modular_lambda(f: Signal, kernel: Kernel, phi: PhiFunction,
-                        scales: Sequence[int],
-                        lambda_grid: Sequence[float] = (4.0, 2.0, 1.0, 0.5,
-                                                        0.25, 0.125, 0.0625,
-                                                        0.03125),
-                        threshold: float = 1e-3) -> float | None:
-    """Largest grid lambda whose modular error sequence decays acceptably.
-
-    A lambda passes when its modular sequence is non-increasing (10 percent
-    wiggle slack), ends below ``threshold`` and below its starting value; an
-    identically-zero sequence passes trivially.  Returns None when the grid
-    is exhausted.  The threshold is a harness design choice: it makes the
-    existence statement "some lambda works" operational.
-    """
-    scales = [int(n) for n in scales]
-    per_scale = [_error_samples(operator_config(kernel, n, f.domain), f)
-                 for n in scales]
-
-    def passes(seq: list[float]) -> bool:
-        if any(not math.isfinite(v) for v in seq):
-            return False
-        if max(seq) <= 1e-15:
-            return True
-        if seq[-1] >= threshold or seq[-1] > seq[0]:
-            return False
-        return all(seq[i + 1] <= 1.1 * seq[i] + 1e-15
-                   for i in range(len(seq) - 1))
-
-    for lam in sorted(lambda_grid, reverse=True):
-        seq = [modular_from_samples(phi, lam * s.deviations, s.weights)
-               for s in per_scale]
-        if passes(seq):
-            return float(lam)
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ EXIT_EMPTY_INDEX_SET = 4
 EXIT_IO = 5
 EXIT_NUMERICAL = 6
 
-# converge's peak RSS grows by about 1.9 KiB per lattice cell (503 MiB at
+# converge's peak RSS grows by about 1.5 KiB per lattice cell (361 MiB at
 # 2**18 cells: bspline:4 on abs-sine), so the largest accepted run stays
 # under 1 GiB
 MAX_CELLS = 1 << 18

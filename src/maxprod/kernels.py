@@ -21,7 +21,6 @@ kernel over a centered interval, [-3/2, 3/2] for bounded domains and
 from __future__ import annotations
 
 import functools
-import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -37,6 +36,9 @@ DIVERGED = math.inf
 _GRID = 4096
 _REFINE_TOP = 8
 _ZOOM = np.linspace(-1.0, 1.0, 9)  # one zoom round's offsets, in radii
+_PERIOD = (0.0, 1.0)   # the outer sup of a moment: one lattice period
+_MOMENT_FLOOR = 1e-7   # truncation floor; every catalog moment is far above
+_L1_TOL = 1e-6   # the L1 norm's quadrature tolerance
 # the paper's chi2 (bounded domains) and chi2' (the line) intervals
 _INF_INTERVALS = {"interval": (-1.5, 1.5), "line": (-0.5, 0.5)}
 # The alternating sum of a B-spline cancels more digits as the order grows:
@@ -72,22 +74,14 @@ class Kernel:
 
 
 def _once_per_kernel(fn):
-    """Memoize ``fn(kernel, ...)`` in ``kernel.constants``.
-
-    Arguments are bound to the signature with defaults applied, so
-    positional and keyword spellings of one call share an entry.  The memo
-    lives on the instance, so it goes away with the kernel.
-    """
-    signature = inspect.signature(fn)
+    """Memoize ``fn(kernel, *args)`` in ``kernel.constants``; the memo
+    lives on the instance, so it goes away with the kernel."""
 
     @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        bound = signature.bind(*args, **kwargs)
-        bound.apply_defaults()
-        kernel, *rest = bound.arguments.values()
-        key = (fn.__name__, *rest)
+    def wrapper(kernel, *args):
+        key = (fn.__name__, *args)
         if key not in kernel.constants:
-            kernel.constants[key] = fn(*args, **kwargs)
+            kernel.constants[key] = fn(kernel, *args)
         return kernel.constants[key]
 
     return wrapper
@@ -292,30 +286,27 @@ def _tail_terms_grow(kernel: Kernel, beta: float) -> bool:
 
 
 @_once_per_kernel
-def moment(kernel: Kernel, beta: float, tolerance: float = 1e-6,
-           outer_interval: tuple[float, float] = (0.0, 1.0)) -> float:
+def moment(kernel: Kernel, beta: float) -> float:
     """Generalized absolute moment of order ``beta``.
 
     This is the sup over x of the lattice supremum of |chi(x-k)| |x-k|**beta.
     Shifting x by an integer permutes the lattice, so the outer sup is taken
-    over one period [0, 1) (``outer_interval`` is exposed so the reduction
-    itself can be validated against wider windows).
+    over one period [0, 1).
 
     The inner supremum is truncated with a certified cutoff: terms at lattice
     distance >= U are bounded by C * U**(beta - alpha), and once that bound
-    falls below the running supremum (or below tolerance/10) the omitted
-    terms cannot matter.  Compactly supported kernels are summed exactly.
+    falls below the running supremum (or below ``_MOMENT_FLOOR``) the
+    omitted terms cannot matter.  Compactly supported kernels are summed
+    exactly.
 
     Returns ``math.inf`` when ``beta`` exceeds the decay order and the tail
     terms are observed to grow (divergent moment).
     """
     if beta < 0:
         raise ValueError("moment order beta must be >= 0")
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
     if kernel.support is not None:
         j_window = int(math.ceil(kernel.support)) + 2
-        return _outer_sup(kernel, beta, j_window, outer_interval)
+        return _outer_sup(kernel, beta, j_window, _PERIOD)
     alpha = kernel.decay_order
     if alpha is None:
         raise TruncationError(
@@ -331,10 +322,10 @@ def moment(kernel: Kernel, beta: float, tolerance: float = 1e-6,
     if beta == alpha:
         # tail terms do not decay at the critical order; combine a finite
         # window with the sampled tail lim sup
-        near = _outer_sup(kernel, beta, 64, outer_interval)
+        near = _outer_sup(kernel, beta, 64, _PERIOD)
         return max(near, _tail_limsup(kernel, alpha))
-    coarse = _outer_sup(kernel, beta, 8, outer_interval)
-    floor_val = max(coarse, tolerance / 10.0)
+    coarse = _outer_sup(kernel, beta, 8, _PERIOD)
+    floor_val = max(coarse, _MOMENT_FLOOR)
     cutoff = (c / floor_val) ** (1.0 / (alpha - beta))
     j_window = int(math.ceil(max(8.0, cutoff + 1.0)))
     if j_window > 65536:
@@ -342,11 +333,11 @@ def moment(kernel: Kernel, beta: float, tolerance: float = 1e-6,
             f"certified moment window for {kernel.name!r} exceeds 65536 cells")
     if j_window == 8:
         return coarse
-    return _outer_sup(kernel, beta, j_window, outer_interval)
+    return _outer_sup(kernel, beta, j_window, _PERIOD)
 
 
 @_once_per_kernel
-def lower_bound_constant(kernel: Kernel, domain_kind: str = "interval") -> float:
+def lower_bound_constant(kernel: Kernel, domain_kind: str) -> float:
     """Infimum of the kernel over the admissibility interval.
 
     [-3/2, 3/2] for ``"interval"`` (bounded domains), [-1/2, 1/2] for
@@ -361,8 +352,9 @@ def lower_bound_constant(kernel: Kernel, domain_kind: str = "interval") -> float
                       np.linspace(lo, hi, _GRID + 1), (hi - lo) / _GRID, lo, hi)
 
 
-def l1_norm(kernel: Kernel, tolerance: float = 1e-8) -> float:
-    """Numerical L1 norm of the kernel by adaptive Simpson quadrature.
+def l1_norm(kernel: Kernel) -> float:
+    """Numerical L1 norm of the kernel by adaptive Simpson quadrature, to
+    ``_L1_TOL``.
 
     Compactly supported kernels are integrated exactly on their support.
     Decay kernels are integrated on a window [-U, U]; when the window the
@@ -377,16 +369,16 @@ def l1_norm(kernel: Kernel, tolerance: float = 1e-8) -> float:
     if kernel.support is not None:
         s = kernel.support
         edges = np.linspace(-s, s, max(9, 4 * int(math.ceil(s)) + 1))
-        return quadrature.adaptive(absfn, edges, atol=0.5 * tolerance)
+        return quadrature.adaptive(absfn, edges, atol=0.5 * _L1_TOL)
     alpha = kernel.decay_order
     if alpha is None or alpha <= 1.0:
         raise TruncationError(
             f"kernel {kernel.name!r} is not certified absolutely integrable")
     c = _decay_coefficient(kernel)
-    u_bound = (4.0 * c / ((alpha - 1.0) * tolerance)) ** (1.0 / (alpha - 1.0))
+    u_bound = (4.0 * c / ((alpha - 1.0) * _L1_TOL)) ** (1.0 / (alpha - 1.0))
     u = min(u_bound, 4096.0)
     edges = np.linspace(-u, u, 2 * int(math.ceil(u)) + 1)
-    main = quadrature.adaptive(absfn, edges, atol=0.25 * tolerance)
+    main = quadrature.adaptive(absfn, edges, atol=0.25 * _L1_TOL)
     tail = 0.0
     if u < u_bound:
         us = np.arange(u, 3.0 * u, 1.0 / 64.0)
@@ -396,15 +388,15 @@ def l1_norm(kernel: Kernel, tolerance: float = 1e-8) -> float:
     return float(main + tail)
 
 
-def ensure_l1(kernel: Kernel, tolerance: float = 1e-6) -> float:
+def ensure_l1(kernel: Kernel) -> float:
     """Known L1 norm of the kernel, computing and caching it when absent."""
     if kernel.l1_norm is None:
-        kernel.l1_norm = l1_norm(kernel, tolerance)
+        kernel.l1_norm = l1_norm(kernel)
     return kernel.l1_norm
 
 
-def check_assumptions(kernel: Kernel, domain_kind: str = "interval",
-                      beta: float = 2.0) -> KernelDiagnostics:
+def check_assumptions(kernel: Kernel, domain_kind: str,
+                      beta: float) -> KernelDiagnostics:
     """Full admissibility diagnostics.
 
     A kernel is admissible for a domain kind when the moment of order

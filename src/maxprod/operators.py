@@ -1,4 +1,4 @@
-"""Max-product Kantorovich sampling operator and its linear counterpart.
+"""Max-product Kantorovich sampling operator.
 
 K_n f(x) = sup_k chi(n x - k) mean_k / sup_k chi(n x - k), signs kept, over
 J_n on an interval, or over Z on the line with zero means off the support;
@@ -29,11 +29,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InadmissibleKernelError, TruncationError
+from .errors import InadmissibleKernelError
 from .kernels import (Kernel, _decay_coefficient, lattice_envelope,
                       lower_bound_constant)
-from .signals import (Domain, MeanValueTable, Signal, cell_means, iceil,
-                      ifloor, mean_values)
+from .signals import Domain, MeanValueTable, Signal, mean_values
 
 # Elements (rows x lattice columns) of one kernel-evaluation chunk, which
 # sets the size of every temporary whatever n or the point count.
@@ -412,47 +411,3 @@ def shift_wrapper(config: OperatorConfig, f: Signal) -> Callable:
 
     return wrapped
 
-
-# ---------------------------------------------------------------------------
-# linear comparison operator
-
-def _linear_cells(w: float, f: Signal) -> tuple[int, int]:
-    if f.support is not None:
-        return ifloor(w * f.support[0]) - 1, iceil(w * f.support[1])
-    if f.domain is not None:
-        a, b = f.domain
-        k_lo, k_hi = iceil(w * a), ifloor(w * b) - 1
-        if k_lo > k_hi:
-            raise TruncationError(
-                f"no lattice cells for scale w={w} on [{a}, {b}]")
-        return k_lo, k_hi
-    raise TruncationError(
-        "linear operator needs a compactly supported or bounded-domain "
-        "signal to truncate its series")
-
-
-def linear_kantorovich_grid(kernel: Kernel, w: float, f: Signal,
-                            xs) -> np.ndarray:
-    """Linear Kantorovich series sum_k chi(w x - k) * mean_k on a grid.
-
-    The series is truncated to the cells where the mean can be nonzero
-    (signal support, or the bounded domain's index set), which makes the
-    truncation exact: omitted terms are kernel values times zero means.
-    """
-    if w <= 0:
-        raise ValueError("scale w must be positive")
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    k_lo, k_hi = _linear_cells(w, f)
-    means = cell_means(f, w, k_lo, k_hi)
-    ks = np.arange(k_lo, k_hi + 1, dtype=float)
-    out = np.empty(xs.shape, dtype=float)
-    rows = max(1, _BUDGET // ks.size)
-    for start in range(0, xs.size, rows):
-        x = xs[start:start + rows]
-        chi = np.asarray(kernel.evaluate(w * x[:, None] - ks[None, :]))
-        out[start:start + rows] = chi @ means
-    return out
-
-
-def linear_kantorovich(kernel: Kernel, w: float, f: Signal, x: float) -> float:
-    return float(linear_kantorovich_grid(kernel, w, f, [x])[0])

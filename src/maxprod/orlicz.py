@@ -31,7 +31,8 @@ _LAMBDA_CAP = 1e12
 
 @dataclass(frozen=True)
 class PhiFunction:
-    """Convexity-flagged phi-function; ``evaluate`` maps u >= 0 to phi(u)."""
+    """Convexity-flagged phi-function; ``evaluate`` maps u >= 0 to phi(u),
+    overflowing to inf, which the functionals below read as divergence."""
 
     name: str
     evaluate: Callable[[np.ndarray], np.ndarray]
@@ -46,8 +47,7 @@ def power_phi(p: float) -> PhiFunction:
     p = float(p)
 
     def evaluate(u):
-        with np.errstate(over="ignore"):   # inf: the modular diverges
-            return np.asarray(u, dtype=float) ** p
+        return np.asarray(u, dtype=float) ** p
 
     return PhiFunction(f"power:{p:g}", evaluate, convex=True, delta2=True)
 
@@ -80,9 +80,7 @@ def exponential_phi(gamma: float) -> PhiFunction:
     gamma = float(gamma)
 
     def evaluate(u):
-        u = np.asarray(u, dtype=float)
-        with np.errstate(over="ignore"):
-            return np.expm1(u ** gamma)
+        return np.expm1(np.asarray(u, dtype=float) ** gamma)
 
     return PhiFunction(f"exponential:{gamma:g}", evaluate,
                        convex=gamma >= 1.0, delta2=False)
@@ -128,9 +126,10 @@ def _sampled(phi: PhiFunction, f: Signal, window: tuple[float, float],
         mids = 0.5 * (edges[:-1] + edges[1:])
         xh, wh = quadrature.composite_nodes(
             np.sort(np.concatenate([edges, mids])))
-        coarse = (w * phi.evaluate(c * values)).reshape(mids.size, -1)
-        fine = (wh * phi.evaluate(c * np.abs(f.evaluate(xh)))).reshape(
-            mids.size, -1)
+        with np.errstate(over="ignore"):
+            coarse = (w * phi.evaluate(c * values)).reshape(mids.size, -1)
+            fine = (wh * phi.evaluate(c * np.abs(f.evaluate(xh)))).reshape(
+                mids.size, -1)
         err = np.abs(fine.sum(axis=1) - coarse.sum(axis=1))
         share = tol * abs(float(np.sum(fine))) * np.diff(edges) / (b - a)
         if np.sum(err) <= np.sum(share) < math.inf:
@@ -158,6 +157,12 @@ def modular(phi: PhiFunction, f: Signal, window: tuple[float, float],
 def modular_from_samples(phi: PhiFunction, values: np.ndarray,
                          weights: np.ndarray) -> float:
     """Modular of a sampled non-negative function: sum(w * phi(values))."""
+    with np.errstate(over="ignore"):
+        return _modular(phi, values, weights)
+
+
+def _modular(phi: PhiFunction, values: np.ndarray,
+             weights: np.ndarray) -> float:
     vals = phi.evaluate(np.abs(values))
     if not np.all(np.isfinite(vals)):
         return math.inf
@@ -186,26 +191,27 @@ def luxemburg_from_samples(phi: PhiFunction, values: np.ndarray,
     tol = max(tol, np.finfo(float).eps)  # adjacent floats end the bisection
 
     def modular_at(lam: float) -> float:
-        return modular_from_samples(phi, values / lam, weights)
+        return _modular(phi, values / lam, weights)
 
-    hi = 1.0
-    while modular_at(hi) > 1.0:
-        hi *= 2.0
-        if hi > _LAMBDA_CAP:
-            raise MaxprodError(
-                "Luxemburg bracket exceeded 1e12; the function is not in "
-                "the modular space on this window")
-    while (value := modular_at(0.5 * hi)) <= 1.0:
-        if value == 0.0:
-            return 0.0  # the function vanishes at every node
-        hi *= 0.5
-    lo = 0.5 * hi
-    while hi - lo > tol * hi:
-        mid = 0.5 * (lo + hi)
-        if modular_at(mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
+    with np.errstate(over="ignore"):
+        hi = 1.0
+        while modular_at(hi) > 1.0:
+            hi *= 2.0
+            if hi > _LAMBDA_CAP:
+                raise MaxprodError(
+                    "Luxemburg bracket exceeded 1e12; the function is not "
+                    "in the modular space on this window")
+        while (value := modular_at(0.5 * hi)) <= 1.0:
+            if value == 0.0:
+                return 0.0  # the function vanishes at every node
+            hi *= 0.5
+        lo = 0.5 * hi
+        while hi - lo > tol * hi:
+            mid = 0.5 * (lo + hi)
+            if modular_at(mid) <= 1.0:
+                hi = mid
+            else:
+                lo = mid
     return hi
 
 
@@ -221,8 +227,8 @@ def maxphi_inequality_check(phi: PhiFunction, values) -> tuple[bool, bool]:
         raise ValueError("need at least one value")
     if np.any(a < 0):
         raise ValueError("values must be non-negative")
-    lhs = float(phi.evaluate(np.array([a.max()]))[0])
     with np.errstate(over="ignore"):
+        lhs = float(phi.evaluate(np.array([a.max()]))[0])
         doubled = float(np.max(phi.evaluate(2.0 * a)))
         plain = float(np.max(phi.evaluate(a)))
     le = lhs <= doubled or math.isclose(lhs, doubled, rel_tol=1e-12)

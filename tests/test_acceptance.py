@@ -36,7 +36,7 @@ def test_criterion_1_kernel_constants(fejer_kernel, vp_kernel):
     assert a_f == pytest.approx(4.0 / (9.0 * math.pi ** 2), abs=1e-6)
 
     t0 = time.perf_counter()
-    l1 = kernels.l1_norm(fejer_kernel, 1e-6)
+    l1 = kernels.l1_norm(fejer_kernel)
     t_l1 = time.perf_counter() - t0
     assert l1 == pytest.approx(1.0, abs=1e-6)
 

@@ -1,10 +1,11 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from maxprod import analysis, kernels, orlicz, signals
+from maxprod import analysis, kernels, operators, orlicz, signals
 
 UNIT = (0.0, 1.0)
 MODULAR, LP, ZYGMUND = (analysis.PAIR_FAMILIES[name] for name in (
@@ -99,6 +100,20 @@ class TestRunConvergence:
                                          report.modular_errors[1:]))
 
 
+    def test_quadrature_nodes_evaluated_in_slices(self, fejer_kernel):
+        # past the node, weight and deviation arrays and the Gauss rule's
+        # temporaries, the operator's share of the peak is a fixed budget,
+        # not some 70 bytes more per node
+        config = operators.operator_config(fejer_kernel, 2048, None)
+        tracemalloc.start()
+        try:
+            samples = analysis._error_samples(config, signals.catalog("hat"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * samples.weights.nbytes + 8 * 2 ** 20
+
+
 class TestModularInequality:
     def test_equal_signals_zero_both_sides(self, fejer_kernel):
         ramp = signals.catalog("ramp")
@@ -163,7 +178,7 @@ class TestLpLipschitz:
 
     def test_p1_constant_specialization(self, fejer_kernel):
         # at p = 1 the general constant collapses to 2 l1 / a_chi
-        m0 = kernels.moment(fejer_kernel, 0.0, 1e-8)
+        m0 = kernels.moment(fejer_kernel, 0.0)
         l1 = kernels.ensure_l1(fejer_kernel)
         a = kernels.lower_bound_constant(fejer_kernel, "interval")
         general = 2.0 * (m0 ** 0.0 * l1) ** 1.0 / a
@@ -174,7 +189,7 @@ class TestLpLipschitz:
         # the p-th root of the power:p modular inequality at lambda = 1 is
         # the L^p bound with constant 2 (m0^(p-1) l1)^(1/p) / a; here
         # |f - g| = 1/2 on [0, 1], so |f - g|_p = 1/2
-        m0 = kernels.moment(vp_kernel, 0.0, 1e-8)
+        m0 = kernels.moment(vp_kernel, 0.0)
         l1 = kernels.ensure_l1(vp_kernel)
         a = kernels.lower_bound_constant(vp_kernel, "interval")
         check = analysis.check_modular_inequality(
@@ -216,7 +231,7 @@ class TestZygmundInstance:
         # the zygmund:1,1 modular inequality over lambda: lhs integrates
         # |Kf - Kg| log(lam |Kf - Kg| + e), rhs is 2 l1 / a times the
         # integral of |f - g| log((m0/a) 2 lam |f - g| + e)
-        m0 = kernels.moment(fejer_kernel, 0.0, 1e-8)
+        m0 = kernels.moment(fejer_kernel, 0.0)
         l1 = kernels.ensure_l1(fejer_kernel)
         a = kernels.lower_bound_constant(fejer_kernel, "interval")
         check = analysis.check_modular_inequality(
@@ -251,6 +266,17 @@ class TestJackson:
         check = analysis.check_jackson(signals.catalog("hat"), vp_kernel, 64)
         assert check.passed
 
+    def test_shares_the_diagnostics_moments(self, monkeypatch):
+        # kernel-info's diagnostics and the Jackson bound read one m0 and
+        # one m1 off the kernel instance
+        ker, orders = kernels.fejer(), []
+        outer = kernels._outer_sup
+        monkeypatch.setattr(kernels, "_outer_sup", lambda k, beta, *rest: (
+            orders.append(beta), outer(k, beta, *rest))[1])
+        kernels.check_assumptions(ker, "interval", 2.0)
+        analysis.check_jackson(signals.catalog("abs-sine"), ker, 16)
+        assert sorted(orders) == [0.0, 1.0, 2.0]
+
     def test_divergent_first_moment_rejected(self):
         # decay order 1/2 < 1: the order-1 lattice terms grow like sqrt(u)
         from maxprod.errors import TruncationError
@@ -259,60 +285,6 @@ class TestJackson:
                               decay_order=0.5, decay_coeff=1.0, sup_norm=1.0)
         with pytest.raises(TruncationError):
             analysis.check_jackson(signals.catalog("abs-sine"), slow, 16)
-
-
-class TestComparison:
-    def test_constant_both_columns_zero(self, m4_kernel):
-        # compact kernel + inset grid: the spline lattice sums to one, so
-        # both operators reproduce the constant exactly
-        sig = signals.catalog("constant:1")
-        table = analysis.compare_linear_vs_maxprod(sig, m4_kernel, [8, 16])
-        np.testing.assert_allclose(table.maxprod_sup_errors, 0.0, atol=1e-12)
-        np.testing.assert_allclose(table.linear_sup_errors, 0.0, atol=1e-12)
-
-    def test_hat_table_shape_and_trend(self, fejer_kernel):
-        scales = [8, 16, 32, 64, 128, 256]
-        table = analysis.compare_linear_vs_maxprod(
-            signals.catalog("hat"), fejer_kernel, scales)
-        assert len(table.maxprod_sup_errors) == len(scales)
-        assert len(table.linear_sup_errors) == len(scales)
-        assert all(a > b for a, b in zip(table.maxprod_sup_errors,
-                                         table.maxprod_sup_errors[1:]))
-        assert all(a > b for a, b in zip(table.linear_sup_errors,
-                                         table.linear_sup_errors[1:]))
-        assert table.maxprod_rate is not None
-        assert table.linear_rate is not None
-
-
-class TestFindModularLambda:
-    def test_constant_returns_largest(self, fejer_kernel):
-        lam = analysis.find_modular_lambda(
-            signals.catalog("constant:1"), fejer_kernel, orlicz.power_phi(2),
-            [8, 16, 32])
-        assert lam == 4.0
-
-    def test_step_power_two_top_of_grid(self, fejer_kernel):
-        # doubling-condition family: the whole grid works once the
-        # threshold matches the scale range
-        lam = analysis.find_modular_lambda(
-            signals.catalog("step"), fejer_kernel, orlicz.power_phi(2),
-            [16, 32, 64, 128, 256], lambda_grid=(1.0, 0.5, 0.25),
-            threshold=1e-2)
-        assert lam == 1.0
-
-    def test_scaled_step_exponential_needs_smaller_lambda(self, fejer_kernel):
-        tall = signals.PiecewisePoly((0.0, 0.5, 1.0),
-                                     [(0.0,), (5.0,)]).to_signal(name="tall")
-        lam = analysis.find_modular_lambda(
-            tall, fejer_kernel, orlicz.exponential_phi(2),
-            [16, 32, 64, 128, 256], threshold=1e-2)
-        assert lam is not None and lam < 4.0
-
-    def test_exhausted_grid_returns_none(self, fejer_kernel):
-        lam = analysis.find_modular_lambda(
-            signals.catalog("step"), fejer_kernel, orlicz.power_phi(1),
-            [8, 16], lambda_grid=(4.0,), threshold=1e-9)
-        assert lam is None
 
 
 class TestRateFitting:

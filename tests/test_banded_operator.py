@@ -489,16 +489,3 @@ class TestElementBudget:
             tracemalloc.stop()
         assert peak < ceiling
         assert np.all(np.isfinite(values))
-
-
-def test_linear_series_chunking_moves_only_rounding(monkeypatch,
-                                                    fejer_kernel):
-    # the series stays a dense matrix-vector product; how BLAS sums a row
-    # may depend on the chunk's shape, so only the last bit may move
-    hat = signals.catalog("hat")
-    xs = np.linspace(-1.5, 1.5, 301)
-    whole = operators.linear_kantorovich_grid(fejer_kernel, 32.0, hat, xs)
-    monkeypatch.setattr(operators, "_BUDGET", 7)   # one row per chunk
-    rows = operators.linear_kantorovich_grid(fejer_kernel, 32.0, hat, xs)
-    np.testing.assert_allclose(rows, whole, rtol=4 * np.finfo(float).eps,
-                               atol=0.0)

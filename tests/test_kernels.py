@@ -30,8 +30,7 @@ class TestCatalogValues:
 
     def test_fejer_l1_norm_by_quadrature(self, fejer_kernel):
         # independent oracle: adaptive quadrature on the decay-bounded window
-        assert kernels.l1_norm(fejer_kernel, 1e-8) == pytest.approx(1.0,
-                                                                    abs=1e-6)
+        assert kernels.l1_norm(fejer_kernel) == pytest.approx(1.0, abs=1e-6)
 
     def test_vallee_poussin_values(self, vp_kernel):
         assert ev(vp_kernel, 0.0) == pytest.approx(1.0 / 3.0, abs=1e-15)
@@ -113,10 +112,9 @@ class TestMoments:
     def test_moment_zero_equals_sup(self, fejer_kernel, m3_kernel):
         # every real u is x - k for some x in [0, 1), so the order-0 moment
         # is the sup norm; grid-search oracle pins both catalog cases
-        assert kernels.moment(fejer_kernel, 0.0, 1e-6) == pytest.approx(
+        assert kernels.moment(fejer_kernel, 0.0) == pytest.approx(
             0.5, abs=1e-9)
-        assert kernels.moment(m3_kernel, 0.0, 1e-6) == pytest.approx(
-            0.75, abs=1e-9)
+        assert kernels.moment(m3_kernel, 0.0) == pytest.approx(0.75, abs=1e-9)
 
     def test_moment_critical_order(self, fejer_kernel):
         # at the critical order the lattice terms stop decaying; the sup is
@@ -125,26 +123,25 @@ class TestMoments:
             2.0 / math.pi ** 2, rel=1e-9)
 
     def test_moment_divergence(self, fejer_kernel):
-        assert math.isinf(kernels.moment(fejer_kernel, 5.0, 1e-6))
+        assert math.isinf(kernels.moment(fejer_kernel, 5.0))
 
     def test_moment_monotone_in_order(self, catalog_kernels):
         # finite at beta implies finite below beta, and m_0 <= sup norm
         for kernel in catalog_kernels:
             beta = 2.0 if kernel.support is None else 4.0
             for v in (0.0, 0.5 * beta, beta):
-                assert math.isfinite(kernels.moment(kernel, v, 1e-6))
-            m0 = kernels.moment(kernel, 0.0, 1e-6)
+                assert math.isfinite(kernels.moment(kernel, v))
+            m0 = kernels.moment(kernel, 0.0)
             assert m0 <= kernel.sup_norm + 1e-9
 
     @pytest.mark.parametrize("beta", [0.0, 1.0, 2.0])
     def test_lattice_shift_reduction(self, catalog_kernels, beta):
-        # the outer sup over one period matches a five-period window
+        # the outer sup over one period matches ten periods, searched over
+        # 64 lattice columns either side
         for kernel in catalog_kernels:
-            tol = 1e-6
-            base = kernels.moment(kernel, beta, tol)
-            wide = kernels.moment(kernel, beta, tol,
-                                  outer_interval=(-5.0, 5.0))
-            assert abs(base - wide) <= 2.0 * tol
+            base = kernels.moment(kernel, beta)
+            wide = kernels._outer_sup(kernel, beta, 64, (-5.0, 5.0))
+            assert abs(base - wide) <= 2e-6
 
     def test_compact_support_truncation_exact(self, m4_kernel):
         jw = int(math.ceil(m4_kernel.support)) + 2
@@ -188,7 +185,7 @@ class TestLowerBound:
         with pytest.raises(ValueError, match="'interval' or 'line'"):
             kernels.lower_bound_constant(fejer_kernel, kind)
         with pytest.raises(ValueError, match="'interval' or 'line'"):
-            kernels.check_assumptions(fejer_kernel, kind)
+            kernels.check_assumptions(fejer_kernel, kind, 2.0)
 
 
 # a_chi of the catalog, pinned bit for bit: admissibility reads its sign,
@@ -296,10 +293,10 @@ class TestKernelInvariants:
         np.testing.assert_allclose(sums, 1.0, atol=1e-12)
 
     def test_l1_norm_cached(self, vp_kernel):
-        first = kernels.ensure_l1(vp_kernel, 1e-4)
+        first = kernels.ensure_l1(vp_kernel)
         assert vp_kernel.l1_norm == first
         t0 = time.perf_counter()
-        second = kernels.ensure_l1(vp_kernel, 1e-4)
+        second = kernels.ensure_l1(vp_kernel)
         assert second == first
         assert time.perf_counter() - t0 < 0.01
 
@@ -313,19 +310,18 @@ class TestKernelInvariants:
             return base(x)
 
         ker.evaluate = counting
-        m0 = kernels.moment(ker, 0.0, 1e-8)
+        m0 = kernels.moment(ker, 0.0)
         a_chi = kernels.lower_bound_constant(ker, "interval")
-        m1 = kernels.moment(ker, 1.0, 1e-6, (0.0, 1.0))
+        m1 = kernels.moment(ker, 1.0)
         kernels.moment(ker, 2.0)   # the critical order's tail search
         assert min(calls) > 1      # every search evaluates arrays
         calls.clear()
-        assert kernels.moment(ker, 0.0, 1e-8) == m0
+        assert kernels.moment(ker, 0.0) == m0
         assert kernels.lower_bound_constant(ker, "interval") == a_chi
-        # positional and keyword spellings share one entry
-        assert kernels.moment(ker, 1.0, outer_interval=(0.0, 1.0)) == m1
+        assert kernels.moment(ker, 1.0) == m1
         assert calls == []
         fresh = kernels.fejer()
-        assert kernels.moment(fresh, 0.0, 1e-8).hex() == m0.hex()
+        assert kernels.moment(fresh, 0.0).hex() == m0.hex()
         assert kernels.lower_bound_constant(fresh, "interval").hex() \
             == a_chi.hex()
         assert kernels.moment(fresh, 1.0).hex() == m1.hex()
@@ -334,7 +330,7 @@ class TestKernelInvariants:
         # sanity envelope: most of the mass sits in [-64, 64]
         coarse = adaptive(lambda x: np.abs(vp_kernel.evaluate(x)),
                           np.linspace(-64.0, 64.0, 257), atol=1e-8)
-        full = kernels.l1_norm(vp_kernel, 1e-4)
+        full = kernels.l1_norm(vp_kernel)
         assert coarse <= full <= coarse + 0.02
 
 

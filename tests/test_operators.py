@@ -254,7 +254,7 @@ class TestOperatorAlgebra:
             a = kernels.lower_bound_constant(kernel, "interval")
             if a <= 0:
                 continue
-            m0 = kernels.moment(kernel, 0.0, 1e-6)
+            m0 = kernels.moment(kernel, 0.0)
             config = operators.operator_config(kernel, 16, UNIT)
             poly = signals.random_piecewise_poly(rng)
             vals = operators.maxprod_kantorovich_grid(
@@ -350,41 +350,3 @@ class TestShiftWrapper:
                               UNIT, nonneg=False)
         with pytest.raises(ValueError, match="inf_value"):
             operators.shift_wrapper(config, bare)
-
-
-class TestLinearOperator:
-    def test_partition_of_unity_constants(self, m4_kernel, m5_kernel):
-        # B-splines sum to one over the lattice (checked numerically first
-        # in test_kernels), so constants reproduce away from the boundary
-        sig = signals.catalog("constant:2")
-        for kernel in (m4_kernel, m5_kernel):
-            value = operators.linear_kantorovich(kernel, 8.0, sig, 0.5)
-            assert value == pytest.approx(2.0, rel=1e-12)
-
-    def test_single_aligned_term(self):
-        # order-1 spline touches exactly one cell: the value is that mean
-        m1 = kernels.bspline(1)
-        value = operators.linear_kantorovich(m1, 4.0, signals.catalog("ramp"),
-                                             0.5)
-        assert value == pytest.approx(0.625, abs=1e-15)
-
-    def test_hat_peak_inside_fitted_band(self, fejer_kernel):
-        # fit the Jackson-band constant on neighbouring scales, then check
-        # w = 64 stays inside the fitted envelope
-        hat = signals.catalog("hat")
-        grid = np.linspace(-1.5, 1.5, 1537)
-        errs = {}
-        for w in (8, 16, 32, 64, 128):
-            sv = operators.linear_kantorovich_grid(fejer_kernel, float(w),
-                                                   hat, grid)
-            errs[w] = float(np.max(np.abs(sv - hat.evaluate(grid))))
-        fitted = max(errs[w] * w for w in (8, 16, 32, 128))
-        assert errs[64] <= fitted / 64.0 * 1.05
-        assert errs[128] < errs[64] < errs[32]
-
-    def test_rejects_unbounded_series(self, fejer_kernel):
-        flat = signals.Signal("flat", lambda x: np.ones_like(
-            np.asarray(x, dtype=float)), domain=None)
-        from maxprod.errors import TruncationError
-        with pytest.raises(TruncationError):
-            operators.linear_kantorovich(fejer_kernel, 8.0, flat, 0.0)

@@ -15,7 +15,8 @@ SHIPPED = [orlicz.power_phi(1), orlicz.power_phi(2), orlicz.zygmund_phi(1, 1),
 
 
 def phi_at(phi, u):
-    return float(phi.evaluate(np.asarray(u, dtype=float)))
+    with np.errstate(over="ignore"):   # as the Orlicz functionals do
+        return float(phi.evaluate(np.asarray(u, dtype=float)))
 
 
 class TestPhiFamilies:

@@ -141,10 +141,18 @@ class TestMeanValues:
         np.testing.assert_allclose(table.values, exact, atol=1e-12)
 
     def test_node_refinement_consistency(self, bounded_signals):
+        # a 32-point Gauss rule on each half of a cell at every split point
+        xi, wi = np.polynomial.legendre.leggauss(32)
         for sig in bounded_signals:
-            t16 = signals.mean_values(sig, 8, sig.domain, nodes=16)
-            t32 = signals.mean_values(sig, 8, sig.domain, nodes=32)
-            np.testing.assert_allclose(t16.values, t32.values, atol=1e-10)
+            table = signals.mean_values(sig, 8, sig.domain)
+            for k, value in zip(range(table.k_lo, table.k_hi + 1),
+                                table.values):
+                edges = sorted({k / 8.0, (k + 1) / 8.0, *(
+                    t for t in sig.split_points() if k < 8.0 * t < k + 1)})
+                oracle = sum(4.0 * (b - a) * float(np.dot(wi, sig.evaluate(
+                    0.5 * (a + b) + 0.5 * (b - a) * xi)))
+                    for a, b in zip(edges, edges[1:]))
+                assert value == pytest.approx(oracle, abs=1e-10)
 
     def test_real_line_zero_cells_exact(self):
         table = signals.mean_values(signals.catalog("hat"), 4, None)
