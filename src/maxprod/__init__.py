@@ -14,8 +14,7 @@ from .kernels import (Kernel, KernelDiagnostics, bspline, check_assumptions,
                       de_la_vallee_poussin, ensure_l1, fejer, kernel_by_name,
                       l1_norm, lower_bound_constant, moment)
 from .operators import (OperatorConfig, maxprod_kantorovich,
-                        maxprod_kantorovich_grid, operator_config,
-                        shift_wrapper)
+                        maxprod_kantorovich_grid, operator_config)
 from .orlicz import (PhiFunction, exponential_phi, luxemburg_norm,
                      maxphi_inequality_check, modular, phi_by_name,
                      power_phi, zygmund_phi)

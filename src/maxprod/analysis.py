@@ -188,18 +188,13 @@ class _ErrorSamples:
     den_ok: bool
 
 
-def _error_samples(config: OperatorConfig, f: Signal,
-                   need_quadrature: bool = True) -> _ErrorSamples:
+def _error_samples(config: OperatorConfig, f: Signal) -> _ErrorSamples:
     n, a_chi = config.n, config.a_chi
     table = mean_values(f, n, config.domain)
     window = _eval_window(config, f)
     grid = _sup_grid(f, window, n)
     k_grid, den_min = evaluate_with_table_den(config, table, grid)
     sup_error = float(np.max(np.abs(k_grid - f.evaluate(grid))))
-    if not need_quadrature:
-        return _ErrorSamples(weights=np.empty(0), deviations=np.empty(0),
-                             sup_error=sup_error,
-                             den_ok=den_min >= a_chi - 1e-9)
     nodes, weights = quadrature.composite_nodes(_quad_panels(f, window, n))
     deviations = np.empty(nodes.size)
     # operator rows are independent, so slicing the nodes bounds the
@@ -369,12 +364,15 @@ def check_jackson(f: Signal, kernel: Kernel, n: int) -> InequalityCheck:
         raise TruncationError(
             f"first moment of {kernel.name!r} diverges; the Jackson bound "
             "does not apply")
-    samples = _error_samples(config, f, need_quadrature=False)
+    grid = _sup_grid(f, _eval_window(config, f), n)
+    table = mean_values(f, n, config.domain)
+    k_grid = evaluate_with_table_den(config, table, grid)[0]
+    sup_error = float(np.max(np.abs(k_grid - f.evaluate(grid))))
     omega = modulus_of_continuity(f, 1.0 / n)
     rhs = (2.0 * m0 + m1) / config.a_chi * omega
     context = (f"Jackson: kernel={kernel.name} signal={f.name} n={n} "
                f"omega={omega:.6g}")
-    return InequalityCheck.from_sides(samples.sup_error, rhs, 1e-9, context)
+    return InequalityCheck.from_sides(sup_error, rhs, 1e-9, context)
 
 
 # ---------------------------------------------------------------------------

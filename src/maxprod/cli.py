@@ -8,19 +8,20 @@ Subcommands:
 * ``converge``     -- convergence study; writes <out>.json and <out>.csv.
 * ``verify``       -- seeded randomized inequality campaigns.
 
-Exit codes: 0 ok, 1 campaign failure, 2 unknown catalog name or malformed,
-oversized or imprecise argument or CSV row, 3 inadmissible kernel, 4 empty
-lattice index set, 5 I/O failure, 6 numerical failure (a quadrature that
-does not converge, a truncation without a certificate, a Luxemburg norm out
-of range).
+Exit codes: 0 ok, 1 campaign failure, 2 unknown catalog name, negative
+signal, or malformed, oversized or imprecise argument or CSV row,
+3 inadmissible kernel, 4 empty lattice index set, 5 I/O failure,
+6 numerical failure (a quadrature that does not converge, a truncation
+without a certificate, a Luxemburg norm out of range).
 
-Catalog names: ``bspline:<k>`` takes an order k in 1..9 and the phi-functions
-finite parameters.  A run may span at most ``MAX_CELLS`` lattice cells at its
-largest scale n (n times the length of ``--domain``, or on the line of the
-signal's support widened by 2 on each side; ``verify`` counts at n = 32) and
-ask for at most ``MAX_CELLS`` ``--grid`` points; |n x| must stay below
-2**52 on that window.  ``--domain`` must lie inside a catalog signal's own
-domain, and ``converge`` runs on exactly that domain.
+Catalog names: ``bspline:<k>`` takes an order k in 1..9, the phi-functions
+finite parameters and ``constant:<c>`` a finite c.  A run may span at most
+``MAX_CELLS`` lattice cells at its largest scale n (n times the length of
+``--domain``, or on the line of the signal's support widened by 2 on each
+side; ``verify`` counts at n = 32) and ask for at most ``MAX_CELLS``
+``--grid`` points; |n x| must stay below 2**52 on that window.
+``--domain`` must lie inside a catalog signal's own domain, and
+``converge`` runs on exactly that domain.
 """
 
 from __future__ import annotations
@@ -137,6 +138,9 @@ def _load_signal(args, domain):
         except ValueError as exc:
             raise UnknownNameError(str(exc)) from None
     f = catalog(args.signal)
+    if not f.nonneg:
+        raise UnknownNameError(f"signal {f.name!r} takes negative values; "
+                               "the operator acts on non-negative signals")
     if f.domain is not None and (domain is None or not (
             f.domain[0] <= domain[0] and domain[1] <= f.domain[1])):
         raise _off_domain(f, args.domain)

@@ -2,8 +2,8 @@
 
 A kernel is a bounded function on the real line plus the metadata needed to
 truncate infinite lattice suprema with a certified error: either a compact
-support radius, or a decay order ``alpha`` with coefficient ``C`` such that
-``|chi(u)| <= C * |u|**-alpha`` away from the origin.
+support radius, or a decay order ``alpha`` with a declared envelope whose
+largest row ``C`` gives ``|chi(u)| <= C * |u|**-alpha`` away from the origin.
 
 The catalog ships three families:
 
@@ -50,14 +50,11 @@ MAX_BSPLINE_ORDER = 9
 class Kernel:
     """Evaluatable kernel with truncation certificates.
 
-    ``decay_coeff`` is a constant C with |chi(u)| <= C |u|**-decay_order for
-    every u != 0.  ``envelope`` = (rows, slack) refines it: for integers k
+    A decay kernel declares ``envelope`` = (rows, slack): for integers k
     with |u - k| >= 1, row c = (a, b) bounds chi(u - k) |u - k|**decay_order
     by a + b cos(pi u) + slack (|u| + |k|) if k = c mod (len(rows) - 1), and
-    the last row bounds its negative.  The catalog sets both; custom kernels
-    get sampled ones on first use.  ``l1_norm``/``sup_norm`` hold known
-    closed-form values when available (``l1_norm`` is filled lazily by
-    ``ensure_l1``).
+    the last row bounds its negative.  ``l1_norm``/``sup_norm`` hold known
+    closed-form values when available.
     Instances are treated as immutable after construction, which is what
     lets ``constants`` hold each lattice constant once computed.
     """
@@ -66,7 +63,6 @@ class Kernel:
     evaluate: Callable[[np.ndarray], np.ndarray]
     support: float | None = None
     decay_order: float | None = None
-    decay_coeff: float | None = field(default=None, repr=False)
     envelope: tuple | None = field(default=None, repr=False)
     sup_norm: float | None = None
     l1_norm: float | None = None
@@ -118,7 +114,7 @@ def fejer() -> Kernel:
     # slack covers the rounding of np.sinc's argument
     c = 1.0 / math.pi ** 2
     return Kernel("fejer", evaluate, support=None, decay_order=2.0,
-                  decay_coeff=2.0 * c, sup_norm=0.5, l1_norm=1.0,
+                  sup_norm=0.5, l1_norm=1.0,
                   envelope=(((c, -c), (c, c), (0.0, 0.0)), 2e-14))
 
 
@@ -141,7 +137,7 @@ def de_la_vallee_poussin() -> Kernel:
     # |sin(x/2) sin(3x/2)| <= 1, hence |chi(u)| <= (4/9) |u|**-2 everywhere,
     # and sin(x/2) sin(3x/2) = (cos x - cos 2x) / 2 <= 9/16
     return Kernel("vallee-poussin", evaluate, support=None, decay_order=2.0,
-                  decay_coeff=4.0 / 9.0, sup_norm=1.0 / 3.0, l1_norm=None,
+                  sup_norm=1.0 / 3.0, l1_norm=None,
                   envelope=(((0.25, 0.0), (4.0 / 9.0, 0.0)), 2e-14))
 
 
@@ -242,25 +238,19 @@ def _outer_sup(kernel: Kernel, beta: float, j_window: int,
 
 
 def _decay_coefficient(kernel: Kernel) -> float:
-    """Coefficient C of the decay certificate, estimating it and the
-    envelope (one class: the positive part, then C) where unset."""
+    """Coefficient C of the decay certificate |chi(u)| <= C |u|**-alpha,
+    u != 0: the largest row of the declared envelope."""
     if kernel.decay_order is None:
         raise TruncationError(f"kernel {kernel.name!r} has no decay order")
-    if kernel.decay_coeff is None or kernel.envelope is None:
-        u = np.arange(4.0, 4096.0, 1.0 / 16.0)
-        u = np.concatenate([u, -u])
-        t = kernel.evaluate(u) * np.abs(u) ** kernel.decay_order
-        # a safety margin of 1.1 over each sampled peak
-        kernel.decay_coeff = kernel.decay_coeff or 1.1 * float(np.max(abs(t)))
-        kernel.envelope = kernel.envelope or ((
-            (1.1 * max(0.0, float(np.max(t))), 0.0),
-            (kernel.decay_coeff, 0.0)), 0.0)
-    return kernel.decay_coeff
+    if kernel.envelope is None:
+        raise TruncationError(f"decay kernel {kernel.name!r} declares no "
+                              "envelope; its tails cannot be certified")
+    return max(a + abs(b) for a, b in kernel.envelope[0])
 
 
 def lattice_envelope(kernel: Kernel, u: np.ndarray, k_max: int) -> np.ndarray:
     """The rows of ``kernel.envelope`` at the points u, for |k| <= k_max."""
-    _decay_coefficient(kernel)   # samples an envelope where none is declared
+    _decay_coefficient(kernel)   # TruncationError without an envelope
     rows, slack = kernel.envelope
     a, b = np.array(rows).T[..., None]
     # without a phase the cosine would only add b cos(pi u) = 0 to a
@@ -388,11 +378,10 @@ def l1_norm(kernel: Kernel) -> float:
     return float(main + tail)
 
 
+@_once_per_kernel
 def ensure_l1(kernel: Kernel) -> float:
-    """Known L1 norm of the kernel, computing and caching it when absent."""
-    if kernel.l1_norm is None:
-        kernel.l1_norm = l1_norm(kernel)
-    return kernel.l1_norm
+    """Known L1 norm of the kernel, else its computed one."""
+    return kernel.l1_norm if kernel.l1_norm is not None else l1_norm(kernel)
 
 
 def check_assumptions(kernel: Kernel, domain_kind: str,

@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -350,8 +349,9 @@ def evaluate_with_table_den(config: OperatorConfig, table: MeanValueTable,
     width = min(2 * r + 1, size) if compact or prune else size
     first = np.clip(np.floor(u).astype(np.int64) - r, lo, hi - width + 1)
     means = np.atleast_2d(table.values)
-    padded = np.ones((len(means) + 1, means.shape[1] + 2))
-    padded[:-1] = np.pad(means, ((0, 0), (1, 1)))
+    padded = np.zeros((len(means) + 1, means.shape[1] + 2))
+    padded[:-1, 1:-1] = means
+    padded[-1] = 1.0
     sweep = _sweep(config, padded, table.k_lo, u, first, width)
     if prune:
         _visit_blocks(config, r, table, padded, u, sweep)
@@ -371,9 +371,7 @@ def maxprod_kantorovich_grid(config: OperatorConfig, f: Signal,
                              xs) -> np.ndarray:
     """Vectorized operator evaluation; the mean table is built once."""
     if not f.nonneg:
-        raise ValueError(
-            f"signal {f.name!r} is not non-negative; wrap it with "
-            "shift_wrapper to handle functions bounded from below")
+        raise ValueError(f"signal {f.name!r} is not non-negative")
     table = mean_values(f, config.n, config.domain)
     return evaluate_with_table_den(config, table, xs)[0]
 
@@ -381,33 +379,4 @@ def maxprod_kantorovich_grid(config: OperatorConfig, f: Signal,
 def maxprod_kantorovich(config: OperatorConfig, f: Signal, x: float) -> float:
     """Operator value at a single point (same code path as the grid form)."""
     return float(maxprod_kantorovich_grid(config, f, [x])[0])
-
-
-def shift_wrapper(config: OperatorConfig, f: Signal) -> Callable:
-    """Operator closure for signals bounded below: K_n(f - c) + c.
-
-    ``c`` is the signal's declared infimum.  The shifted signal loses its
-    compact support unless c == 0, so on the real line the wrapper is only
-    usable for genuinely non-negative-after-shift compact signals.
-    """
-    c = f.inf_value
-    if c is None:
-        raise ValueError(
-            f"signal {f.name!r} has no declared infimum; shift_wrapper "
-            "needs inf_value to recentre the signal")
-    base = f.evaluate
-    shifted = Signal(name=f"{f.name}+shift", evaluate=lambda t: base(t) - c,
-                     domain=f.domain,
-                     support=f.support if c == 0.0 else None,
-                     breakpoints=f.breakpoints, kinks=f.kinks,
-                     nonneg=True, inf_value=0.0)
-    state: dict = {}
-
-    def wrapped(x):
-        if "table" not in state:
-            state["table"] = mean_values(shifted, config.n, config.domain)
-        vals = evaluate_with_table_den(config, state["table"], x)[0] + c
-        return float(vals[0]) if np.isscalar(x) else vals
-
-    return wrapped
 

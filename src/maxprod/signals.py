@@ -34,7 +34,6 @@ class Signal:
     breakpoints: tuple[float, ...] = ()
     kinks: tuple[float, ...] = ()
     nonneg: bool = True
-    inf_value: float | None = None
 
     def __post_init__(self):
         for pts in (self.breakpoints, self.kinks):
@@ -170,9 +169,6 @@ class PiecewisePoly:
     def scaled(self, factor: float) -> "PiecewisePoly":
         return PiecewisePoly(self.edges, [c * factor for c in self.coeffs])
 
-    def shifted(self, offset: float) -> "PiecewisePoly":
-        return self + PiecewisePoly(self.domain, [(offset,)])
-
     def absolute(self) -> "PiecewisePoly":
         """|p|, with sign-change locations promoted to exact edges."""
         edges: list[float] = [float(self.edges[0])]
@@ -221,9 +217,9 @@ class PiecewisePoly:
             total += float(np.polyval(anti, hi) - np.polyval(anti, lo))
         return total
 
-    def to_signal(self, name: str = "piecewise-poly",
-                  nonneg: bool | None = None) -> Signal:
-        """Wrap as a Signal; interior edges become jumps or kinks."""
+    def to_signal(self, name: str = "piecewise-poly") -> Signal:
+        """Wrap as a Signal; interior edges become jumps or kinks, and it is
+        non-negative when its minimum is (to rounding)."""
         jumps, kinks = [], []
         for i in range(1, self.edges.size - 1):
             t = float(self.edges[i])
@@ -231,23 +227,22 @@ class PiecewisePoly:
             right = float(np.polyval(self.coeffs[i], t))
             scale = max(1.0, abs(left), abs(right))
             (jumps if abs(left - right) > 1e-12 * scale else kinks).append(t)
-        if nonneg is None:
-            nonneg = self.minimum() >= -1e-12
         return Signal(name=name, evaluate=self.evaluate, domain=self.domain,
                       breakpoints=tuple(jumps), kinks=tuple(kinks),
-                      nonneg=nonneg, inf_value=self.minimum())
+                      nonneg=self.minimum() >= -1e-12)
 
 
 def random_piecewise_poly(rng: np.random.Generator,
-                          domain: tuple[float, float] = (0.0, 1.0),
-                          max_breakpoints: int = 3) -> PiecewisePoly:
+                          domain: tuple[float, float] = (0.0, 1.0)
+                          ) -> PiecewisePoly:
     """Seeded non-negative piecewise polynomial (property-test fixture).
 
-    Pieces have degree at most 3 and the peak is scaled down to 2 if higher.
+    It has at most 3 breakpoints, pieces have degree at most 3 and the peak
+    is scaled down to 2 if higher.
     """
     lo, hi = domain
     span = hi - lo
-    nb = int(rng.integers(0, max_breakpoints + 1))
+    nb = int(rng.integers(0, 4))
     while True:
         cuts = np.sort(rng.uniform(lo + 0.05 * span, hi - 0.05 * span, size=nb))
         if nb < 2 or np.min(np.diff(cuts)) > 0.03 * span:
@@ -287,6 +282,8 @@ def catalog(name: str) -> Signal:
             c = float(key.split(":", 1)[1])
         except ValueError:
             raise UnknownNameError(f"malformed constant signal: {name!r}") from None
+        if not math.isfinite(c):
+            raise UnknownNameError(f"constant signal must be finite: {name!r}")
         return PiecewisePoly((0.0, 1.0), [(c,)]).to_signal(name=key)
     if key == "ramp":
         return PiecewisePoly((0.0, 1.0), [(1.0, 0.0)]).to_signal(name="ramp")
@@ -301,22 +298,20 @@ def catalog(name: str) -> Signal:
             return np.abs(np.sin(2.0 * math.pi * np.asarray(x, dtype=float)))
 
         return Signal(name="abs-sine", evaluate=evaluate, domain=(0.0, 1.0),
-                      kinks=(0.5,), nonneg=True, inf_value=0.0)
+                      kinks=(0.5,))
     if key == "hat":
         def evaluate(x):
             return np.clip(1.0 - np.abs(np.asarray(x, dtype=float)), 0.0, None)
 
         return Signal(name="hat", evaluate=evaluate, domain=None,
-                      support=(-1.0, 1.0), kinks=(-1.0, 0.0, 1.0),
-                      nonneg=True, inf_value=0.0)
+                      support=(-1.0, 1.0), kinks=(-1.0, 0.0, 1.0))
     if key == "square-pulse":
         def evaluate(x):
             x = np.asarray(x, dtype=float)
             return np.where(np.abs(x) <= 0.5, 1.0, 0.0)
 
         return Signal(name="square-pulse", evaluate=evaluate, domain=None,
-                      support=(-0.5, 0.5), breakpoints=(-0.5, 0.5),
-                      nonneg=True, inf_value=0.0)
+                      support=(-0.5, 0.5), breakpoints=(-0.5, 0.5))
     raise UnknownNameError(f"unknown signal: {name!r}")
 
 
@@ -364,8 +359,7 @@ def from_csv(path, domain: tuple[float, float], nonneg: bool = False) -> Signal:
     a, b = float(domain[0]), float(domain[1])
     interior = tuple(float(t) for t in t_arr if a < t < b)
     return Signal(name=path.stem, evaluate=evaluate, domain=(a, b),
-                  kinks=interior, nonneg=nonneg or bool(np.all(v_arr >= 0)),
-                  inf_value=float(v_arr.min()))
+                  kinks=interior, nonneg=nonneg or bool(np.all(v_arr >= 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -380,13 +374,6 @@ class MeanValueTable:
     k_hi: int
     values: np.ndarray
     domain: Domain
-
-    def value(self, k: int) -> float:
-        if self.k_lo <= k <= self.k_hi:
-            return float(self.values[k - self.k_lo])
-        if self.domain is None:
-            return 0.0
-        raise IndexError(f"index {k} outside the lattice range")
 
     @classmethod
     def stack(cls, tables: Sequence["MeanValueTable"]) -> "MeanValueTable":

@@ -282,7 +282,8 @@ class TestJackson:
         from maxprod.errors import TruncationError
         slow = kernels.Kernel("slow",
                               lambda x: 1.0 / (1.0 + np.sqrt(np.abs(x))),
-                              decay_order=0.5, decay_coeff=1.0, sup_norm=1.0)
+                              decay_order=0.5, sup_norm=1.0,
+                              envelope=(((1.0, 0.0), (1.0, 0.0)), 0.0))
         with pytest.raises(TruncationError):
             analysis.check_jackson(signals.catalog("abs-sine"), slow, 16)
 

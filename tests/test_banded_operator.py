@@ -12,14 +12,17 @@ from hypothesis import strategies as st
 
 from dense_operator import evaluate_with_table_den as dense_evaluate
 from maxprod import cli, kernels, operators, signals
+from maxprod.errors import TruncationError
 
 KERNELS = {name: kernels.kernel_by_name(name)
            for name in ("bspline:4", "bspline:5", "fejer", "vallee-poussin")}
 # decay kernels for signed tables: the catalog's envelopes, and a signed
-# kernel whose coefficient and envelope are sampled on first use
+# kernel with a loose, phase-less envelope (1.1 times the peaks of
+# chi(u) u**2 and |chi(u)| u**2 sampled on 4 <= |u| < 4096)
 DECAY_KERNELS = (KERNELS["fejer"], KERNELS["vallee-poussin"],
-                 dataclasses.replace(KERNELS["vallee-poussin"],
-                                     decay_coeff=None, envelope=None))
+                 dataclasses.replace(KERNELS["vallee-poussin"], envelope=(
+                     ((0.27499999970564465, 0.0),
+                      (0.4888888883335833, 0.0)), 0.0)))
 # vallee-poussin with an envelope 0.01 (1 + cos(pi u)) looser than its own:
 # the phase lets the line hulls run on a signed kernel, whose largest term
 # need not sit at the cell of the largest bound
@@ -348,20 +351,15 @@ class TestAgainstDense:
         want, want_den = dense_evaluate(config, table, xs)
         assert _bits(got) == _bits(want) and got_den == want_den
 
-    @pytest.mark.parametrize("domain, n, signal", [
-        ((0.0, 1.0), 300, "abs-sine"),
-        (None, 200, "hat"),
-    ])
-    def test_sampled_decay_coefficient(self, domain, n, signal):
-        # the core radius and the pruning bound trust a sampled C
-        kernel = dataclasses.replace(KERNELS["fejer"], decay_coeff=None)
-        config = operators.operator_config(kernel, n, domain)
-        table = signals.mean_values(signals.catalog(signal), n, domain)
-        xs = np.linspace(*(domain or (-3.0, 3.0)), 2000)
-        got, got_den = operators.evaluate_with_table_den(config, table, xs)
-        assert kernel.decay_coeff != KERNELS["fejer"].decay_coeff  # sampled
-        want, want_den = dense_evaluate(config, table, xs)
-        assert _bits(got) == _bits(want) and got_den == want_den
+    def test_decay_coefficient_is_the_envelope_peak(self):
+        # C in |chi(u)| <= C |u|**-2 is the largest declared envelope row
+        peak = kernels._decay_coefficient
+        assert peak(KERNELS["fejer"]) == 2.0 / math.pi ** 2
+        assert peak(KERNELS["vallee-poussin"]) == 4.0 / 9.0
+        bare = dataclasses.replace(KERNELS["fejer"], envelope=None)
+        config = operators.operator_config(bare, 16, None)
+        with pytest.raises(TruncationError, match="envelope"):
+            operators.maxprod_kantorovich(config, signals.catalog("hat"), 0.0)
 
     def test_empty_points(self):
         config = operators.operator_config(KERNELS["fejer"], 16, None)

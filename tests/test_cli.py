@@ -400,6 +400,28 @@ class TestArgumentValidation:
         assert phi in err
         assert not (tmp_path / "rep.json").exists()
 
+    @pytest.mark.parametrize("command, scales", [
+        ("reconstruct", []), ("converge", ["--scales", "8,16"]),
+    ])
+    def test_negative_signal(self, capsys, tmp_path, command, scales):
+        # reconstruct used to die with a traceback (exit 1), and converge
+        # reported sup error 3.0 as valid
+        err = self._exit_2(capsys, command, "--kernel", "bspline:4",
+                           "--signal", "constant:-3", *scales,
+                           "--out", str(tmp_path / "x"))
+        assert "'constant:-3' takes negative values" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["reconstruct", "converge"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
+    def test_non_finite_constant(self, capsys, tmp_path, command, value):
+        # constant:inf used to write inf rows, and constant:nan to exit 6
+        # from the Luxemburg bracket
+        err = self._exit_2(capsys, command, "--kernel", "fejer", "--signal",
+                           f"constant:{value}", "--out", str(tmp_path / "x"))
+        assert "must be finite" in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv, message", [
         (["converge", "--scales", "3000000000"], "lattice cells"),
         # on the line the cells span the support widened by 2: 6 n for hat

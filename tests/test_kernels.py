@@ -104,8 +104,8 @@ class TestCatalogValues:
         assert kernel.name in ("fejer", "vallee-poussin",
                                *(f"bspline:{k}" for k in orders))
         assert all(math.isfinite(c) for c in (
-            kernel.support, kernel.decay_order, kernel.decay_coeff,
-            kernel.sup_norm, kernel.l1_norm) if c is not None)
+            kernel.support, kernel.decay_order, kernel.sup_norm,
+            kernel.l1_norm) if c is not None)
 
 
 class TestMoments:
@@ -294,7 +294,7 @@ class TestKernelInvariants:
 
     def test_l1_norm_cached(self, vp_kernel):
         first = kernels.ensure_l1(vp_kernel)
-        assert vp_kernel.l1_norm == first
+        assert vp_kernel.constants[("ensure_l1",)] == first
         t0 = time.perf_counter()
         second = kernels.ensure_l1(vp_kernel)
         assert second == first
