@@ -351,6 +351,25 @@ class TestAgainstDense:
         want, want_den = dense_evaluate(config, table, xs)
         assert _bits(got) == _bits(want) and got_den == want_den
 
+    @pytest.mark.parametrize("domain, n, signal", [
+        ((0.0, 1.0), 300, "abs-sine"),
+        (None, 200, "hat"),
+    ])
+    def test_sampled_decay_coefficient(self, domain, n, signal):
+        # the core radius and the pruning bound trust the C of a loose,
+        # phase-less envelope: 1.1 times the peak 2/pi**2 of fejer's,
+        # the size of the certificate its tails were once sampled for
+        c = 2.2 / math.pi ** 2
+        kernel = dataclasses.replace(KERNELS["fejer"], envelope=(
+            ((c, 0.0), (c, 0.0), (0.0, 0.0)), 2e-14))
+        assert kernels._decay_coefficient(kernel) == c
+        config = operators.operator_config(kernel, n, domain)
+        table = signals.mean_values(signals.catalog(signal), n, domain)
+        xs = np.linspace(*(domain or (-3.0, 3.0)), 2000)
+        got, got_den = operators.evaluate_with_table_den(config, table, xs)
+        want, want_den = dense_evaluate(config, table, xs)
+        assert _bits(got) == _bits(want) and got_den == want_den
+
     def test_decay_coefficient_is_the_envelope_peak(self):
         # C in |chi(u)| <= C |u|**-2 is the largest declared envelope row
         peak = kernels._decay_coefficient
