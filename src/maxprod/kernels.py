@@ -50,11 +50,15 @@ MAX_BSPLINE_ORDER = 9
 class Kernel:
     """Evaluatable kernel with truncation certificates.
 
+    A compact kernel must vanish at |u| >= R = ceil(support): the operator
+    sweeps for u only the 2R columns k from floor(u) - R + 1 to
+    floor(u) + R, and every other k has |u - k| >= R in floating point.
     A decay kernel declares ``envelope`` = (rows, slack): for integers k
     with |u - k| >= 1, row c = (a, b) bounds chi(u - k) |u - k|**decay_order
     by a + b cos(pi u) + slack (|u| + |k|) if k = c mod (len(rows) - 1), and
     the last row bounds its negative.  ``l1_norm``/``sup_norm`` hold known
-    closed-form values when available.
+    values when available: closed-form, except vallee-poussin's L1 norm,
+    which is recorded from ``l1_norm`` and so good to its 1e-6 tolerance.
     Instances are treated as immutable after construction, which is what
     lets ``constants`` hold each lattice constant once computed.
     """
@@ -137,7 +141,7 @@ def de_la_vallee_poussin() -> Kernel:
     # |sin(x/2) sin(3x/2)| <= 1, hence |chi(u)| <= (4/9) |u|**-2 everywhere,
     # and sin(x/2) sin(3x/2) = (cos x - cos 2x) / 2 <= 9/16
     return Kernel("vallee-poussin", evaluate, support=None, decay_order=2.0,
-                  sup_norm=1.0 / 3.0, l1_norm=None,
+                  sup_norm=1.0 / 3.0, l1_norm=1.002510958135176,
                   envelope=(((0.25, 0.0), (4.0 / 9.0, 0.0)), 2e-14))
 
 
@@ -156,17 +160,21 @@ def bspline(order: int) -> Kernel:
         return Kernel("bspline:1", evaluate, support=0.5, sup_norm=1.0,
                       l1_norm=1.0)
 
-    signs = [(-1.0) ** i * math.comb(n, i) for i in range(n + 1)]
+    # the sum's last term, max(s - n, 0)**(n - 1), is always zero
+    signs = [(-1.0) ** i * math.comb(n, i) for i in range(n)]
     fact = float(math.factorial(n - 1))
 
     def evaluate(x):
         x = np.asarray(x, dtype=float)
         # clip into the support first: the alternating sum cancels only up
         # to rounding outside it, and huge arguments would overflow
-        xc = np.minimum(np.maximum(x, -half), half)
-        acc = np.zeros_like(xc)
+        s = half + np.minimum(np.maximum(x, -half), half)
+        acc = np.zeros_like(s)
         for i, c in enumerate(signs):
-            acc = acc + c * np.maximum(half + xc - i, 0.0) ** (n - 1)
+            term = np.maximum(s - i, 0.0)
+            term **= n - 1
+            term *= c
+            acc += term
         return np.where(np.abs(x) >= half, 0.0, acc / fact)
 
     sup = float(evaluate(np.array(0.0)))

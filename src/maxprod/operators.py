@@ -5,7 +5,8 @@ J_n on an interval, or over Z on the line with zero means off the support;
 the denominator is the numerator of a table of ones, swept with the tables.
 Each point first takes a window of columns around floor(n x), shifted to stay
 in J_n, in chunks of at most ``_BUDGET`` elements.  A compact kernel's window
-of 2r + 1 columns holds its whole support.  A decay kernel's row takes all of
+is the 2r columns from floor(n x) - r + 1, r = ceil(support): a column off it
+lies at |n x - k| >= r, where chi is zero.  A decay kernel's row takes all of
 J_n when |J_n| <= 2r + 1 + ``_BLOCK``, else a core of 2r + 1 columns, where
 C r**-alpha <= a_chi / 4, and then searches the ``_BLOCK``-column blocks: the
 kernel's signed, phase-aware envelope at u = n x, times a run of blocks' max
@@ -85,11 +86,11 @@ def operator_config(kernel: Kernel, n: int, domain: Domain,
 
 
 def _radius(config: OperatorConfig) -> int:
-    """Half-width r of a row's core: chi vanishes past it for a compact
+    """Half-width r of a row's core: chi vanishes at |u| >= r for a compact
     kernel, and |chi| <= C r**-alpha <= a_chi / 4 for a decay kernel."""
     ker = config.kernel
-    if ker.support is not None:  # the extra column is a zero term
-        return int(math.ceil(ker.support)) + 1
+    if ker.support is not None:
+        return int(math.ceil(ker.support))
     c, alpha = _decay_coefficient(ker), ker.decay_order  # TruncationError
     return max(1, math.ceil((4.0 * c / config.a_chi) ** (1.0 / alpha)))
 
@@ -346,8 +347,9 @@ def evaluate_with_table_den(config: OperatorConfig, table: MeanValueTable,
     # a pruned row pays the core and at least one block, so a decay kernel
     # prunes only where J_n is wider than that
     prune = not compact and size > 2 * r + 1 + _BLOCK
-    width = min(2 * r + 1, size) if compact or prune else size
-    first = np.clip(np.floor(u).astype(np.int64) - r, lo, hi - width + 1)
+    width = min(2 * r, size) if compact else 2 * r + 1 if prune else size
+    first = np.clip(np.floor(u).astype(np.int64) - r + compact, lo,
+                    hi - width + 1)
     means = np.atleast_2d(table.values)
     padded = np.zeros((len(means) + 1, means.shape[1] + 2))
     padded[:-1, 1:-1] = means
@@ -362,17 +364,19 @@ def evaluate_with_table_den(config: OperatorConfig, table: MeanValueTable,
     if den_min <= (0.0 if config.domain else config.a_chi * (1.0 - 1e-9)):
         raise InadmissibleKernelError(
             f"lattice supremum {den_min:.3e} at n={config.n} is too small")
-    # + 0.0: a zero supremum is +0.0 whatever order numpy reduced in
-    values = (num + 0.0 if config.domain else np.maximum(num, 0.0)) / den
+    # + 0.0: a zero supremum is +0.0 whatever order numpy reduced in; off
+    # a compact window narrower than J_n, and on the line, are zero terms
+    zeros = config.domain is None or (compact and width < size)
+    values = (np.maximum(num, 0.0) if zeros else num + 0.0) / den
     return (values if table.values.ndim == 2 else values[0]), den_min
 
 
 def maxprod_kantorovich_grid(config: OperatorConfig, f: Signal,
                              xs) -> np.ndarray:
     """Vectorized operator evaluation; the mean table is built once."""
-    if not f.nonneg:
-        raise ValueError(f"signal {f.name!r} is not non-negative")
     table = mean_values(f, config.n, config.domain)
+    if table.values.min(initial=0.0) < 0.0:
+        raise ValueError(f"signal {f.name!r} is not non-negative")
     return evaluate_with_table_den(config, table, xs)[0]
 
 

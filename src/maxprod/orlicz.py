@@ -158,15 +158,13 @@ def modular_from_samples(phi: PhiFunction, values: np.ndarray,
                          weights: np.ndarray) -> float:
     """Modular of a sampled non-negative function: sum(w * phi(values))."""
     with np.errstate(over="ignore"):
-        return _modular(phi, values, weights)
+        return _modular(phi, np.abs(values), weights)
 
 
-def _modular(phi: PhiFunction, values: np.ndarray,
+def _modular(phi: PhiFunction, mags: np.ndarray,
              weights: np.ndarray) -> float:
-    vals = phi.evaluate(np.abs(values))
-    if not np.all(np.isfinite(vals)):
-        return math.inf
-    out = float(np.dot(weights, vals))
+    # the weights are positive: a non-finite phi value makes out non-finite
+    out = float(np.dot(weights, phi.evaluate(mags)))
     return out if abs(out) <= quadrature.OVERFLOW_GUARD else math.inf
 
 
@@ -189,9 +187,10 @@ def luxemburg_from_samples(phi: PhiFunction, values: np.ndarray,
     """Luxemburg norm of a sampled non-negative function, bisected from its
     dyadic bracket [hi/2, hi] until the bracket is narrower than tol * hi."""
     tol = max(tol, np.finfo(float).eps)  # adjacent floats end the bisection
+    mags = np.abs(values)
 
     def modular_at(lam: float) -> float:
-        return _modular(phi, values / lam, weights)
+        return _modular(phi, mags / lam, weights)
 
     with np.errstate(over="ignore"):
         hi = 1.0

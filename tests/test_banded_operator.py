@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from dense_operator import evaluate_with_table_den as dense_evaluate
 from maxprod import cli, kernels, operators, signals
-from maxprod.errors import TruncationError
+from maxprod.errors import InadmissibleKernelError, TruncationError
 
 KERNELS = {name: kernels.kernel_by_name(name)
            for name in ("bspline:4", "bspline:5", "fejer", "vallee-poussin")}
@@ -415,6 +415,72 @@ class TestAgainstDense:
         with pytest.raises(ValueError, match="must share n"):
             signals.MeanValueTable.stack(
                 [table, signals.mean_values(hat, **(args | other))])
+
+
+class TestCompactWindow:
+    """A compact row sweeps the 2R columns from floor(n x) - R + 1,
+    R = ceil(support); every column off it is at |n x - k| >= R."""
+
+    @staticmethod
+    def _edge_points(n, lo, hi):
+        """x with frac(n x) in {0, 1/2} on [lo, hi], and one ulp either
+        side, where the columns at the window's edges lie R or R - 1/2
+        from n x."""
+        x = np.arange(math.ceil(2 * n * lo), math.floor(2 * n * hi) + 1) / (
+            2.0 * n)
+        return np.concatenate([x, np.nextafter(x, -np.inf),
+                               np.nextafter(x, np.inf)])
+
+    @staticmethod
+    def _outcome(evaluate, config, table, x):
+        """Bits of the values and den_min at one point, or the error."""
+        try:
+            values, den = evaluate(config, table, np.array([x]))
+        except InadmissibleKernelError:   # a zero lattice supremum
+            return "inadmissible"
+        return _bits(values), den
+
+    @pytest.mark.parametrize("order", range(1, kernels.MAX_BSPLINE_ORDER + 1))
+    @pytest.mark.parametrize("domain", [(0.0, 1.0), None])
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_window_edges_bitwise_equal_to_dense(self, order, domain, n):
+        kernel = kernels.bspline(order)
+        try:
+            config = operators.operator_config(kernel, n, domain)
+        except InadmissibleKernelError:
+            # the opt-in: bspline:1-3 vanish inside the admissibility
+            # interval (at u = 1/2, 1 and 3/2), yet their lattice suprema
+            # are positive except near the interval's right end, where
+            # both paths raise
+            config = operators.operator_config(kernel, n, domain, a_chi=0.1)
+        table = _table(signals.catalog("abs-sine" if domain else "hat"),
+                       config)
+        r = math.ceil(kernel.support)
+        lo, hi = domain or ((table.k_lo - 2 * r) / n, (table.k_hi + 2 * r) / n)
+        for x in self._edge_points(n, lo, hi):
+            assert self._outcome(operators.evaluate_with_table_den, config,
+                                 table, x) == self._outcome(
+                dense_evaluate, config, table, x), (kernel.name, x)
+
+    @pytest.mark.parametrize("name", ["bspline:4", "bspline:5"])
+    def test_signed_tables_on_the_interval(self, rng, name):
+        # the columns off the window are zero terms: a row whose window
+        # holds only negative terms has supremum zero, as over all of J_n
+        n, domain = 64, (0.0, 1.0)
+        config = operators.operator_config(KERNELS[name], n, domain)
+        values = rng.uniform(-2.0, 1.0, (3, n))
+        values[rng.random(values.shape) < 0.2] = 0.0
+        tables = [signals.MeanValueTable(n=n, k_lo=0, k_hi=n - 1, values=v,
+                                         domain=domain) for v in values]
+        xs = np.concatenate([rng.uniform(0.0, 1.0, 300),
+                             self._edge_points(n, 0.0, 1.0)])
+        got, got_den = operators.evaluate_with_table_den(
+            config, signals.MeanValueTable.stack(tables), xs)
+        for row, table in zip(got, tables):
+            want, want_den = dense_evaluate(config, table, xs)
+            assert _bits(row) == _bits(want) and got_den == want_den
+        zero = got == 0.0
+        assert zero.sum() > 50 and not np.signbit(got[zero]).any()
 
 
 class TestElementBudget:

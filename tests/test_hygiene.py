@@ -1,8 +1,9 @@
 """Static hygiene of the package: no unused imports, no public function
 that only a re-export or its own unit tests name, no defaulted
 parameter that no caller sets and no more of them than a ratchet allows,
-no environment variable or thread pool, and adaptive quadrature only where
-the integrand has kinks no split point marks."""
+no more source lines than another ratchet allows, no environment variable
+or thread pool, and adaptive quadrature only where the integrand has kinks
+no split point marks."""
 
 import ast
 import re
@@ -130,6 +131,14 @@ def test_defaulted_parameters_do_not_grow():
     total = sum(len(list(_defaulted_parameters(
         ast.parse(path.read_text(encoding="utf-8"))))) for path in SOURCES)
     assert total <= 12
+
+
+def test_src_lines_do_not_grow():
+    # a ratchet on the package's size, counted as the benchmark counts it:
+    # lower it when code goes, never raise it without a reason in CHANGES.md
+    total = sum(len(path.read_text(encoding="utf-8").splitlines())
+                for path in SOURCES)
+    assert total <= 2509
 
 
 def test_adaptive_quadrature_only_for_unmarked_kinks():

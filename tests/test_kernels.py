@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 from fractions import Fraction
@@ -75,6 +76,35 @@ class TestCatalogValues:
             err = max(abs(Fraction(float(v)) - exact(order, x))
                       for v, x in zip(got, xs))
             assert err <= 1e-12, (order, float(err))
+
+    @pytest.mark.parametrize("order", range(1, kernels.MAX_BSPLINE_ORDER + 1))
+    def test_bspline_bitwise_equal_to_the_out_of_place_sum(self, rng, order):
+        # the in-place sum drops the last term, always zero, and must round
+        # as the plain sum of all n + 1 terms did, on arrays and on scalars
+        half = 0.5 * order
+        signs = [(-1.0) ** i * math.comb(order, i) for i in range(order + 1)]
+        fact = float(math.factorial(order - 1))
+
+        def plain(x):
+            x = np.asarray(x, dtype=float)
+            if order == 1:
+                return np.where((x >= -0.5) & (x < 0.5), 1.0, 0.0)
+            xc = np.minimum(np.maximum(x, -half), half)
+            acc = np.zeros_like(xc)
+            for i, c in enumerate(signs):
+                acc = acc + c * np.maximum(half + xc - i, 0.0) ** (order - 1)
+            return np.where(np.abs(x) >= half, 0.0, acc / fact)
+
+        edges = np.arange(-2 * math.ceil(half + 1),
+                          2 * math.ceil(half + 1) + 1) / 2.0
+        xs = np.concatenate([
+            rng.uniform(-half - 1.0, half + 1.0, 200_000), edges,
+            np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            [0.0, -0.0, 1e300, -1e300]])
+        evaluate = kernels.bspline(order).evaluate
+        assert evaluate(xs).tobytes() == plain(xs).tobytes()
+        for x in xs[:200]:
+            assert evaluate(x).tobytes() == plain(x).tobytes()
 
     def test_bspline_zero_outside_support(self, m4_kernel):
         xs = np.array([2.0, 2.5, 10.0, -3.0, 1e6])
@@ -325,6 +355,12 @@ class TestKernelInvariants:
         assert kernels.lower_bound_constant(fresh, "interval").hex() \
             == a_chi.hex()
         assert kernels.moment(fresh, 1.0).hex() == m1.hex()
+
+    def test_vp_declared_l1_is_the_computed_one(self, vp_kernel):
+        # recorded from l1_norm, not closed-form
+        bare = dataclasses.replace(vp_kernel, l1_norm=None)
+        assert kernels.ensure_l1(bare) == pytest.approx(
+            vp_kernel.l1_norm, rel=1e-12, abs=0.0)
 
     def test_vp_l1_against_coarse_window(self, vp_kernel):
         # sanity envelope: most of the mass sits in [-64, 64]

@@ -103,7 +103,11 @@ class TestPerPointWindow:
         return sum(pairs) / xs.size, r, table
 
     @pytest.mark.parametrize("name, n, domain, signal, lo, hi", [
+        # a compact row sweeps the 2 ceil(support) columns of its support
         ("bspline:4", 1024, UNIT, "abs-sine", 0.0, 1.0),
+        ("bspline:5", 1024, UNIT, "abs-sine", 0.0, 1.0),
+        ("bspline:4", 256, None, "hat", -1.5, 1.5),
+        ("bspline:5", 256, None, "hat", -1.5, 1.5),
         # inside the hat's support the core window (5 columns) decides
         # nearly every row
         ("fejer", 256, None, "hat", -0.9, 0.9),
@@ -112,8 +116,9 @@ class TestPerPointWindow:
                                     hi):
         xs = rng.uniform(lo, hi, 20_000)
         per_point, r, _ = self._pairs_per_point(name, n, domain, signal, xs)
-        ceiling = {"bspline:4": 7, "fejer": 49}[name]
-        assert 2 * r + 1 <= ceiling and per_point <= ceiling
+        ceiling = {"bspline:4": 4, "bspline:5": 6, "fejer": 49}[name]
+        core = 2 * r + (name == "fejer")
+        assert core <= ceiling and per_point <= ceiling
 
     @pytest.mark.parametrize("name", ["fejer", "vallee-poussin"])
     def test_decay_core_window_on_the_interval(self, rng, name):
@@ -299,6 +304,19 @@ class TestGuards:
         neg = signals.catalog("constant:-3")
         with pytest.raises(ValueError, match="not non-negative"):
             operators.maxprod_kantorovich(config, neg, 0.5)
+
+    def test_negative_means_rejected_whatever_the_flag(self, fejer_kernel):
+        # Signal.nonneg defaults to True: the operator checks the mean table
+        neg = signals.Signal("neg", lambda x: -np.ones_like(x), UNIT)
+        config = operators.operator_config(fejer_kernel, 8, UNIT)
+        with pytest.raises(ValueError, match="not non-negative"):
+            operators.maxprod_kantorovich_grid(config, neg, [0.3, 0.7])
+        hat = signals.catalog("hat")
+        neg_hat = dataclasses.replace(hat, name="neg-hat",
+                                      evaluate=lambda x: -hat.evaluate(x))
+        config = operators.operator_config(fejer_kernel, 8, None)
+        with pytest.raises(ValueError, match="not non-negative"):
+            operators.maxprod_kantorovich(config, neg_hat, 0.0)
 
     def test_x_outside_domain_rejected(self, fejer_kernel):
         config = operators.operator_config(fejer_kernel, 8, UNIT)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import catalog_names
 from maxprod import orlicz, quadrature, signals
-from maxprod.errors import QuadratureError, UnknownNameError
+from maxprod.errors import MaxprodError, QuadratureError, UnknownNameError
 
 SHIPPED = [orlicz.power_phi(1), orlicz.power_phi(2), orlicz.zygmund_phi(1, 1),
            orlicz.zygmund_phi(2, 1.5), orlicz.exponential_phi(1),
@@ -123,6 +123,25 @@ class TestModular:
         big = signals.catalog("constant:50")
         value = orlicz.modular(orlicz.exponential_phi(2), big, (0.0, 1.0))
         assert math.isinf(value)
+
+    @pytest.mark.parametrize("bad", [(800.0,), (math.nan,),
+                                     (800.0, math.nan)])
+    def test_non_finite_phi_values_are_inf(self, bad):
+        # exp(800) overflows and NaN propagates: the weights are positive,
+        # so the weighted sum is not finite and reads as divergence
+        phi = orlicz.exponential_phi(1)
+        values = np.array([0.5, *bad, 1.0, -2.0])   # |f| is taken
+        weights = np.full(values.size, 1.0 / values.size)
+        assert orlicz.modular_from_samples(phi, values, weights) == math.inf
+        if any(map(math.isnan, bad)):   # inf at every lam
+            with pytest.raises(MaxprodError, match="bracket"):
+                orlicz.luxemburg_from_samples(phi, values, weights, 1e-9)
+            return
+        # the bisection reads the overflow at lam = 1 as a modular above 1
+        lam = orlicz.luxemburg_from_samples(phi, values, weights, 1e-9)
+        assert orlicz.modular_from_samples(phi, values / lam, weights) \
+            <= 1.0 < orlicz.modular_from_samples(
+                phi, values / (lam * (1.0 - 1e-8)), weights)
 
     def test_monotone_under_pointwise_domination(self, rng):
         poly = signals.random_piecewise_poly(rng)
