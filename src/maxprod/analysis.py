@@ -25,10 +25,10 @@ from .kernels import (Kernel, _decay_coefficient, ensure_l1, kernel_by_name,
 from .operators import (OperatorConfig, evaluate_with_table_den,
                         operator_config)
 from .orlicz import (PhiFunction, exponential_phi, luxemburg_from_samples,
-                     maxphi_inequality_check, modular_from_samples,
+                     maxphi_inequality_check, modular, modular_from_samples,
                      phi_by_name, power_phi, zygmund_phi)
-from .signals import (Domain, MeanValueTable, Signal, mean_values,
-                      random_piecewise_poly)
+from .signals import (Domain, MeanValueTable, PiecewisePoly, Signal,
+                      mean_values, random_piecewise_poly)
 
 _SUP_GRID = 2048
 _SLICE = 1 << 16   # quadrature nodes per operator call
@@ -278,9 +278,9 @@ class PairFamily:
     is the L^p bound |K_n f - K_n g|_p <= 2 (m0^(p-1) l1)^(1/p) / a
     |f - g|_p; "zygmund" divides them by lambda, which with zygmund:1,1 is
     the u log u instance with constant 2 l1 / a.  ``atol`` and ``rtol`` are
-    the adaptive Simpson tolerances of both sides (atol in reported units,
-    so the Zygmund integrals get atol * lambda).  ``verify`` runs
-    max(1, draws // share) trials of the family.
+    the lhs's adaptive Simpson tolerances (atol in reported units, so the
+    Zygmund integrals get atol * lambda), and rtol is the rhs's relative
+    one.  ``verify`` runs max(1, draws // share) trials of the family.
     """
 
     name: str
@@ -307,23 +307,27 @@ PAIR_FAMILIES = {family.name: family for family in (
 _PAIR_SCALES = (16, 32)
 
 
-def check_modular_inequality(family: PairFamily, f: Signal, g: Signal,
-                             kernel: Kernel, phi: PhiFunction, lam: float,
-                             n: int, domain: Domain,
+def check_modular_inequality(family: PairFamily, f: PiecewisePoly,
+                             g: PiecewisePoly, kernel: Kernel,
+                             phi: PhiFunction, lam: float, n: int,
+                             domain: Domain,
                              tolerance: float) -> InequalityCheck:
     """Modular Lipschitz inequality for the operator pair (K_n f, K_n g).
 
-    lhs integrates phi(lam |K_n f - K_n g|); rhs is l1/m0 times the modular
-    of (m0/a) * 2 lam * |f - g|; both are reported in ``family.form``.  The
-    integrals run over f's evaluation window, on the lattice half-cells
-    merged with the split points of both signals; the mean tables of f and
-    g are stacked, so each adaptive round evaluates K_n f and K_n g in one
-    operator sweep.  An infinite rhs makes the check vacuous (flagged in
+    lhs integrates phi(lam |K_n f - K_n g|) by adaptive Simpson over f's
+    evaluation window, from the lattice half-cells and both signals' split
+    points; f's and g's mean tables are stacked, so each round is one
+    operator sweep.  rhs is l1/m0 times ``orlicz.modular`` of
+    (m0/a) * 2 lam * |f - g| on the exact pieces of |f - g|, where the
+    Gauss rule is exact for the power phis.  Both sides are reported in
+    ``family.form``; an infinite rhs makes the check vacuous (flagged in
     the context string).
     """
     config = operator_config(kernel, n, domain)
     m0 = moment(kernel, 0.0)
     factor = 2.0 * lam * m0 / config.a_chi
+    d = (f - g).absolute().to_signal(name="|f - g|")
+    f, g = f.to_signal(name="f"), g.to_signal(name="g")
     tables = MeanValueTable.stack([mean_values(s, n, domain) for s in (f, g)])
     window = _eval_window(config, f)
     edges = np.union1d(_quad_panels(f, window, n), [
@@ -333,14 +337,11 @@ def check_modular_inequality(family: PairFamily, f: Signal, g: Signal,
         kf, kg = evaluate_with_table_den(config, tables, x)[0]
         return phi.evaluate(lam * np.abs(kf - kg))
 
-    def rhs_fn(x):
-        return phi.evaluate(factor * np.abs(f.evaluate(x) - g.evaluate(x)))
-
     scale = lam if family.form == "zygmund" else 1.0
     with np.errstate(over="ignore"):   # an infinite side is divergence
-        lhs, rhs = (quadrature.adaptive(fn, edges, atol=family.atol * scale,
-                                        rtol=family.rtol)
-                    for fn in (lhs_fn, rhs_fn))
+        lhs = quadrature.adaptive(lhs_fn, edges, atol=family.atol * scale,
+                                  rtol=family.rtol)
+    rhs = modular(phi, d, window, tol=family.rtol, scale=factor)
     rhs *= ensure_l1(kernel) / m0
     if family.form == "lp":   # phi(u) = u**p, so phi(2) = 2**p
         root = 1.0 / math.log2(float(phi.evaluate(2.0)))
@@ -475,8 +476,8 @@ def campaign_pair_inequality(family: PairFamily, trials: int, seed: int,
             n = _PAIR_SCALES[t % 2]
             lam = float(rng.uniform(0.25, 2.0) if phi.delta2
                         else rng.uniform(0.01, 0.05))
-        f = random_piecewise_poly(rng, domain=interval).to_signal(name="f")
-        g = random_piecewise_poly(rng, domain=interval).to_signal(name="g")
+        f = random_piecewise_poly(rng, domain=interval)
+        g = random_piecewise_poly(rng, domain=interval)
         result = check_modular_inequality(family, f, g, kernel, phi, lam, n,
                                           interval, tolerance)
         worst = min(worst, result.slack)

@@ -141,7 +141,7 @@ def de_la_vallee_poussin() -> Kernel:
     # |sin(x/2) sin(3x/2)| <= 1, hence |chi(u)| <= (4/9) |u|**-2 everywhere,
     # and sin(x/2) sin(3x/2) = (cos x - cos 2x) / 2 <= 9/16
     return Kernel("vallee-poussin", evaluate, support=None, decay_order=2.0,
-                  sup_norm=1.0 / 3.0, l1_norm=1.002510958135176,
+                  sup_norm=1.0 / 3.0, l1_norm=1.0025109502563199,
                   envelope=(((0.25, 0.0), (4.0 / 9.0, 0.0)), 2e-14))
 
 

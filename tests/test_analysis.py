@@ -1,15 +1,26 @@
 import dataclasses
+import functools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from maxprod import analysis, kernels, operators, orlicz, signals
+from maxprod import (analysis, kernels, operators, orlicz, quadrature,
+                     signals)
 
 UNIT = (0.0, 1.0)
 MODULAR, LP, ZYGMUND = (analysis.PAIR_FAMILIES[name] for name in (
     "modular-inequality", "lp-lipschitz", "zygmund-instance"))
+# the catalog's polynomial signals, as the pieces the pair checks take
+RAMP = signals.PiecewisePoly(UNIT, [(1.0, 0.0)])
+STEP = signals.PiecewisePoly((0.0, 0.5, 1.0), [(0.0,), (1.0,)])
+SAWTOOTH = signals.PiecewisePoly((0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0),
+                                 [(3.0, 0.0), (3.0, -1.0), (3.0, -2.0)])
+
+
+def flat(c):
+    return signals.PiecewisePoly(UNIT, [(c,)])
 
 
 class TestModulusOfContinuity:
@@ -116,16 +127,60 @@ class TestRunConvergence:
 
 class TestModularInequality:
     def test_equal_signals_zero_both_sides(self, fejer_kernel):
-        ramp = signals.catalog("ramp")
         check = analysis.check_modular_inequality(
-            MODULAR, ramp, ramp, fejer_kernel, orlicz.power_phi(2), 1.0, 32,
+            MODULAR, RAMP, RAMP, fejer_kernel, orlicz.power_phi(2), 1.0, 32,
             UNIT, 1e-8)
         assert check.passed and check.lhs == 0.0 and check.rhs == 0.0
 
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_rhs_is_the_exact_power_integral(self, fejer_kernel, p):
+        # the rhs samples |f - g| on its exact pieces, where the Gauss rule
+        # integrates u**p exactly: it is (l1/m0) factor**p times the exact
+        # integral of |f - g|**p, and exactly 0.0 for f == g
+        m0 = kernels.moment(fejer_kernel, 0.0)
+        l1 = kernels.ensure_l1(fejer_kernel)
+        a = kernels.lower_bound_constant(fejer_kernel, "interval")
+        phi, rng = orlicz.power_phi(p), np.random.default_rng(p)
+        for _ in range(4):
+            f = signals.random_piecewise_poly(rng)
+            g = signals.random_piecewise_poly(rng)
+            lam = float(rng.uniform(0.25, 2.0))
+            check = analysis.check_modular_inequality(
+                MODULAR, f, g, fejer_kernel, phi, lam, 16, UNIT, 1e-8)
+            d = (f - g).absolute()
+            powers = signals.PiecewisePoly(d.edges, [
+                functools.reduce(np.polymul, [c] * p) for c in d.coeffs])
+            exact = l1 / m0 * (2.0 * lam * m0 / a) ** p * powers.integral(
+                *UNIT)
+            assert check.rhs == pytest.approx(exact, rel=1e-12, abs=0.0)
+            same = analysis.check_modular_inequality(
+                MODULAR, f, f, fejer_kernel, phi, lam, 16, UNIT, 1e-8)
+            assert same.rhs == 0.0
+
+    def test_lhs_within_its_tolerance(self, monkeypatch):
+        # every family's lhs against adaptive Simpson at a thousandth of
+        # its tolerances: within atol + rtol |lhs| of the tight value
+        runs = []
+        adaptive = quadrature.adaptive
+
+        def recording(fn, edges, atol, rtol):
+            runs.append((fn, edges, atol, rtol, adaptive(fn, edges, atol,
+                                                         rtol)))
+            return runs[-1][-1]
+
+        monkeypatch.setattr(quadrature, "adaptive", recording)
+        for seed, family in enumerate(analysis.PAIR_FAMILIES.values()):
+            analysis.campaign_pair_inequality(family, 6, seed, None, UNIT,
+                                              1e-8)
+        assert len(runs) == 24
+        for fn, edges, atol, rtol, value in runs:
+            tight = adaptive(fn, edges, atol / 1000.0, rtol / 1000.0)
+            assert abs(value - tight) <= atol + rtol * abs(tight)
+
     def test_ramp_vs_constant(self, fejer_kernel):
         check = analysis.check_modular_inequality(
-            MODULAR, signals.catalog("ramp"), signals.catalog("constant:0.5"),
-            fejer_kernel, orlicz.power_phi(2), 1.0, 32, UNIT, 1e-8)
+            MODULAR, RAMP, flat(0.5), fejer_kernel, orlicz.power_phi(2), 1.0,
+            32, UNIT, 1e-8)
         assert check.passed and check.slack > 0.0
 
     def test_small_random_campaign(self):
@@ -147,11 +202,9 @@ class TestModularInequality:
     def test_vacuous_when_rhs_infinite(self, m4_kernel):
         # huge scaling drives the exponential modular past the overflow
         # guard: the check passses vacuously and says so
-        f = signals.catalog("step")
-        g = signals.catalog("constant:1")
         check = analysis.check_modular_inequality(
-            MODULAR, f, g, m4_kernel, orlicz.exponential_phi(2), 50.0, 16,
-            UNIT, 1e-8)
+            MODULAR, STEP, flat(1.0), m4_kernel, orlicz.exponential_phi(2),
+            50.0, 16, UNIT, 1e-8)
         assert check.passed and math.isinf(check.rhs)
         assert "vacuous" in check.context
 
@@ -164,16 +217,15 @@ class TestModularInequality:
 
 class TestLpLipschitz:
     def test_equal_signals(self, fejer_kernel):
-        saw = signals.catalog("sawtooth")
         check = analysis.check_modular_inequality(
-            LP, saw, saw, fejer_kernel, orlicz.power_phi(2), 1.0, 16, UNIT,
-            1e-8)
+            LP, SAWTOOTH, SAWTOOTH, fejer_kernel, orlicz.power_phi(2), 1.0, 16,
+            UNIT, 1e-8)
         assert check.passed and check.lhs == 0.0
 
     def test_step_vs_ramp_with_signed_kernel(self, vp_kernel):
         check = analysis.check_modular_inequality(
-            LP, signals.catalog("step"), signals.catalog("ramp"), vp_kernel,
-            orlicz.power_phi(2), 1.0, 16, UNIT, 1e-8)
+            LP, STEP, RAMP, vp_kernel, orlicz.power_phi(2), 1.0, 16, UNIT,
+            1e-8)
         assert check.passed
 
     def test_p1_constant_specialization(self, fejer_kernel):
@@ -193,8 +245,8 @@ class TestLpLipschitz:
         l1 = kernels.ensure_l1(vp_kernel)
         a = kernels.lower_bound_constant(vp_kernel, "interval")
         check = analysis.check_modular_inequality(
-            LP, signals.catalog("constant:1"), signals.catalog("constant:0.5"),
-            vp_kernel, orlicz.power_phi(p), 1.0, 16, UNIT, 1e-8)
+            LP, flat(1.0), flat(0.5), vp_kernel, orlicz.power_phi(p), 1.0, 16,
+            UNIT, 1e-8)
         constant = 2.0 * (m0 ** (p - 1.0) * l1) ** (1.0 / p) / a
         assert check.rhs == pytest.approx(constant * 0.5, rel=1e-12)
         assert check.lhs == pytest.approx(0.5, rel=1e-12)
@@ -212,8 +264,8 @@ class TestLpLipschitz:
             points.append(np.array(xs))
             return evaluate(config, table, xs)
 
-        f, g = signals.catalog("step"), signals.catalog("ramp")
-        args = (LP, f, g, counting, orlicz.power_phi(2), 1.0, 16, UNIT, 1e-8)
+        args = (LP, STEP, RAMP, counting, orlicz.power_phi(2), 1.0, 16, UNIT,
+                1e-8)
         analysis.check_modular_inequality(*args)  # constants
         pairs.clear()
         monkeypatch.setattr(analysis, "evaluate_with_table_den", recording)
@@ -235,8 +287,7 @@ class TestZygmundInstance:
         l1 = kernels.ensure_l1(fejer_kernel)
         a = kernels.lower_bound_constant(fejer_kernel, "interval")
         check = analysis.check_modular_inequality(
-            ZYGMUND, signals.catalog("constant:1"),
-            signals.catalog("constant:0.5"), fejer_kernel,
+            ZYGMUND, flat(1.0), flat(0.5), fejer_kernel,
             orlicz.zygmund_phi(1, 1), lam, 16, UNIT, 1e-8)
         rhs = 2.0 * l1 / a * 0.5 * math.log(2.0 * lam * m0 / a * 0.5 + math.e)
         assert check.rhs == pytest.approx(rhs, rel=1e-12)

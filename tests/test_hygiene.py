@@ -138,12 +138,13 @@ def test_src_lines_do_not_grow():
     # lower it when code goes, never raise it without a reason in CHANGES.md
     total = sum(len(path.read_text(encoding="utf-8").splitlines())
                 for path in SOURCES)
-    assert total <= 2509
+    assert total <= 2520
 
 
 def test_adaptive_quadrature_only_for_unmarked_kinks():
-    # the Orlicz functionals go through the sampled path; adaptive Simpson
-    # stays for the kernel L1 norm and the pair-check sides
+    # the Orlicz functionals and the pair checks' rhs go through the sampled
+    # path; adaptive Simpson stays for the kernel L1 norm and the pair
+    # checks' lhs
     callers = set()
     for path in SOURCES:
         for top in ast.parse(path.read_text(encoding="utf-8")).body:

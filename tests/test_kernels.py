@@ -430,6 +430,22 @@ def test_adaptive_live_panel_cap_grows_with_the_edges():
     assert value == pytest.approx(0.25, abs=1e-12)
 
 
+def test_adaptive_stops_on_the_global_budget_at_kinks():
+    # |x - c| with an unmarked kink: each result within atol + rtol |I|,
+    # in fewer integrand calls than chasing the kink to a panel as narrow
+    # as its share of atol (1,629 calls for these 50 c, against 961)
+    calls = []
+
+    def kinked(c):
+        return lambda x: (calls.append(1), np.abs(x - c))[1]
+
+    for c in np.random.default_rng(0).uniform(0.0, 1.0, size=50):
+        exact = 0.5 * (c * c + (1.0 - c) ** 2)
+        value = adaptive(kinked(c), [0.0, 1.0], atol=1e-12)
+        assert abs(value - exact) <= 1e-12 + 1e-12 * exact
+    assert len(calls) <= 1100
+
+
 def test_adaptive_evaluates_each_node_once():
     # one call on the edges and midpoints, then one per round on the quarter
     # points of the live panels: 1 + rounds calls, no node twice
