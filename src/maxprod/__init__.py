@@ -8,8 +8,8 @@ from .analysis import (PAIR_FAMILIES, CampaignResult, ConvergenceReport,
                        check_jackson, check_modular_inequality, fit_rate,
                        modulus_of_continuity, run_convergence)
 from .errors import (EmptyIndexSetError, InadmissibleKernelError,
-                     MaxprodError, QuadratureError, TruncationError,
-                     UnknownNameError)
+                     InvalidInputError, MaxprodError, QuadratureError,
+                     TruncationError, UnknownNameError)
 from .kernels import (Kernel, KernelDiagnostics, bspline, check_assumptions,
                       de_la_vallee_poussin, ensure_l1, fejer, kernel_by_name,
                       l1_norm, lower_bound_constant, moment)

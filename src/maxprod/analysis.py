@@ -4,8 +4,9 @@ seeded randomized campaigns.
 Sup-norm errors are measured on a dense grid (2048 points plus the lattice
 cell midpoints); modular and Luxemburg errors integrate on composite
 Gauss-Legendre panels aligned with the lattice cells and the signal's
-declared discontinuities.  Everything is deterministic for a fixed seed and
-quadrature policy, so reports are bitwise reproducible.
+declared discontinuities, whose half-cell nodes reach the operator as
+lattice nodes (``quadrature.lattice_nodes``).  Everything is deterministic
+for a fixed seed and quadrature policy, so reports are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -195,15 +196,27 @@ def _error_samples(config: OperatorConfig, f: Signal) -> _ErrorSamples:
     grid = _sup_grid(f, window, n)
     k_grid, den_min = evaluate_with_table_den(config, table, grid)
     sup_error = float(np.max(np.abs(k_grid - f.evaluate(grid))))
-    nodes, weights = quadrature.composite_nodes(_quad_panels(f, window, n))
-    deviations = np.empty(nodes.size)
-    # operator rows are independent, so slicing the nodes bounds the
-    # operator's temporaries without moving a value
-    for s in range(0, nodes.size, _SLICE):
-        x = nodes[s:s + _SLICE]
-        k_nodes, den_slice = evaluate_with_table_den(config, table, x)
-        np.abs(k_nodes - f.evaluate(x), out=deviations[s:s + _SLICE])
-        den_min = min(den_min, den_slice)
+    panels = _quad_panels(f, window, n)
+    weights = np.empty(16 * (panels.size - 1))
+    deviations = np.empty(weights.size)
+    # operator rows are independent, so building and evaluating the nodes
+    # a slice of panels at a time bounds the temporaries without moving a
+    # value; half-cell nodes go as lattice nodes, the rest as points
+    for p in range(0, panels.size - 1, _SLICE // 16):
+        at = slice(16 * p, 16 * p + _SLICE)
+        x, weights[at], on, lattice = quadrature.lattice_nodes(
+            panels[p:p + _SLICE // 16 + 1], n)
+        dev = deviations[at]
+        # f first, so that only the nodes off the half-cells outlive it;
+        # -f + K_n f rounds as K_n f - f
+        np.negative(f.evaluate(x), out=dev)
+        x = x[~on]
+        for part, pts in ((on, lattice), (~on, x)):
+            if part.any():
+                k_nodes, den = evaluate_with_table_den(config, table, pts)
+                dev[part] += k_nodes
+                den_min = min(den_min, den)
+        np.abs(dev, out=dev)
     den_ok = den_min >= a_chi - 1e-9
     return _ErrorSamples(weights=weights, deviations=deviations,
                          sup_error=sup_error, den_ok=den_ok)

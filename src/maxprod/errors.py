@@ -5,6 +5,11 @@ class MaxprodError(Exception):
     """Base class for library-specific failures."""
 
 
+class InvalidInputError(MaxprodError, ValueError):
+    """An argument a library entry point rejects: a scale, a domain,
+    evaluation points or a mean table it cannot take."""
+
+
 class UnknownNameError(MaxprodError):
     """A catalog lookup (kernel, phi-function or signal name) failed."""
 

@@ -3,22 +3,17 @@
 K_n f(x) = sup_k chi(n x - k) mean_k / sup_k chi(n x - k), signs kept, over
 J_n on an interval, or over Z on the line with zero means off the support;
 the denominator is the numerator of a table of ones, swept with the tables.
-Each point first takes a window of columns around floor(n x), shifted to stay
-in J_n, in chunks of at most ``_BUDGET`` elements.  A compact kernel's window
-is the 2r columns from floor(n x) - r + 1, r = ceil(support): a column off it
-lies at |n x - k| >= r, where chi is zero.  A decay kernel's row takes all of
-J_n when |J_n| <= 2r + 1 + ``_BLOCK``, else a core of 2r + 1 columns, where
-C r**-alpha <= a_chi / 4, and then searches the ``_BLOCK``-column blocks: the
-kernel's signed, phase-aware envelope at u = n x, times a run of blocks' max
-|mean| per class of k and sign, times max(d, r)**-alpha bounds the run's terms
-d away.  From rings of runs widening outward from its block, each table dives
-to one block along the best bounds, then splits every run whose bound beats
-its numerator, down to the blocks it sweeps.  Before that search, a row
-past all the nonzero cells of its table tries a certificate from line hulls
-that sweeps one column per envelope group (``_settle_one_sided``).  Skipped
-columns cannot win and max is exact, so each row of a stack of tables
-(``MeanValueTable.stack``) is bitwise its own table's evaluation over the
-whole lattice.
+Each point sweeps a window of columns around floor(u), u = n x, shifted into
+J_n, in chunks of ``_BUDGET`` elements: chi(u - k) is computed per point, or
+for ``LatticeNodes`` read from one table per offset and window shift.  A
+compact kernel's window is its support's 2r columns.  A decay kernel takes
+all of J_n when |J_n| <= 2r + 1 + ``_BLOCK``, else a core of 2r + 1 columns,
+C r**-alpha <= a_chi / 4, then the blocks its lattice envelope cannot rule
+out: the kernel's signed, phase-aware envelope at u, times a run of blocks'
+max |mean| per class of k and sign, times max(d, r)**-alpha bounds the run's
+terms d away.  Skipped columns cannot win and max is exact, so each row of a
+stack of tables (``MeanValueTable.stack``) is bitwise its own table's
+evaluation over the whole lattice.
 """
 
 from __future__ import annotations
@@ -29,9 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InadmissibleKernelError
+from .errors import InadmissibleKernelError, InvalidInputError
 from .kernels import (Kernel, _decay_coefficient, lattice_envelope,
                       lower_bound_constant)
+from .quadrature import LatticeNodes
 from .signals import Domain, MeanValueTable, Signal, mean_values
 
 # Elements (rows x lattice columns) of one kernel-evaluation chunk, which
@@ -59,26 +55,20 @@ class OperatorConfig:
 
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 1:
-            raise ValueError("scale n must be a positive integer")
+            raise InvalidInputError("scale n must be a positive integer")
         if not self.a_chi > 0.0:
             raise InadmissibleKernelError(
                 f"kernel {self.kernel.name!r} is inadmissible: its "
                 f"lower-bound constant {self.a_chi:.3e} is not positive")
         if self.domain is not None and not self.domain[0] < self.domain[1]:
-            raise ValueError("domain must be a nondegenerate interval")
+            raise InvalidInputError("domain must be a nondegenerate interval")
 
 
 def operator_config(kernel: Kernel, n: int, domain: Domain,
                     a_chi: float | None = None) -> OperatorConfig:
-    """Build a config, computing the admissibility constant when not given:
-    the kernel's infimum on [-3/2, 3/2] on an interval, on [-1/2, 1/2] on
-    the line.
-
-    Passing ``a_chi`` explicitly is the opt-in for kernels whose infimum over
-    the standard interval is not positive but whose lattice suprema are still
-    bounded below on the concrete domain (e.g. compactly supported kernels on
-    a grid-aligned interval).
-    """
+    """Build a config.  ``a_chi`` defaults to the kernel's infimum on
+    [-3/2, 3/2] on an interval, on [-1/2, 1/2] on the line; pass it for a
+    kernel whose lattice suprema stay positive where that infimum is not."""
     if a_chi is None:
         a_chi = lower_bound_constant(kernel,
                                      "line" if domain is None else "interval")
@@ -95,20 +85,21 @@ def _radius(config: OperatorConfig) -> int:
     return max(1, math.ceil((4.0 * c / config.a_chi) ** (1.0 / alpha)))
 
 
-def _sweep(config: OperatorConfig, padded: np.ndarray, k_lo: int,
-           u: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
+def _sweep(padded: np.ndarray, k_lo: int, chi, starts: np.ndarray,
+           width: int) -> np.ndarray:
     """Suprema of chi * mean, one row per row of ``padded``, for each point
-    u = n x over the ``width`` columns from its start.  ``padded`` holds the
-    tables with a cell at each end, which every column off the tables reads:
-    zero, and one in the table of ones."""
+    over the ``width`` columns ks from its start, with chi(rows, ks) the
+    kernel values of the points ``rows``.  ``padded`` holds the tables with a
+    cell at each end, which every column off the tables reads: zero, and one
+    in the table of ones."""
     cols = np.arange(width)[:, None]
-    out = np.empty((padded.shape[0], u.size))
+    out = np.empty((padded.shape[0], starts.size))
     step = max(1, _BUDGET // (width * padded.shape[0]))
-    for s in range(0, u.size, step):
-        ks = starts[s:s + step] + cols
-        chi = np.asarray(config.kernel.evaluate(u[s:s + step] - ks))
+    for s in range(0, starts.size, step):
+        rows = slice(s, s + step)
+        ks = starts[rows] + cols
         means = np.take(padded, ks - (k_lo - 1), axis=1, mode="clip")
-        out[:, s:s + step] = (chi * means).max(1)
+        out[:, rows] = (chi(rows, ks) * means).max(1)
     return out
 
 
@@ -142,20 +133,19 @@ def _hull_layers(a: np.ndarray, w: np.ndarray) -> list[tuple]:
 
 
 def _settle_one_sided(config: OperatorConfig, r: int, table: MeanValueTable,
-                      padded: np.ndarray, u: np.ndarray, sweep: np.ndarray,
-                      need: np.ndarray) -> None:
+                      padded: np.ndarray, u: np.ndarray, chi,
+                      sweep: np.ndarray, need: np.ndarray) -> None:
     """Clear ``need`` for the rows past all the nonzero cells of their table,
     more than r columns off, that two layers of line hulls settle.
 
     From the table's nonzero edge e on u's side, a = +-(k - e) <= 0 and
-    v = +-(u - e) > r: a cell's envelope bound E(u) |m_k| |u - k|**-alpha is
-    at most T iff a + |m_k|**(1/alpha) c <= v, c = (E(u) / T)**(1/alpha), one
-    line in c per cell of each envelope group.  The line on top where the
-    group's envelope meets v, the head, is its cell of the largest bound.
-    That cell is swept, and with T the numerator then the row is settled when
-    every other line stays below v at c, less 2**-40 (v + the nonzero span)
-    for rounding.  Where the far field is flat, the bounds of the head's
-    neighbours tie with its own within the envelope's margin: a row that
+    v = +-(u - e) > r, a cell's bound E(u) |m_k| |u - k|**-alpha <= T reads
+    a + |m_k|**(1/alpha) c <= v, c = (E(u) / T)**(1/alpha): one line in c per
+    cell of each envelope group.  The head, the line on top where the group's
+    envelope meets v, is its cell of the largest bound and is swept; with T
+    the numerator then, the row settles when every other line stays below v
+    at c, less 2**-40 (v + the nonzero span).  Where the far field is flat
+    the head's neighbours tie with it within the margin, so a row that
     settles without _TIES hull neighbours on either side sweeps them too.
     """
     ker, k_lo = config.kernel, table.k_lo
@@ -189,7 +179,7 @@ def _settle_one_sided(config: OperatorConfig, r: int, table: MeanValueTable,
                 ks, ms = (np.array([h[i][jg] for h, jg in zip(hulls, j)])
                           for i in (3, 4))
                 sweep[t, q] = np.maximum(sweep[t, q], (
-                    ker.evaluate(u[q] - ks) * ms).max(0))
+                    chi(q, ks) * ms).max(0))
                 return sweep[t, q]
 
             def fit(i, width):
@@ -238,9 +228,12 @@ def _settle_one_sided(config: OperatorConfig, r: int, table: MeanValueTable,
 
 
 def _visit_blocks(config: OperatorConfig, r: int, table: MeanValueTable,
-                  padded: np.ndarray, u: np.ndarray,
+                  padded: np.ndarray, u: np.ndarray, chi,
                   sweep: np.ndarray) -> None:
-    """Raise each row of ``sweep`` by the blocks that could still win."""
+    """Raise each row of ``sweep``, chi(q, ks) being the kernel at rows q and
+    columns ks, by the blocks that could still win: from rings of runs
+    widening outward from its block, each table dives to one block along the
+    best bounds, then splits every run whose bound beats its numerator."""
     ker, alpha, k_lo, k_hi = config.kernel, config.kernel.decay_order, \
         table.k_lo, table.k_hi
     means = padded[:, 1:-1]
@@ -250,7 +243,7 @@ def _visit_blocks(config: OperatorConfig, r: int, table: MeanValueTable,
     env_r = _decay_coefficient(ker) * r ** -alpha * _MARGIN
     groups = len(ker.envelope[0])   # k mod groups - 1, then negative means
     need = sweep < env_r * np.abs(means).max(1)[:, None]
-    _settle_one_sided(config, r, table, padded, u, sweep, need)
+    _settle_one_sided(config, r, table, padded, u, chi, sweep, need)
     if not need.any():
         return
     # per table, a heap over the blocks of max |mean| per envelope row, and
@@ -310,7 +303,7 @@ def _visit_blocks(config: OperatorConfig, r: int, table: MeanValueTable,
                         keep &= bd >= best[q]
                     leaf = keep & (j == 0) & (h != dived[q])
                     np.maximum.at(sweep, (slice(None), rows[q[leaf]]), _sweep(
-                        config, padded, k_lo, x[q[leaf]],
+                        padded, k_lo, lambda i, k: chi(rows[q[leaf]][i], k),
                         starts[h[leaf] - end + nb], bw))
                     if dive:
                         dived[q[leaf]] = h[leaf]
@@ -326,21 +319,26 @@ def _visit_blocks(config: OperatorConfig, r: int, table: MeanValueTable,
 
 def evaluate_with_table_den(config: OperatorConfig, table: MeanValueTable,
                             xs) -> tuple[np.ndarray, float]:
-    """Operator values plus the smallest denominator encountered.
+    """Operator values and the least denominator, at points or lattice nodes.
 
-    A table whose ``values`` has shape (T, cells), as built by
-    :meth:`MeanValueTable.stack`, gives values of shape (T, points) from one
-    sweep: chi, the denominator and its certificate are computed once for
-    all T tables.
+    A stacked table (``MeanValueTable.stack``) of shape (T, cells) gives
+    values of shape (T, points) from one sweep: chi, the denominator and its
+    certificate are computed once for all T tables.
     """
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim > 1:
-        raise ValueError(f"evaluation points must be 1-D, not {xs.shape}")
-    u = config.n * xs.ravel()
+    nodes = xs if isinstance(xs, LatticeNodes) else None
+    if (table.n, table.domain) != (config.n, config.domain) or (
+            nodes is not None and nodes.n != config.n):
+        raise InvalidInputError("table or nodes for another scale or domain")
+    if nodes is None:
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim > 1:
+            raise InvalidInputError(f"points must be 1-D, not {xs.shape}")
+    u = config.n * xs.ravel() if nodes is None else nodes.u
     a, b = config.domain or (-math.inf, math.inf)
-    if not np.all((xs >= a - 1e-9) & (xs <= b + 1e-9) & (abs(u) < 2.0 ** 52)):
-        raise ValueError("evaluation points must be finite and inside the "
-                         "domain, with |n x| < 2**52")
+    if not np.all((u >= config.n * (a - 1e-9)) & (u <= config.n * (b + 1e-9))
+                  & (abs(u) < 2.0 ** 52)):
+        raise InvalidInputError("evaluation points must be finite and inside "
+                                "the domain, with |n x| < 2**52")
     ker, r = config.kernel, _radius(config)
     lo, hi = (table.k_lo, table.k_hi) if config.domain else (-2**62, 2**62)
     size, compact = hi - lo + 1, ker.support is not None
@@ -348,15 +346,16 @@ def evaluate_with_table_den(config: OperatorConfig, table: MeanValueTable,
     # prunes only where J_n is wider than that
     prune = not compact and size > 2 * r + 1 + _BLOCK
     width = min(2 * r, size) if compact else 2 * r + 1 if prune else size
-    first = np.clip(np.floor(u).astype(np.int64) - r + compact, lo,
-                    hi - width + 1)
+    first = np.clip((np.floor(u).astype(np.int64) if nodes is None else
+                     nodes.cells) - r + compact, lo, hi - width + 1)
     means = np.atleast_2d(table.values)
     padded = np.zeros((len(means) + 1, means.shape[1] + 2))
-    padded[:-1, 1:-1] = means
-    padded[-1] = 1.0
-    sweep = _sweep(config, padded, table.k_lo, u, first, width)
+    padded[:-1, 1:-1], padded[-1] = means, 1.0
+    chi = nodes.chi(ker) if nodes else lambda q, k: ker.evaluate(u[q] - k)
+    sweep = _sweep(padded, table.k_lo, nodes.window_chi(ker, first, width)
+                   if nodes else chi, first, width)
     if prune:
-        _visit_blocks(config, r, table, padded, u, sweep)
+        _visit_blocks(config, r, table, padded, u, chi, sweep)
     num, den = sweep[:-1], sweep[-1]
     den_min = float(den.min(initial=math.inf))
     # on the line this also certifies the columns never evaluated: each lies
@@ -367,7 +366,8 @@ def evaluate_with_table_den(config: OperatorConfig, table: MeanValueTable,
     # + 0.0: a zero supremum is +0.0 whatever order numpy reduced in; off
     # a compact window narrower than J_n, and on the line, are zero terms
     zeros = config.domain is None or (compact and width < size)
-    values = (np.maximum(num, 0.0) if zeros else num + 0.0) / den
+    values = (np.maximum if zeros else np.add)(num, 0.0, out=num)
+    values /= den
     return (values if table.values.ndim == 2 else values[0]), den_min
 
 
@@ -375,8 +375,8 @@ def maxprod_kantorovich_grid(config: OperatorConfig, f: Signal,
                              xs) -> np.ndarray:
     """Vectorized operator evaluation; the mean table is built once."""
     table = mean_values(f, config.n, config.domain)
-    if table.values.min(initial=0.0) < 0.0:
-        raise ValueError(f"signal {f.name!r} is not non-negative")
+    if not np.all(np.isfinite(table.values) & (table.values >= 0.0)):
+        raise InvalidInputError(f"{f.name!r} is not non-negative and finite")
     return evaluate_with_table_den(config, table, xs)[0]
 
 

@@ -4,7 +4,8 @@ Integrals of smooth pieces are sampled once on 16-point Gauss panels split
 at the lattice cells and the signal's declared breakpoints and kinks: cell
 means, convergence errors, and the Orlicz modular (the pair checks' rhs
 among them) and Luxemburg norm, which ``orlicz`` checks a posteriori
-against the same rule on halved panels.
+against the same rule on halved panels; ``lattice_nodes`` builds the
+nodes of half-cell panels as a lattice cell plus one of 32 offsets.
 Adaptive Simpson stays where kinks go unmarked: ``kernels.l1_norm`` (the
 sign changes of a signed kernel) and the pair checks' lhs, where the
 operator bends wherever its maximizing lattice cell changes; it stops under
@@ -23,10 +24,11 @@ from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import InvalidInputError, QuadratureError
 
 OVERFLOW_GUARD = 1e100
 _MAX_ROUNDS = 48  # halvings of the widest panel before giving up
@@ -53,6 +55,72 @@ def composite_nodes(edges) -> tuple[np.ndarray, np.ndarray]:
     x = (mid[:, None] + half[:, None] * xi[None, :]).ravel()
     w = (half[:, None] * wi[None, :]).ravel()
     return x, w
+
+
+@dataclass(frozen=True)
+class LatticeNodes:
+    """Points x = u / n of the lattice 1/n, built in lattice units first:
+    u = cells + offsets[offset], with each offset in [0, 1).  A kernel value
+    chi(u - k) is then chi(offsets[i] - (k - cell)), one per distinct offset
+    and column shift however many points share them.  ``np.asarray`` gives
+    the points x."""
+
+    n: int
+    cells: np.ndarray     # int64, floor(u)
+    offset: np.ndarray    # per point, an index into ``offsets``
+    offsets: np.ndarray
+
+    def __post_init__(self):
+        if not np.all((self.offsets >= 0.0) & (self.offsets < 1.0)):
+            raise InvalidInputError("lattice offsets must lie in [0, 1)")
+
+    @property
+    def u(self) -> np.ndarray:
+        return self.cells + self.offsets[self.offset]
+
+    def __array__(self, *args, **kwargs):
+        return np.asarray(self.u / self.n, *args, **kwargs)
+
+    def chi(self, kernel):
+        """chi(rows, ks): the kernel at o - (k - cell) for the points rows
+        at the columns ks."""
+        return lambda rows, ks: kernel.evaluate(
+            self.offsets[self.offset[rows]] - (ks - self.cells[rows]))
+
+    def window_chi(self, kernel, starts: np.ndarray, width: int):
+        """``chi`` over the ``width`` columns from each point's start,
+        read from one table of chi(o - (s + c)) per offset o, window shift
+        s = start - cell and column c."""
+        shift = starts - self.cells
+        s0, s1 = shift.min(initial=0), shift.max(initial=0)
+        table = kernel.evaluate(self.offsets - (np.arange(s0, s1 + 1)[
+            :, None] + np.arange(width)[:, None, None])).reshape(width, -1)
+        return lambda rows, ks: table.take((ks[0] - self.cells[rows] - s0) * (
+            self.offsets.size) + self.offset[rows], axis=1)
+
+
+def lattice_nodes(edges, n: int) -> tuple[np.ndarray, np.ndarray,
+                                          np.ndarray, LatticeNodes]:
+    """``composite_nodes(edges)``, with the nodes of each half-cell panel
+    [j/2n, (j+1)/2n] built as u = floor(j/2) + o_i, x = u / n, where the 32
+    offsets o_i = (j mod 2)/2 + (1 + xi_i)/4 are the Gauss nodes of the two
+    halves of a cell.  Other panels, such as those a split point off the
+    lattice cuts, keep their x-nodes.  Returns the nodes x, the weights,
+    the mask of the half-cell nodes and those nodes as ``LatticeNodes``.
+    """
+    x, w = composite_nodes(edges)
+    edges = np.asarray(edges, dtype=float)
+    j = np.rint(2.0 * n * edges[:-1])
+    half = (edges[:-1] == j / (2.0 * n)) & (edges[1:] == (j + 1.0) / (2.0 * n))
+    j = j[half].astype(np.int64)
+    xi = _gauss()[0]
+    offsets = np.concatenate([(1.0 + xi) / 4.0, 0.5 + (1.0 + xi) / 4.0])
+    nodes = LatticeNodes(n, np.repeat(j // 2, xi.size), (
+        (j % 2).astype(np.uint8)[:, None] * xi.size
+        + np.arange(xi.size, dtype=np.uint8)).ravel(), offsets)
+    on = np.repeat(half, xi.size)
+    x[on] = np.asarray(nodes)
+    return x, w, on, nodes
 
 
 def adaptive(fn, edges, atol: float = 1e-10, rtol: float = 1e-12) -> float:

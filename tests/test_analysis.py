@@ -124,6 +124,32 @@ class TestRunConvergence:
             tracemalloc.stop()
         assert peak < 4 * samples.weights.nbytes + 8 * 2 ** 20
 
+    def test_compact_quadrature_nodes_built_in_slices(self, m4_kernel):
+        # the nodes are built a slice of panels at a time too, so past the
+        # weight and deviation arrays the peak is a fixed budget: 524,288
+        # nodes in 8 slices, whose x, mask and lattice cells come and go
+        config = operators.operator_config(m4_kernel, 16384, (0.0, 1.0))
+        tracemalloc.start()
+        try:
+            samples = analysis._error_samples(config, signals.catalog("step"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert samples.weights.size == 32 * 16384
+        assert peak < 2 * samples.weights.nbytes + 8 * 2 ** 20
+
+    def test_kernel_values_once_per_offset(self, m4_kernel):
+        # the 32,768 quadrature nodes read chi from one table per offset and
+        # window shift, 32 x 4 x 4 values; the sup grid's 3,072 points take
+        # 4 each.  Evaluated per node and column it was 143,360 values
+        config = operators.operator_config(m4_kernel, 1024, (0.0, 1.0))
+        counted = []
+        config = dataclasses.replace(config, kernel=dataclasses.replace(
+            m4_kernel, evaluate=lambda u: (counted.append(np.size(u)),
+                                           m4_kernel.evaluate(u))[1]))
+        analysis._error_samples(config, signals.catalog("abs-sine"))
+        assert sum(counted) <= 16_384
+
 
 class TestModularInequality:
     def test_equal_signals_zero_both_sides(self, fejer_kernel):

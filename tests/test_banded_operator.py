@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_operator import evaluate_with_table_den as dense_evaluate
-from maxprod import cli, kernels, operators, signals
-from maxprod.errors import InadmissibleKernelError, TruncationError
+from maxprod import cli, kernels, operators, quadrature, signals
+from maxprod.errors import (InadmissibleKernelError, InvalidInputError,
+                            MaxprodError, TruncationError)
 
 KERNELS = {name: kernels.kernel_by_name(name)
            for name in ("bspline:4", "bspline:5", "fejer", "vallee-poussin")}
@@ -481,6 +482,135 @@ class TestCompactWindow:
             assert _bits(row) == _bits(want) and got_den == want_den
         zero = got == 0.0
         assert zero.sum() > 50 and not np.signbit(got[zero]).any()
+
+
+class TestLatticeNodes:
+    """Half-cell quadrature nodes built as a cell plus one of 32 offsets,
+    whose kernel values the operator reads from one table per offset and
+    window shift."""
+
+    @staticmethod
+    def _half_cells(n, lo, hi):
+        return np.arange(math.floor(2 * n * lo), math.ceil(2 * n * hi) + 1) / (
+            2.0 * n)
+
+    @pytest.mark.parametrize("name", ["bspline:4", "bspline:5", "bspline:6",
+                                      "bspline:7", "fejer", "vallee-poussin"])
+    @pytest.mark.parametrize("line", [False, True])
+    @pytest.mark.parametrize("n", [4, 7, 16, 256])
+    def test_within_1e12_of_dense(self, name, line, n):
+        # chi(o - d) against the oracle's chi(n x - k) at x = u / n: the two
+        # arguments differ by the rounding of u, well inside 1e-12
+        domain, f = (None, "hat") if line else ((0.0, 1.0), "abs-sine")
+        lo, hi = (-2.0, 2.0) if line else domain
+        config = operators.operator_config(kernels.kernel_by_name(name), n,
+                                           domain)
+        table = _table(signals.catalog(f), config)
+        # at n = 256 every fifth half-cell, with the panels between them
+        edges, step = self._half_cells(n, lo, hi), 1 + n // 64
+        _, _, on, nodes = quadrature.lattice_nodes(np.union1d(
+            edges[:-1:step], edges[1::step]), n)
+        assert on.sum() == 16 * edges[:-1:step].size
+        got, got_den = operators.evaluate_with_table_den(config, table, nodes)
+        want, want_den = dense_evaluate(config, table, np.asarray(nodes))
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert abs(got_den - want_den) <= 1e-12
+        # a block another table of the stack visits reads chi with the
+        # same arguments, so each row is still its table's own evaluation
+        stack = signals.MeanValueTable.stack([table, _table(
+            signals.catalog("square-pulse" if line else "ramp"), config)])
+        rows, _ = operators.evaluate_with_table_den(config, stack, nodes)
+        assert _bits(rows[0]) == _bits(got)
+
+    def test_nodes_and_weights_are_the_gauss_rules(self):
+        # the weights are composite_nodes' bit for bit, the half-cell nodes
+        # move by rounding only, and a panel that a split point off the
+        # lattice cuts keeps its x-nodes
+        n = 8
+        edges = np.concatenate([self._half_cells(n, 0.0, 0.5), [0.53],
+                                self._half_cells(n, 0.5625, 1.0)])
+        x, w, on, nodes = quadrature.lattice_nodes(edges, n)
+        xc, wc = quadrature.composite_nodes(edges)
+        assert _bits(w) == _bits(wc)
+        assert on.sum() == 16 * (edges.size - 3)
+        assert not on[8 * 16:10 * 16].any()
+        assert _bits(x[~on]) == _bits(xc[~on])
+        assert np.max(np.abs(x - xc)) <= 4 * np.spacing(1.0)
+        assert _bits(x[on]) == _bits(np.asarray(nodes))
+        assert np.array_equal(nodes.cells, np.floor(n * x[on]))
+
+
+@st.composite
+def bad_calls(draw):
+    """An operator call with one defect: a point off the domain or past
+    |n x| = 2**52, points that are not 1-D, lattice nodes of another scale
+    or offsets off [0, 1), a mean table of another scale or domain, a
+    signal with negative or non-finite means, a scale below one or not an
+    integer, or a degenerate domain."""
+    kernel = KERNELS[draw(st.sampled_from(sorted(KERNELS)))]
+    n, line = draw(st.integers(1, 64)), draw(st.booleans())
+    domain, f = (None, signals.catalog("hat")) if line else (
+        (0.0, 1.0), signals.catalog("ramp"))
+    config = operators.operator_config(kernel, n, domain)
+    table = _table(f, config)
+    lo, hi = (-3.0, 3.0) if line else domain
+    xs = draw(st.lists(st.floats(lo, hi), min_size=1, max_size=8))
+    cells = np.floor(n * np.array(xs)).astype(np.int64)
+    offset, offsets = np.zeros(len(xs), dtype=np.uint8), np.array([0.5])
+    defect = draw(st.sampled_from(["point", "shape", "scale of nodes",
+                                   "offset", "table", "signal", "scale",
+                                   "domain"]))
+    if defect == "point":
+        far = 2.0 ** 52 / n
+        bad = draw(st.one_of(
+            st.sampled_from([math.nan, math.inf, -math.inf, far, -far]),
+            st.floats(far, 1e300), st.floats(-1e300, -far),
+            *([] if line else [st.floats(1.0 + 1e-6, 1e6),
+                               st.floats(-1e6, -1e-6)])))
+        xs.insert(draw(st.integers(0, len(xs))), bad)
+        return lambda: operators.evaluate_with_table_den(config, table, xs)
+    if defect == "shape":
+        return lambda: operators.evaluate_with_table_den(
+            config, table, np.array([xs, xs]))
+    if defect == "scale of nodes":
+        nodes = quadrature.LatticeNodes(n + draw(st.integers(1, 9)), cells,
+                                        offset, offsets)
+        return lambda: operators.evaluate_with_table_den(config, table, nodes)
+    if defect == "offset":
+        offsets = np.array([draw(st.one_of(
+            st.floats(1.0, 1e6), st.floats(-1e6, -1e-12),
+            st.sampled_from([math.nan, math.inf])))])
+        return lambda: operators.evaluate_with_table_den(
+            config, table, quadrature.LatticeNodes(n, cells, offset, offsets))
+    if defect == "table":
+        other = draw(st.sampled_from(["n", "domain"]))
+        table = signals.mean_values(f, n + 1, domain) if other == "n" else (
+            signals.mean_values(f, n, (-1.0, 1.0) if line else None)
+            if line or f.support else signals.mean_values(
+                signals.catalog("hat"), n, None))
+        return lambda: operators.evaluate_with_table_den(config, table, xs)
+    if defect == "signal":
+        value = draw(st.sampled_from([-1.0, math.nan, math.inf]))
+        bad_f = dataclasses.replace(f, name="bad", evaluate=lambda x: np.where(
+            np.abs(x - 0.5) < 0.25, value, 1.0))
+        return lambda: operators.maxprod_kantorovich_grid(config, bad_f, xs)
+    if defect == "scale":
+        n_bad = draw(st.one_of(st.integers(-5, 0), st.sampled_from([2.5])))
+        return lambda: dataclasses.replace(config, n=n_bad)
+    return lambda: dataclasses.replace(config, domain=draw(st.sampled_from(
+        [(1.0, 1.0), (1.0, 0.0), (math.nan, 1.0)])))
+
+
+class TestTypedErrors:
+    def test_invalid_input_is_a_value_error(self):
+        assert issubclass(InvalidInputError, MaxprodError)
+        assert issubclass(InvalidInputError, ValueError)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(bad_calls())
+    def test_bad_input_raises_typed_errors(self, call):
+        with pytest.raises(MaxprodError):
+            call()
 
 
 class TestElementBudget:

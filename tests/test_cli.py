@@ -40,8 +40,8 @@ CONVERGE_FEJER_HAT_LINE_16_32 = """\
     0.025035563070559874
   ],
   "modular_errors": [
-    0.0024428552076860327,
-    0.0006267794179427599
+    0.0024428552076860323,
+    0.0006267794179427601
   ],
   "phi": "power:2",
   "scales": [
@@ -70,8 +70,8 @@ CONVERGE_BSPLINE4_ABS_SINE_16_32 = """\
     0.07423415203811601
   ],
   "modular_errors": [
-    0.019334081991983575,
-    0.00551070932796879
+    0.019334081991983568,
+    0.005510709327968792
   ],
   "phi": "power:2",
   "scales": [
