@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import quadrature
-from .errors import TruncationError
+from .errors import InvalidInputError, TruncationError
 from .kernels import (Kernel, _decay_coefficient, ensure_l1, kernel_by_name,
                       moment)
 from .operators import (OperatorConfig, evaluate_with_table_den,
@@ -29,7 +29,7 @@ from .orlicz import (PhiFunction, exponential_phi, luxemburg_from_samples,
                      maxphi_inequality_check, modular, modular_from_samples,
                      phi_by_name, power_phi, zygmund_phi)
 from .signals import (Domain, MeanValueTable, PiecewisePoly, Signal,
-                      mean_values, random_piecewise_poly)
+                      mean_values, positive_scale, random_piecewise_poly)
 
 _SUP_GRID = 2048
 _SLICE = 1 << 16   # quadrature nodes per operator call
@@ -256,9 +256,10 @@ def run_convergence(f: Signal, kernel: Kernel, phi: PhiFunction, lam: float,
                     scales: Sequence[int]) -> ConvergenceReport:
     """Measure sup, modular and Luxemburg errors of K_n f across scales, on
     the signal's own domain."""
-    scales = [int(n) for n in scales]
+    scales = [positive_scale(n) for n in scales]
     if not scales or any(b <= a for a, b in zip(scales, scales[1:])):
-        raise ValueError("scales must be non-empty and strictly increasing")
+        raise InvalidInputError("scales must be non-empty and strictly "
+                                "increasing")
 
     def cell(n: int):
         samples = _error_samples(operator_config(kernel, n, f.domain), f)

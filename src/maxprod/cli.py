@@ -134,13 +134,10 @@ def _load_signal(args, domain):
         if domain is None:
             raise UnknownNameError("--csv signals need a bounded --domain")
         try:
-            return from_csv(args.csv, domain, nonneg=True)
+            return from_csv(args.csv, domain)
         except ValueError as exc:
             raise UnknownNameError(str(exc)) from None
     f = catalog(args.signal)
-    if not f.nonneg:
-        raise UnknownNameError(f"signal {f.name!r} takes negative values; "
-                               "the operator acts on non-negative signals")
     if f.domain is not None and (domain is None or not (
             f.domain[0] <= domain[0] and domain[1] <= f.domain[1])):
         raise _off_domain(f, args.domain)

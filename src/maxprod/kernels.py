@@ -56,7 +56,8 @@ class Kernel:
     A decay kernel declares ``envelope`` = (rows, slack): for integers k
     with |u - k| >= 1, row c = (a, b) bounds chi(u - k) |u - k|**decay_order
     by a + b cos(pi u) + slack (|u| + |k|) if k = c mod (len(rows) - 1), and
-    the last row bounds its negative.  ``l1_norm``/``sup_norm`` hold known
+    the last row bounds its negative, which only the |chi| bound C uses: no
+    negative term wins over means >= 0.  ``l1_norm``/``sup_norm`` hold known
     values when available: closed-form, except vallee-poussin's L1 norm,
     which is recorded from ``l1_norm`` and so good to its 1e-6 tolerance.
     Instances are treated as immutable after construction, which is what
@@ -125,8 +126,7 @@ def fejer() -> Kernel:
 def de_la_vallee_poussin() -> Kernel:
     """de la Vallee-Poussin kernel sin(x/2) sin(3x/2) / (9x^2/4), 1/3 at 0.
 
-    Takes negative values (the sign of sin(x/2) sin(3x/2) alternates), so it
-    exercises the signed-lobe branch of the operators.
+    Takes negative values: the sign of sin(x/2) sin(3x/2) alternates.
     """
 
     def evaluate(x):

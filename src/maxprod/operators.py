@@ -1,6 +1,6 @@
 """Max-product Kantorovich sampling operator.
 
-K_n f(x) = sup_k chi(n x - k) mean_k / sup_k chi(n x - k), signs kept, over
+K_n f(x) = sup_k chi(n x - k) m_k / sup_k chi(n x - k), means m_k >= 0, over
 J_n on an interval, or over Z on the line with zero means off the support;
 the denominator is the numerator of a table of ones, swept with the tables.
 Each point sweeps a window of columns around floor(u), u = n x, shifted into
@@ -9,11 +9,11 @@ for ``LatticeNodes`` read from one table per offset and window shift.  A
 compact kernel's window is its support's 2r columns.  A decay kernel takes
 all of J_n when |J_n| <= 2r + 1 + ``_BLOCK``, else a core of 2r + 1 columns,
 C r**-alpha <= a_chi / 4, then the blocks its lattice envelope cannot rule
-out: the kernel's signed, phase-aware envelope at u, times a run of blocks'
-max |mean| per class of k and sign, times max(d, r)**-alpha bounds the run's
-terms d away.  Skipped columns cannot win and max is exact, so each row of a
-stack of tables (``MeanValueTable.stack``) is bitwise its own table's
-evaluation over the whole lattice.
+out: the kernel's phase-aware envelope at u, times a run of blocks' max mean
+per class of k, times max(d, r)**-alpha bounds the run's terms d away.
+Skipped columns cannot win and max is exact, so each row of a stack of
+tables (``MeanValueTable.stack``) is bitwise its own table's evaluation over
+the whole lattice.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from .errors import InadmissibleKernelError, InvalidInputError
 from .kernels import (Kernel, _decay_coefficient, lattice_envelope,
                       lower_bound_constant)
 from .quadrature import LatticeNodes
-from .signals import Domain, MeanValueTable, Signal, mean_values
+from .signals import (Domain, MeanValueTable, Signal, mean_values,
+                      positive_scale)
 
 # Elements (rows x lattice columns) of one kernel-evaluation chunk, which
 # sets the size of every temporary whatever n or the point count.
@@ -54,8 +55,7 @@ class OperatorConfig:
     a_chi: float
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1:
-            raise InvalidInputError("scale n must be a positive integer")
+        positive_scale(self.n)
         if not self.a_chi > 0.0:
             raise InadmissibleKernelError(
                 f"kernel {self.kernel.name!r} is inadmissible: its "
@@ -72,7 +72,7 @@ def operator_config(kernel: Kernel, n: int, domain: Domain,
     if a_chi is None:
         a_chi = lower_bound_constant(kernel,
                                      "line" if domain is None else "interval")
-    return OperatorConfig(kernel=kernel, n=int(n), domain=domain, a_chi=a_chi)
+    return OperatorConfig(kernel, positive_scale(n), domain, a_chi)
 
 
 def _radius(config: OperatorConfig) -> int:
@@ -139,8 +139,8 @@ def _settle_one_sided(config: OperatorConfig, r: int, table: MeanValueTable,
     more than r columns off, that two layers of line hulls settle.
 
     From the table's nonzero edge e on u's side, a = +-(k - e) <= 0 and
-    v = +-(u - e) > r, a cell's bound E(u) |m_k| |u - k|**-alpha <= T reads
-    a + |m_k|**(1/alpha) c <= v, c = (E(u) / T)**(1/alpha): one line in c per
+    v = +-(u - e) > r, a cell's bound E(u) m_k |u - k|**-alpha <= T reads
+    a + m_k**(1/alpha) c <= v, c = (E(u) / T)**(1/alpha): one line in c per
     cell of each envelope group.  The head, the line on top where the group's
     envelope meets v, is its cell of the largest bound and is swept; with T
     the numerator then, the row settles when every other line stays below v
@@ -151,8 +151,8 @@ def _settle_one_sided(config: OperatorConfig, r: int, table: MeanValueTable,
     ker, k_lo = config.kernel, table.k_lo
     if not any(b for _, b in ker.envelope[0]):
         return   # loose: the swept cells would mostly fall short of it
-    alpha, groups = ker.decay_order, len(ker.envelope[0])
-    cls = np.arange(k_lo, table.k_hi + 1) % (groups - 1)
+    alpha, groups = ker.decay_order, len(ker.envelope[0]) - 1
+    cls = np.arange(k_lo, table.k_hi + 1) % groups
     k_max = max(-k_lo, table.k_hi)
     for t in np.flatnonzero(need[:-1].any(1)):   # each with a nonzero mean
         row = padded[t, 1:-1]
@@ -163,14 +163,12 @@ def _settle_one_sided(config: OperatorConfig, r: int, table: MeanValueTable,
                                              else (u < e - r)))
             if not rows.size:
                 continue
-            cells = nz[::-sign]   # by distance from the edge
-            m, hulls = row[cells], []
+            cells, hulls = nz[::-sign], []   # by distance from the edge
             for g in range(groups):
-                sel = cells[(m < 0) if g == groups - 1 else
-                            (m > 0) & (cls[cells] == g)]
+                sel = cells[cls[cells] == g]
                 if sel.size:   # the group, its two layers, its hull's cells
                     one, two = _hull_layers(sign * (sel - edge).astype(float),
-                                            np.abs(row[sel]) ** (1.0 / alpha))
+                                            row[sel] ** (1.0 / alpha))
                     hull = np.pad(sel[one[0]], _TIES + 2, mode="edge")
                     hulls.append((g, one, two, k_lo + hull, row[hull]))
 
@@ -241,20 +239,19 @@ def _visit_blocks(config: OperatorConfig, r: int, table: MeanValueTable,
     starts = np.minimum(np.arange(k_lo, k_hi + 1, _BLOCK), k_hi - bw + 1)
     nb = starts.size   # the last block overlaps
     env_r = _decay_coefficient(ker) * r ** -alpha * _MARGIN
-    groups = len(ker.envelope[0])   # k mod groups - 1, then negative means
-    need = sweep < env_r * np.abs(means).max(1)[:, None]
+    groups = len(ker.envelope[0]) - 1   # classes of k mod groups
+    need = sweep < env_r * means.max(1)[:, None]
     _settle_one_sided(config, r, table, padded, u, chi, sweep, need)
     if not need.any():
         return
-    # per table, a heap over the blocks of max |mean| per envelope row, and
-    # of minus the first and of the last column of a nonzero mean
-    cls, nz = np.arange(k_lo, k_hi + 1) % (groups - 1), means != 0
+    # per table, a heap over the blocks of max mean per class of k, and of
+    # minus the first and of the last column of a nonzero mean
+    cls, nz = np.arange(k_lo, k_hi + 1) % groups, means != 0
     top = _SPLIT * max(1, -(-(nb - 1).bit_length() // _SPLIT))
     heap = np.full((len(means), groups + 2, 2 << top), -math.inf)
     heap[..., 1 << top:(1 << top) + nb] = np.stack([np.maximum.reduceat(
         np.where(cls == c, means, 0.0), starts - k_lo, axis=1)
-        for c in range(groups - 1)] + [
-            np.maximum.reduceat(-means, starts - k_lo, axis=1).clip(0.0),
+        for c in range(groups)] + [
             -np.maximum(starts, k_lo + nz.argmax(1)[:, None]),
             np.minimum(starts + bw - 1, k_hi - nz[:, ::-1].argmax(1)[:, None])
         ], axis=1)
@@ -323,12 +320,15 @@ def evaluate_with_table_den(config: OperatorConfig, table: MeanValueTable,
 
     A stacked table (``MeanValueTable.stack``) of shape (T, cells) gives
     values of shape (T, points) from one sweep: chi, the denominator and its
-    certificate are computed once for all T tables.
+    certificate are computed once for all T tables, whose means must be
+    non-negative and finite.
     """
     nodes = xs if isinstance(xs, LatticeNodes) else None
     if (table.n, table.domain) != (config.n, config.domain) or (
             nodes is not None and nodes.n != config.n):
         raise InvalidInputError("table or nodes for another scale or domain")
+    if not np.all(np.isfinite(table.values) & (table.values >= 0.0)):
+        raise InvalidInputError("mean table is not non-negative and finite")
     if nodes is None:
         xs = np.asarray(xs, dtype=float)
         if xs.ndim > 1:
@@ -363,10 +363,8 @@ def evaluate_with_table_den(config: OperatorConfig, table: MeanValueTable,
     if den_min <= (0.0 if config.domain else config.a_chi * (1.0 - 1e-9)):
         raise InadmissibleKernelError(
             f"lattice supremum {den_min:.3e} at n={config.n} is too small")
-    # + 0.0: a zero supremum is +0.0 whatever order numpy reduced in; off
-    # a compact window narrower than J_n, and on the line, are zero terms
-    zeros = config.domain is None or (compact and width < size)
-    values = (np.maximum if zeros else np.add)(num, 0.0, out=num)
+    # a zero supremum is +0.0 whatever order numpy reduced in
+    values = np.maximum(num, 0.0, out=num)
     values /= den
     return (values if table.values.ndim == 2 else values[0]), den_min
 
@@ -375,8 +373,6 @@ def maxprod_kantorovich_grid(config: OperatorConfig, f: Signal,
                              xs) -> np.ndarray:
     """Vectorized operator evaluation; the mean table is built once."""
     table = mean_values(f, config.n, config.domain)
-    if not np.all(np.isfinite(table.values) & (table.values >= 0.0)):
-        raise InvalidInputError(f"{f.name!r} is not non-negative and finite")
     return evaluate_with_table_den(config, table, xs)[0]
 
 

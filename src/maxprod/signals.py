@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +21,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import quadrature
-from .errors import EmptyIndexSetError, TruncationError, UnknownNameError
+from .errors import (EmptyIndexSetError, InvalidInputError, TruncationError,
+                     UnknownNameError)
 
 Domain = tuple[float, float] | None  # None means the whole real line
 
@@ -33,7 +35,6 @@ class Signal:
     support: tuple[float, float] | None = None
     breakpoints: tuple[float, ...] = ()
     kinks: tuple[float, ...] = ()
-    nonneg: bool = True
 
     def __post_init__(self):
         for pts in (self.breakpoints, self.kinks):
@@ -218,8 +219,7 @@ class PiecewisePoly:
         return total
 
     def to_signal(self, name: str = "piecewise-poly") -> Signal:
-        """Wrap as a Signal; interior edges become jumps or kinks, and it is
-        non-negative when its minimum is (to rounding)."""
+        """Wrap as a Signal; interior edges become jumps or kinks."""
         jumps, kinks = [], []
         for i in range(1, self.edges.size - 1):
             t = float(self.edges[i])
@@ -228,8 +228,7 @@ class PiecewisePoly:
             scale = max(1.0, abs(left), abs(right))
             (jumps if abs(left - right) > 1e-12 * scale else kinks).append(t)
         return Signal(name=name, evaluate=self.evaluate, domain=self.domain,
-                      breakpoints=tuple(jumps), kinks=tuple(kinks),
-                      nonneg=self.minimum() >= -1e-12)
+                      breakpoints=tuple(jumps), kinks=tuple(kinks))
 
 
 def random_piecewise_poly(rng: np.random.Generator,
@@ -274,7 +273,7 @@ def catalog(name: str) -> Signal:
 
     ``constant:<c>``, ``ramp``, ``step``, ``sawtooth`` and ``abs-sine`` live
     on [0, 1]; ``hat`` and ``square-pulse`` are compactly supported signals
-    on the real line.
+    on the real line.  All are non-negative: c must be finite and >= 0.
     """
     key = name.strip().lower()
     if key.startswith("constant:"):
@@ -284,6 +283,9 @@ def catalog(name: str) -> Signal:
             raise UnknownNameError(f"malformed constant signal: {name!r}") from None
         if not math.isfinite(c):
             raise UnknownNameError(f"constant signal must be finite: {name!r}")
+        if c < 0.0:
+            raise UnknownNameError(f"signal {key!r} takes negative values; "
+                                   "the operator acts on non-negative signals")
         return PiecewisePoly((0.0, 1.0), [(c,)]).to_signal(name=key)
     if key == "ramp":
         return PiecewisePoly((0.0, 1.0), [(1.0, 0.0)]).to_signal(name="ramp")
@@ -315,12 +317,11 @@ def catalog(name: str) -> Signal:
     raise UnknownNameError(f"unknown signal: {name!r}")
 
 
-def from_csv(path, domain: tuple[float, float], nonneg: bool = False) -> Signal:
+def from_csv(path, domain: tuple[float, float]) -> Signal:
     """Piecewise-linear signal from a two-column (t, value) CSV file.
 
-    The header row is optional; t must be strictly increasing.  When
-    ``nonneg`` is set, negative samples are clamped to zero (a warning
-    reports how many).
+    The header row is optional; t must be strictly increasing.  Negative
+    samples are clamped to zero (a warning reports how many).
     """
     path = Path(path)
     ts: list[float] = []
@@ -347,11 +348,10 @@ def from_csv(path, domain: tuple[float, float], nonneg: bool = False) -> Signal:
     v_arr = np.asarray(vs)
     if np.any(np.diff(t_arr) <= 0):
         raise ValueError(f"{path}: sample times must be strictly increasing")
-    if nonneg:
-        clipped = int(np.sum(v_arr < 0))
-        if clipped:
-            warnings.warn(f"{path.name}: clamped {clipped} negative values to 0")
-            v_arr = np.clip(v_arr, 0.0, None)
+    clipped = int(np.sum(v_arr < 0))
+    if clipped:
+        warnings.warn(f"{path.name}: clamped {clipped} negative values to 0")
+        v_arr = np.clip(v_arr, 0.0, None)
 
     def evaluate(x):
         return np.interp(np.asarray(x, dtype=float), t_arr, v_arr)
@@ -359,7 +359,7 @@ def from_csv(path, domain: tuple[float, float], nonneg: bool = False) -> Signal:
     a, b = float(domain[0]), float(domain[1])
     interior = tuple(float(t) for t in t_arr if a < t < b)
     return Signal(name=path.stem, evaluate=evaluate, domain=(a, b),
-                  kinks=interior, nonneg=nonneg or bool(np.all(v_arr >= 0)))
+                  kinks=interior)
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +386,8 @@ class MeanValueTable:
         """
         n, domain = tables[0].n, tables[0].domain
         if any((t.n, t.domain) != (n, domain) for t in tables):
-            raise ValueError("stacked mean tables must share n and the "
-                             "domain")
+            raise InvalidInputError("stacked mean tables must share n and "
+                                    "the domain")
         k_lo = min(t.k_lo for t in tables)
         k_hi = max(t.k_hi for t in tables)
         values = np.zeros((len(tables), k_hi - k_lo + 1))
@@ -436,6 +436,13 @@ def cell_means(f: Signal, scale: float, k_lo: int, k_hi: int) -> np.ndarray:
     return values
 
 
+def positive_scale(n) -> int:
+    """n as an int, if it is a positive whole number of any real type."""
+    if not (isinstance(n, numbers.Real) and 1 <= n < math.inf and not n % 1):
+        raise InvalidInputError("scale n must be a positive integer")
+    return int(n)
+
+
 def mean_values(f: Signal, n: int, domain: Domain) -> MeanValueTable:
     """Kantorovich mean table for scale ``n`` on ``domain``.
 
@@ -446,9 +453,7 @@ def mean_values(f: Signal, n: int, domain: Domain) -> MeanValueTable:
     the signal must have compact support; cells away from the support have
     mean zero and are represented implicitly.
     """
-    if int(n) != n or n < 1:
-        raise ValueError("scale n must be a positive integer")
-    n = int(n)
+    n = positive_scale(n)
     if domain is not None:
         a, b = domain
         k_lo = iceil(n * a)

@@ -11,13 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_operator import evaluate_with_table_den as dense_evaluate
-from maxprod import cli, kernels, operators, quadrature, signals
+from maxprod import analysis, cli, kernels, operators, orlicz, quadrature, \
+    signals
 from maxprod.errors import (InadmissibleKernelError, InvalidInputError,
                             MaxprodError, TruncationError)
 
 KERNELS = {name: kernels.kernel_by_name(name)
            for name in ("bspline:4", "bspline:5", "fejer", "vallee-poussin")}
-# decay kernels for signed tables: the catalog's envelopes, and a signed
+# decay kernels for sparse tables: the catalog's envelopes, and a signed
 # kernel with a loose, phase-less envelope (1.1 times the peaks of
 # chi(u) u**2 and |chi(u)| u**2 sampled on 4 <= |u| < 4096)
 DECAY_KERNELS = (KERNELS["fejer"], KERNELS["vallee-poussin"],
@@ -29,6 +30,7 @@ DECAY_KERNELS = (KERNELS["fejer"], KERNELS["vallee-poussin"],
 # need not sit at the cell of the largest bound
 PHASED_VP = dataclasses.replace(KERNELS["vallee-poussin"], envelope=(
     ((0.26, 0.01), (4.0 / 9.0 + 0.01, 0.01)), 2e-14))
+UNIT = (0.0, 1.0)
 INTERVAL_SIGNALS = ("constant:1", "ramp", "step", "sawtooth", "abs-sine",
                     "random")
 LINE_SIGNALS = ("hat", "square-pulse")
@@ -36,6 +38,12 @@ LINE_SIGNALS = ("hat", "square-pulse")
 
 def _bits(values: np.ndarray) -> bytes:
     return np.ascontiguousarray(values, dtype=float).tobytes()
+
+
+def _half_cells(n, lo, hi):
+    """The half-cell edges j / 2n that cover [lo, hi]."""
+    return np.arange(math.floor(2 * n * lo), math.ceil(2 * n * hi) + 1) / (
+        2.0 * n)
 
 
 @st.composite
@@ -76,23 +84,20 @@ def stacked_cases(draw):
 
 
 @st.composite
-def signed_cases(draw):
-    """A decay kernel and a scale, one to three tables of negative, zero and
-    positive means, and points.  On [0, 1], n <= 2r + 1 + 16 takes the
-    one-pass window; line tables cover different cells, so the stack pads
-    them."""
+def sparse_cases(draw):
+    """A decay kernel and a scale, one to three tables of zero and positive
+    means, and points.  On [0, 1], n <= 2r + 1 + 16 takes the one-pass
+    window; line tables cover different cells, so the stack pads them."""
     kernel = draw(st.sampled_from(DECAY_KERNELS))
     n = draw(st.integers(8, 300))
     domain = draw(st.sampled_from([(0.0, 1.0), None]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    negative, zero = draw(st.sampled_from([0.0, 0.5, 1.0])), \
-        draw(st.sampled_from([0.0, 0.3, 0.9]))
+    zero = draw(st.sampled_from([0.0, 0.3, 0.9]))
     tables = []
     for _ in range(draw(st.integers(1, 3))):
         k_lo, cells = (0, n) if domain else (int(rng.integers(-n, n)),
                                              int(rng.integers(1, 2 * n)))
-        values = rng.uniform(0.01, 2.0, cells) * np.where(
-            rng.random(cells) < negative, -1.0, 1.0)
+        values = rng.uniform(0.01, 2.0, cells)
         values[rng.random(cells) < zero] = 0.0
         tables.append(signals.MeanValueTable(
             n=n, k_lo=k_lo, k_hi=k_lo + cells - 1, values=values,
@@ -108,8 +113,8 @@ def signed_cases(draw):
 
 @st.composite
 def one_sided_cases(draw):
-    """A decay kernel and a scale, one to three signed tables that end in
-    zero stretches, and points past the nonzero cells of one of them on
+    """A decay kernel and a scale, one to three tables that end in zero
+    stretches, and points past the nonzero cells of one of them on
     both sides: the rows the line hulls settle, or hand on to the block
     search.  Ramps and hats give long hulls, random means short ones, flat
     means one line per group with every rival off it; points reach 10**15
@@ -128,8 +133,6 @@ def one_sided_cases(draw):
                   "hat": 1.01 - np.abs(2.0 * t - 1.0),
                   "flat": np.ones(cells)}[
             draw(st.sampled_from(["random", "ramp", "hat", "flat"]))]
-        values *= np.where(rng.random(cells) < draw(st.sampled_from(
-            [0.0, 0.2, 1.0])), -1.0, 1.0)
         values[rng.random(cells) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
         lead, trail = rng.integers(0, cells // 2 + 1, size=2)
         values[:lead], values[cells - trail:] = 0.0, 0.0
@@ -189,12 +192,12 @@ class TestAgainstDense:
             assert got_den == single_den == want_den
 
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(signed_cases())
-    def test_signed_tables_bitwise_equal_to_dense(self, case):
-        # a negative mean is bounded by the envelope's negative row and a
-        # zero mean by nothing, and a row whose numerator is negative must
-        # still find the far cell nearest to zero: each row of the stack is
-        # its table's dense evaluation to the bit, a zero supremum included
+    @given(sparse_cases())
+    def test_sparse_tables_bitwise_equal_to_dense(self, case):
+        # a zero mean is bounded by nothing, and a row whose near cells hold
+        # zeros must still find the far cell that wins: each row of the
+        # stack is its table's dense evaluation to the bit, a zero supremum
+        # included
         config, tables, xs = case
         got, got_den = operators.evaluate_with_table_den(
             config, signals.MeanValueTable.stack(tables), xs)
@@ -243,14 +246,16 @@ class TestAgainstDense:
         assert left[0].tolist() == [ties == 0, False, False, False]
 
     def test_zero_suprema_are_positive_zeros(self, rng):
-        # on an interval a row whose terms are negative but for a zero mean
-        # has supremum zero, which numpy's max returns as -0.0 or +0.0 by
-        # its reduction order; reconstruct would write the first as "-0.0"
+        # on an interval a row whose positive means all meet the negative
+        # lobes of vallee-poussin has supremum zero from its zero means, a
+        # negative lobe times a zero mean being -0.0: numpy's max returns
+        # -0.0 or +0.0 by its reduction order, and reconstruct would write
+        # the first as "-0.0"
         n, domain = 8, (0.0, 1.0)
         config = operators.operator_config(KERNELS["vallee-poussin"], n,
                                            domain)
-        values = -rng.uniform(0.01, 2.0, (200, n))
-        values[rng.random(values.shape) < 0.5] = 0.0
+        values = rng.uniform(0.01, 2.0, (200, n))
+        values[rng.random(values.shape) < 0.8] = 0.0
         tables = [signals.MeanValueTable(n=n, k_lo=0, k_hi=n - 1, values=v,
                                          domain=domain) for v in values]
         xs = np.linspace(0.0, 1.0, 101)
@@ -413,7 +418,7 @@ class TestAgainstDense:
         hat = signals.catalog("hat")
         args = dict(n=16, domain=(-1.0, 1.0))
         table = signals.mean_values(hat, **args)
-        with pytest.raises(ValueError, match="must share n"):
+        with pytest.raises(InvalidInputError, match="must share n"):
             signals.MeanValueTable.stack(
                 [table, signals.mean_values(hat, **(args | other))])
 
@@ -463,36 +468,11 @@ class TestCompactWindow:
                                  table, x) == self._outcome(
                 dense_evaluate, config, table, x), (kernel.name, x)
 
-    @pytest.mark.parametrize("name", ["bspline:4", "bspline:5"])
-    def test_signed_tables_on_the_interval(self, rng, name):
-        # the columns off the window are zero terms: a row whose window
-        # holds only negative terms has supremum zero, as over all of J_n
-        n, domain = 64, (0.0, 1.0)
-        config = operators.operator_config(KERNELS[name], n, domain)
-        values = rng.uniform(-2.0, 1.0, (3, n))
-        values[rng.random(values.shape) < 0.2] = 0.0
-        tables = [signals.MeanValueTable(n=n, k_lo=0, k_hi=n - 1, values=v,
-                                         domain=domain) for v in values]
-        xs = np.concatenate([rng.uniform(0.0, 1.0, 300),
-                             self._edge_points(n, 0.0, 1.0)])
-        got, got_den = operators.evaluate_with_table_den(
-            config, signals.MeanValueTable.stack(tables), xs)
-        for row, table in zip(got, tables):
-            want, want_den = dense_evaluate(config, table, xs)
-            assert _bits(row) == _bits(want) and got_den == want_den
-        zero = got == 0.0
-        assert zero.sum() > 50 and not np.signbit(got[zero]).any()
-
 
 class TestLatticeNodes:
     """Half-cell quadrature nodes built as a cell plus one of 32 offsets,
     whose kernel values the operator reads from one table per offset and
     window shift."""
-
-    @staticmethod
-    def _half_cells(n, lo, hi):
-        return np.arange(math.floor(2 * n * lo), math.ceil(2 * n * hi) + 1) / (
-            2.0 * n)
 
     @pytest.mark.parametrize("name", ["bspline:4", "bspline:5", "bspline:6",
                                       "bspline:7", "fejer", "vallee-poussin"])
@@ -507,7 +487,7 @@ class TestLatticeNodes:
                                            domain)
         table = _table(signals.catalog(f), config)
         # at n = 256 every fifth half-cell, with the panels between them
-        edges, step = self._half_cells(n, lo, hi), 1 + n // 64
+        edges, step = _half_cells(n, lo, hi), 1 + n // 64
         _, _, on, nodes = quadrature.lattice_nodes(np.union1d(
             edges[:-1:step], edges[1::step]), n)
         assert on.sum() == 16 * edges[:-1:step].size
@@ -527,8 +507,8 @@ class TestLatticeNodes:
         # move by rounding only, and a panel that a split point off the
         # lattice cuts keeps its x-nodes
         n = 8
-        edges = np.concatenate([self._half_cells(n, 0.0, 0.5), [0.53],
-                                self._half_cells(n, 0.5625, 1.0)])
+        edges = np.concatenate([_half_cells(n, 0.0, 0.5), [0.53],
+                                _half_cells(n, 0.5625, 1.0)])
         x, w, on, nodes = quadrature.lattice_nodes(edges, n)
         xc, wc = quadrature.composite_nodes(edges)
         assert _bits(w) == _bits(wc)
@@ -546,7 +526,8 @@ def bad_calls(draw):
     |n x| = 2**52, points that are not 1-D, lattice nodes of another scale
     or offsets off [0, 1), a mean table of another scale or domain, a
     signal with negative or non-finite means, a scale below one or not an
-    integer, or a degenerate domain."""
+    integer (to a config, a mean table or a convergence run), or a
+    degenerate domain."""
     kernel = KERNELS[draw(st.sampled_from(sorted(KERNELS)))]
     n, line = draw(st.integers(1, 64)), draw(st.booleans())
     domain, f = (None, signals.catalog("hat")) if line else (
@@ -595,8 +576,16 @@ def bad_calls(draw):
             np.abs(x - 0.5) < 0.25, value, 1.0))
         return lambda: operators.maxprod_kantorovich_grid(config, bad_f, xs)
     if defect == "scale":
-        n_bad = draw(st.one_of(st.integers(-5, 0), st.sampled_from([2.5])))
-        return lambda: dataclasses.replace(config, n=n_bad)
+        n_bad = draw(st.one_of(
+            st.integers(-5, 0),
+            st.floats().filter(lambda v: not math.isfinite(v) or v % 1),
+            st.sampled_from([2.5, np.float64(2.5), np.int64(0), "4", None])))
+        return draw(st.sampled_from([
+            lambda: dataclasses.replace(config, n=n_bad),
+            lambda: operators.operator_config(kernel, n_bad, domain),
+            lambda: signals.mean_values(f, n_bad, domain),
+            lambda: analysis.run_convergence(f, kernel, orlicz.power_phi(1.0),
+                                             1.0, [n, n_bad])]))
     return lambda: dataclasses.replace(config, domain=draw(st.sampled_from(
         [(1.0, 1.0), (1.0, 0.0), (math.nan, 1.0)])))
 
@@ -605,6 +594,67 @@ class TestTypedErrors:
     def test_invalid_input_is_a_value_error(self):
         assert issubclass(InvalidInputError, MaxprodError)
         assert issubclass(InvalidInputError, ValueError)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.sampled_from(sorted(KERNELS)), st.integers(1, 64),
+           st.booleans(), st.sampled_from([-1.0, -1e-12, -math.inf, math.inf,
+                                           math.nan]),
+           st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 2))
+    def test_negative_or_non_finite_means_rejected(self, name, n, line, bad,
+                                                   where, row):
+        # the one check every library path goes through: a bad mean at any
+        # cell of a table, or of either row of a stack (row < 2), raises at
+        # points and at lattice nodes, and a signal with that mean raises
+        # in the grid form
+        config = operators.operator_config(KERNELS[name], n, None if line
+                                           else UNIT)
+        f = signals.catalog("hat" if line else "ramp")
+        table = _table(f, config)
+        k = table.k_lo + int(where * table.values.size)
+        values = table.values.copy()
+        values[k - table.k_lo] = bad
+        bad_table = dataclasses.replace(table, values=values)
+        if row < 2:
+            rows = [table, table]
+            rows[row] = bad_table
+            bad_table = signals.MeanValueTable.stack(rows)
+        lo, hi = (-2.0, 2.0) if line else UNIT
+        _, _, _, nodes = quadrature.lattice_nodes(_half_cells(n, lo, hi), n)
+        bad_f = dataclasses.replace(f, evaluate=lambda x: np.where(
+            np.floor(n * x) == k, bad, f.evaluate(x)))
+        for call in (
+                lambda: operators.evaluate_with_table_den(config, bad_table,
+                                                          [0.25, 0.5]),
+                lambda: operators.evaluate_with_table_den(config, bad_table,
+                                                          nodes),
+                lambda: operators.maxprod_kantorovich_grid(config, bad_f,
+                                                           [0.5])):
+            with pytest.raises(InvalidInputError, match="non-negative"):
+                call()
+
+    @pytest.mark.parametrize("name", ["bspline:4", "fejer", "vallee-poussin"])
+    @pytest.mark.parametrize("line", [False, True])
+    def test_negative_zero_means_give_positive_zeros(self, name, line):
+        n, domain = 16, None if line else UNIT
+        config = operators.operator_config(KERNELS[name], n, domain)
+        table = _table(signals.catalog("hat" if line else "ramp"), config)
+        table = dataclasses.replace(table, values=np.full_like(table.values,
+                                                               -0.0))
+        lo, hi = (-2.0, 2.0) if line else UNIT
+        _, _, _, nodes = quadrature.lattice_nodes(_half_cells(n, lo, hi), n)
+        for xs in (np.linspace(lo, hi, 101), nodes):
+            got, _ = operators.evaluate_with_table_den(config, table, xs)
+            assert np.all(got == 0.0) and not np.signbit(got).any()
+
+    @pytest.mark.parametrize("n", [16, 16.0, np.int64(16), np.float64(16.0)])
+    def test_integer_valued_scales_accepted(self, n):
+        f = signals.catalog("ramp")
+        config = operators.operator_config(KERNELS["bspline:4"], n, UNIT)
+        assert type(config.n) is int and config.n == 16
+        assert signals.mean_values(f, n, UNIT).n == 16
+        assert analysis.run_convergence(f, config.kernel,
+                                        orlicz.power_phi(1.0), 1.0,
+                                        [8, n]).scales == [8, 16]
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(bad_calls())

@@ -130,7 +130,7 @@ def test_defaulted_parameters_do_not_grow():
     # a ratchet: lower it when a default goes, never raise it
     total = sum(len(list(_defaulted_parameters(
         ast.parse(path.read_text(encoding="utf-8"))))) for path in SOURCES)
-    assert total <= 12
+    assert total <= 11
 
 
 def test_src_lines_do_not_grow():
@@ -138,7 +138,7 @@ def test_src_lines_do_not_grow():
     # lower it when code goes, never raise it without a reason in CHANGES.md
     total = sum(len(path.read_text(encoding="utf-8").splitlines())
                 for path in SOURCES)
-    assert total <= 2606
+    assert total <= 2605
 
 
 def test_adaptive_quadrature_only_for_unmarked_kinks():

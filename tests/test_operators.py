@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from maxprod import kernels, operators, signals
-from maxprod.errors import InadmissibleKernelError
+from maxprod.errors import (InadmissibleKernelError, InvalidInputError,
+                            UnknownNameError)
 
 UNIT = (0.0, 1.0)
 
@@ -138,8 +139,8 @@ class TestPerPointWindow:
         assert table.values.size == 514 and per_point <= 140.0
 
     @pytest.mark.parametrize("name, signal, n, lo, hi, cells, ceiling", [
-        # the positive part of vallee-poussin's terms is bounded by 1/4,
-        # not 4/9: 172 pairs per point without it
+        # vallee-poussin's lobes: the positive part of its terms is bounded
+        # by 1/4, not 4/9, 172 pairs per point without it
         ("vallee-poussin", "square-pulse", 256, 1.1, 3.0, 258, 48.0),
         # far rows of a 16386-cell table: 3106 pairs per point if every row
         # bounds every block with the plain envelope C |u - k|**-2, 161 with
@@ -150,8 +151,8 @@ class TestPerPointWindow:
         # point with the block search alone
         ("fejer", "hat", 8192, 1.0, 3.0, 16386, 16.0),
     ])
-    def test_far_field_of_signed_and_large_tables(self, rng, name, signal, n,
-                                                  lo, hi, cells, ceiling):
+    def test_far_field_of_lobed_and_large_tables(self, rng, name, signal, n,
+                                                 lo, hi, cells, ceiling):
         xs = rng.uniform(lo, hi, 20_000)
         per_point, _, table = self._pairs_per_point(name, n, None, signal,
                                                     xs)
@@ -300,22 +301,27 @@ class TestPointwiseConvergence:
 
 class TestGuards:
     def test_negative_signal_rejected(self, fejer_kernel):
+        # the catalog refuses a negative constant by name; built by hand,
+        # its mean table reaches the operator, which refuses it
+        with pytest.raises(UnknownNameError, match="takes negative values"):
+            signals.catalog("constant:-3")
         config = operators.operator_config(fejer_kernel, 8, UNIT)
-        neg = signals.catalog("constant:-3")
-        with pytest.raises(ValueError, match="not non-negative"):
+        neg = signals.PiecewisePoly((0.0, 1.0), [(-3.0,)]).to_signal()
+        with pytest.raises(InvalidInputError, match="not non-negative"):
             operators.maxprod_kantorovich(config, neg, 0.5)
 
     def test_negative_means_rejected_whatever_the_flag(self, fejer_kernel):
-        # Signal.nonneg defaults to True: the operator checks the mean table
+        # no flag on the signal vouches for it: the operator checks the
+        # mean table of whatever signal it is given
         neg = signals.Signal("neg", lambda x: -np.ones_like(x), UNIT)
         config = operators.operator_config(fejer_kernel, 8, UNIT)
-        with pytest.raises(ValueError, match="not non-negative"):
+        with pytest.raises(InvalidInputError, match="not non-negative"):
             operators.maxprod_kantorovich_grid(config, neg, [0.3, 0.7])
         hat = signals.catalog("hat")
         neg_hat = dataclasses.replace(hat, name="neg-hat",
                                       evaluate=lambda x: -hat.evaluate(x))
         config = operators.operator_config(fejer_kernel, 8, None)
-        with pytest.raises(ValueError, match="not non-negative"):
+        with pytest.raises(InvalidInputError, match="not non-negative"):
             operators.maxprod_kantorovich(config, neg_hat, 0.0)
 
     def test_x_outside_domain_rejected(self, fejer_kernel):

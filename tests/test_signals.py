@@ -108,8 +108,8 @@ class TestFromCsv:
         path = tmp_path / "neg.csv"
         path.write_text("0,-1\n0.5,2\n1,-0.5\n")
         with pytest.warns(UserWarning, match="clamped 2"):
-            sig = signals.from_csv(path, (0.0, 1.0), nonneg=True)
-        assert ev(sig, 0.0) == 0.0 and sig.nonneg
+            sig = signals.from_csv(path, (0.0, 1.0))
+        assert ev(sig, 0.0) == 0.0 and ev(sig, 1.0) == 0.0
 
 
 class TestMeanValues:
