@@ -32,6 +32,7 @@ import functools
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -328,8 +329,11 @@ def main(argv=None) -> int:
              InadmissibleKernelError: EXIT_INADMISSIBLE,
              EmptyIndexSetError: EXIT_EMPTY_INDEX_SET, OSError: EXIT_IO,
              MaxprodError: EXIT_NUMERICAL}   # after its subclasses
-    try:
-        return args.func(args)
+    try:   # a warning, such as from_csv's clamp, is one line as well
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: print(
+                f"maxprod: warning: {message}", file=sys.stderr)
+            return args.func(args)
     except tuple(codes) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in codes.items()

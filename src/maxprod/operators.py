@@ -4,16 +4,17 @@ K_n f(x) = sup_k chi(n x - k) m_k / sup_k chi(n x - k), means m_k >= 0, over
 J_n on an interval, or over Z on the line with zero means off the support;
 the denominator is the numerator of a table of ones, swept with the tables.
 Each point sweeps a window of columns around floor(u), u = n x, shifted into
-J_n, in chunks of ``_BUDGET`` elements: chi(u - k) is computed per point, or
-for ``LatticeNodes`` read from one table per offset and window shift.  A
-compact kernel's window is its support's 2r columns.  A decay kernel takes
-all of J_n when |J_n| <= 2r + 1 + ``_BLOCK``, else a core of 2r + 1 columns,
-C r**-alpha <= a_chi / 4, then the blocks its lattice envelope cannot rule
-out: the kernel's phase-aware envelope at u, times a run of blocks' max mean
-per class of k, times max(d, r)**-alpha bounds the run's terms d away.
-Skipped columns cannot win and max is exact, so each row of a stack of
-tables (``MeanValueTable.stack``) is bitwise its own table's evaluation over
-the whole lattice.
+J_n, in chunks of ``_BUDGET`` elements: chi(u - k) is computed per pair, or
+for ``LatticeNodes`` read from one table of chi(o - d) per offset o and shift
+d = k - cell, in the blocks too where, after the line hulls, it holds at most
+``_BLOCK`` values per row left.  A compact kernel's window is its support's 2r
+columns.  A decay kernel takes all of J_n when |J_n| <= 2r + 1 + ``_BLOCK``,
+else a core of 2r + 1 columns, C r**-alpha <= a_chi / 4, then the blocks its
+lattice envelope cannot rule out: the kernel's phase-aware envelope at u,
+times a run of blocks' max mean per class of k, times max(d, r)**-alpha bounds
+the run's terms d away.  Skipped columns cannot win and max is exact, so each
+row of a stack of tables (``MeanValueTable.stack``) is bitwise its own table's
+evaluation over the whole lattice.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ def _sweep(padded: np.ndarray, k_lo: int, chi, starts: np.ndarray,
         rows = slice(s, s + step)
         ks = starts[rows] + cols
         means = np.take(padded, ks - (k_lo - 1), axis=1, mode="clip")
-        out[:, rows] = (chi(rows, ks) * means).max(1)
+        out[:, rows] = np.multiply(chi(rows, ks), means, out=means).max(1)
     return out
 
 
@@ -226,8 +227,8 @@ def _settle_one_sided(config: OperatorConfig, r: int, table: MeanValueTable,
 
 
 def _visit_blocks(config: OperatorConfig, r: int, table: MeanValueTable,
-                  padded: np.ndarray, u: np.ndarray, chi,
-                  sweep: np.ndarray) -> None:
+                  padded: np.ndarray, u: np.ndarray, chi, sweep: np.ndarray,
+                  nodes: LatticeNodes | None) -> None:
     """Raise each row of ``sweep``, chi(q, ks) being the kernel at rows q and
     columns ks, by the blocks that could still win: from rings of runs
     widening outward from its block, each table dives to one block along the
@@ -244,6 +245,12 @@ def _visit_blocks(config: OperatorConfig, r: int, table: MeanValueTable,
     _settle_one_sided(config, r, table, padded, u, chi, sweep, need)
     if not need.any():
         return
+    if nodes:   # rows left read one table of shifts k - cell, <= _BLOCK a row
+        cells = nodes.cells[need.any(0)]
+        d_lo, d_hi, rows = k_lo - cells.max(), k_hi - cells.min(), cells.size
+        del cells   # 8 B a row, not held through the search
+        if nodes.offsets.size * (d_hi - d_lo + 1) <= _BLOCK * rows:
+            chi = nodes.chi(ker, d_lo, d_hi)
     # per table, a heap over the blocks of max mean per class of k, and of
     # minus the first and of the last column of a nonzero mean
     cls, nz = np.arange(k_lo, k_hi + 1) % groups, means != 0
@@ -351,11 +358,15 @@ def evaluate_with_table_den(config: OperatorConfig, table: MeanValueTable,
     means = np.atleast_2d(table.values)
     padded = np.zeros((len(means) + 1, means.shape[1] + 2))
     padded[:-1, 1:-1], padded[-1] = means, 1.0
-    chi = nodes.chi(ker) if nodes else lambda q, k: ker.evaluate(u[q] - k)
-    sweep = _sweep(padded, table.k_lo, nodes.window_chi(ker, first, width)
-                   if nodes else chi, first, width)
+    chi = core = lambda q, k: ker.evaluate(u[q] - k)
+    if nodes:   # per pair chi(o - (k - cell)); the core reads one table
+        chi = lambda q, k: ker.evaluate(nodes.offsets[nodes.offset[q]] - (
+            k - nodes.cells[q]))
+        core = nodes.chi(ker, (first - nodes.cells).min(initial=0),
+                         (first - nodes.cells).max(initial=0) + width - 1)
+    sweep = _sweep(padded, table.k_lo, core, first, width)
     if prune:
-        _visit_blocks(config, r, table, padded, u, chi, sweep)
+        _visit_blocks(config, r, table, padded, u, chi, sweep, nodes)
     num, den = sweep[:-1], sweep[-1]
     den_min = float(den.min(initial=math.inf))
     # on the line this also certifies the columns never evaluated: each lies

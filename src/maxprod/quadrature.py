@@ -81,22 +81,15 @@ class LatticeNodes:
     def __array__(self, *args, **kwargs):
         return np.asarray(self.u / self.n, *args, **kwargs)
 
-    def chi(self, kernel):
+    def chi(self, kernel, d_lo: int, d_hi: int):
         """chi(rows, ks): the kernel at o - (k - cell) for the points rows
-        at the columns ks."""
-        return lambda rows, ks: kernel.evaluate(
-            self.offsets[self.offset[rows]] - (ks - self.cells[rows]))
-
-    def window_chi(self, kernel, starts: np.ndarray, width: int):
-        """``chi`` over the ``width`` columns from each point's start,
-        read from one table of chi(o - (s + c)) per offset o, window shift
-        s = start - cell and column c."""
-        shift = starts - self.cells
-        s0, s1 = shift.min(initial=0), shift.max(initial=0)
-        table = kernel.evaluate(self.offsets - (np.arange(s0, s1 + 1)[
-            :, None] + np.arange(width)[:, None, None])).reshape(width, -1)
-        return lambda rows, ks: table.take((ks[0] - self.cells[rows] - s0) * (
-            self.offsets.size) + self.offset[rows], axis=1)
+        at the columns ks, read from one table of chi(o - d) per offset o
+        and shift d = k - cell in [d_lo, d_hi]."""
+        table = kernel.evaluate(   # a row per offset, a column per shift
+            self.offsets[:, None] - np.arange(d_lo, d_hi + 1))
+        row = np.arange(self.offsets.size) * table.shape[1] - d_lo
+        return lambda rows, ks: table.take(ks + (
+            row[self.offset[rows]] - self.cells[rows]))
 
 
 def lattice_nodes(edges, n: int) -> tuple[np.ndarray, np.ndarray,

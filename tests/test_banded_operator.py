@@ -502,6 +502,58 @@ class TestLatticeNodes:
         rows, _ = operators.evaluate_with_table_den(config, stack, nodes)
         assert _bits(rows[0]) == _bits(got)
 
+    @pytest.mark.parametrize("name", ["fejer", "vallee-poussin"])
+    @pytest.mark.parametrize("line", [False, True])
+    def test_block_table_bitwise_equal_to_per_pair(self, name, line,
+                                                   monkeypatch):
+        # all nodes in one call read the block stage's chi from one table
+        # of 32 offsets by D shifts, 32 D <= 16 rows; one cell's 32 nodes per
+        # call are too few rows for it once D > 16, so they compute
+        # chi(o - (k - cell)) per pair.  Sparse means leave the rows between
+        # nonzero cells to the block stage
+        n, domain = 64, None if line else UNIT
+        config = operators.operator_config(KERNELS[name], n, domain)
+        base = _table(signals.catalog("hat" if line else "ramp"), config)
+        rng = np.random.default_rng(7)
+        tables = [dataclasses.replace(base, values=rng.random(
+            base.values.size) * (rng.random(base.values.size) < 0.2))
+            for _ in range(2)]
+        tables[1] = signals.MeanValueTable.stack(tables)
+        _, _, _, nodes = quadrature.lattice_nodes(
+            _half_cells(n, *((-2.0, 2.0) if line else UNIT)), n)
+        built, chi = [], quadrature.LatticeNodes.chi
+        monkeypatch.setattr(quadrature.LatticeNodes, "chi", lambda self, *a: (
+            built.append(self.cells.size), chi(self, *a))[1])
+        whole = [operators.evaluate_with_table_den(config, table, nodes)[0]
+                 for table in tables]
+        assert built == [nodes.cells.size] * 4   # a core and a block table
+        built.clear()
+        cells = np.unique(nodes.cells)
+        for c in cells:
+            at = nodes.cells == c
+            one = quadrature.LatticeNodes(n, nodes.cells[at], nodes.offset[at],
+                                          nodes.offsets)
+            for table, want in zip(tables, whole):
+                got, _ = operators.evaluate_with_table_den(config, table, one)
+                assert _bits(got) == _bits(want[..., at])
+        assert built == [32] * (2 * cells.size)   # the core table only
+
+    @pytest.mark.parametrize("name, f, scales, most", [
+        # 2,160,713 with the blocks' chi computed per pair
+        ("vallee-poussin", "square-pulse", (64, 128, 256), 1_000_000),
+        # per pair, 885,641: a block table sized before the line hulls
+        # settle their rows would hold far more values than it saves
+        ("fejer", "hat", (2048,), 885_641)])
+    def test_kernel_values_of_line_studies(self, name, f, scales, most):
+        # kernel values counted on a wrapper of Kernel.evaluate, constants
+        # included: deterministic, unlike the study's time
+        values, evaluate = [], KERNELS[name].evaluate
+        kernel = dataclasses.replace(KERNELS[name], evaluate=lambda u: (
+            values.append(np.size(u)), evaluate(u))[1])
+        analysis.run_convergence(signals.catalog(f), kernel,
+                                 orlicz.power_phi(2.0), 1.0, scales)
+        assert sum(values) <= most
+
     def test_nodes_and_weights_are_the_gauss_rules(self):
         # the weights are composite_nodes' bit for bit, the half-cell nodes
         # move by rounding only, and a panel that a split point off the
