@@ -106,8 +106,11 @@ def _real_roots(coeffs: np.ndarray, lo: float, hi: float) -> list[float]:
 class PiecewisePoly:
     """Polynomial pieces on [edges[i], edges[i+1]), right-continuous.
 
-    Coefficients follow the ``np.polyval`` convention (highest power first)
-    and are expressed in the global coordinate.
+    ``coeffs`` is one matrix with a row per piece, in the ``np.polyval``
+    convention (highest power first) and the global coordinate.  A piece of
+    lower degree starts its row with zeros.  Horner's running value is zero
+    until it meets the first nonzero coefficient and equals it exactly then,
+    so a padded row gives the bits ``np.polyval`` gives the unpadded one.
     """
 
     def __init__(self, edges: Sequence[float], coeffs: Sequence[Sequence[float]]):
@@ -118,48 +121,37 @@ class PiecewisePoly:
             raise ValueError("edges must be strictly increasing")
         if len(coeffs) != self.edges.size - 1:
             raise ValueError("one coefficient row per piece required")
-        self.coeffs = [np.atleast_1d(np.asarray(c, dtype=float)) for c in coeffs]
-        # row j holds every piece's coefficient of power top - j; leading
-        # zeros leave Horner's running value at +0.0, so rows match polyval
-        top = max(c.size for c in self.coeffs)
-        self._horner = np.array([self._pad(c, top) for c in self.coeffs]).T
+        rows = [np.atleast_1d(np.asarray(c, dtype=float)) for c in coeffs]
+        self.coeffs = np.zeros((len(rows), max(r.size for r in rows)))
+        for out, row in zip(self.coeffs, rows):
+            out[out.size - row.size:] = row
 
     @property
     def domain(self) -> tuple[float, float]:
         return float(self.edges[0]), float(self.edges[-1])
+
+    def _pieces(self):
+        return zip(self.coeffs, self.edges[:-1], self.edges[1:])
 
     def evaluate(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         idx = np.searchsorted(self.edges, x, side="right") - 1
         idx = np.clip(idx, 0, len(self.coeffs) - 1)
         out = np.zeros_like(x)
-        for row in self._horner:
-            out = out * x + row[idx]
+        for column in self.coeffs.T:
+            out = out * x + column[idx]
         return out
 
-    def _aligned(self, other: "PiecewisePoly"):
+    def _combine(self, other: "PiecewisePoly", sign: float) -> "PiecewisePoly":
         if self.domain != other.domain:
             raise ValueError("domain mismatch")
         edges = np.union1d(self.edges, other.edges)
         mids = 0.5 * (edges[:-1] + edges[1:])
-        ia = np.clip(np.searchsorted(self.edges, mids, side="right") - 1,
-                     0, len(self.coeffs) - 1)
-        ib = np.clip(np.searchsorted(other.edges, mids, side="right") - 1,
-                     0, len(other.coeffs) - 1)
-        return edges, ia, ib
-
-    @staticmethod
-    def _pad(a: np.ndarray, n: int) -> np.ndarray:
-        return np.concatenate([np.zeros(n - a.size), a]) if a.size < n else a
-
-    def _combine(self, other: "PiecewisePoly", sign: float) -> "PiecewisePoly":
-        edges, ia, ib = self._aligned(other)
-        coeffs = []
-        for i, j in zip(ia, ib):
-            ca, cb = self.coeffs[i], other.coeffs[j]
-            n = max(ca.size, cb.size)
-            coeffs.append(self._pad(ca, n) + sign * self._pad(cb, n))
-        return PiecewisePoly(edges, coeffs)
+        top = max(self.coeffs.shape[1], other.coeffs.shape[1])
+        a, b = (np.pad(p.coeffs, ((0, 0), (top - p.coeffs.shape[1], 0)))[
+            np.clip(np.searchsorted(p.edges, mids, side="right") - 1,
+                    0, len(p.coeffs) - 1)] for p in (self, other))
+        return PiecewisePoly(edges, a + sign * b)
 
     def __add__(self, other: "PiecewisePoly") -> "PiecewisePoly":
         return self._combine(other, 1.0)
@@ -168,63 +160,51 @@ class PiecewisePoly:
         return self._combine(other, -1.0)
 
     def scaled(self, factor: float) -> "PiecewisePoly":
-        return PiecewisePoly(self.edges, [c * factor for c in self.coeffs])
+        return PiecewisePoly(self.edges, self.coeffs * factor)
 
     def absolute(self) -> "PiecewisePoly":
         """|p|, with sign-change locations promoted to exact edges."""
-        edges: list[float] = [float(self.edges[0])]
-        coeffs: list[np.ndarray] = []
-        for i, c in enumerate(self.coeffs):
-            lo, hi = float(self.edges[i]), float(self.edges[i + 1])
-            cuts = [lo] + _real_roots(c, lo, hi) + [hi]
+        edges, rows = [self.edges[0]], []
+        for c, lo, hi in self._pieces():
+            cuts = [lo, *_real_roots(c, lo, hi), hi]
             for a, b in zip(cuts[:-1], cuts[1:]):
-                mid = 0.5 * (a + b)
-                piece = -c if np.polyval(c, mid) < 0.0 else c
+                rows.append(-c if np.polyval(c, 0.5 * (a + b)) < 0.0 else c)
                 edges.append(b)
-                coeffs.append(piece)
-        return PiecewisePoly(edges, coeffs)
+        return PiecewisePoly(edges, rows)
 
-    def _extrema(self, minimum: bool) -> float:
-        best = None
-        for i, c in enumerate(self.coeffs):
-            lo, hi = float(self.edges[i]), float(self.edges[i + 1])
-            xs = [lo, hi]
-            if c.size > 1:
-                xs += _real_roots(np.polyder(c), lo, hi)
-            vals = [float(np.polyval(c, x)) for x in xs]
-            v = min(vals) if minimum else max(vals)
-            best = v if best is None else (min(best, v) if minimum else max(best, v))
-        return best
+    def _critical_points(self) -> list[np.ndarray]:
+        """Per piece, its ends and its derivative's roots between them:
+        the points where it takes its extrema.  A change of the constant
+        term leaves them as they are."""
+        return [np.array([lo, hi, *_real_roots(np.polyder(c), lo, hi)])
+                for c, lo, hi in self._pieces()]
+
+    def _extrema(self, points: list[np.ndarray]) -> np.ndarray:
+        """Per piece, the minimum and maximum of its values at its points."""
+        values = [np.polyval(c, x) for c, x in zip(self.coeffs, points)]
+        return np.array([(v.min(), v.max()) for v in values])
 
     def minimum(self) -> float:
-        return self._extrema(True)
+        return float(self._extrema(self._critical_points())[:, 0].min())
 
     def maximum(self) -> float:
-        return self._extrema(False)
+        return float(self._extrema(self._critical_points())[:, 1].max())
 
     def integral(self, a: float, b: float) -> float:
         """Exact integral over [a, b] via antiderivatives (oracle use)."""
-        a = max(a, float(self.edges[0]))
-        b = min(b, float(self.edges[-1]))
-        if b <= a:
-            return 0.0
         total = 0.0
-        for i, c in enumerate(self.coeffs):
-            lo = max(a, float(self.edges[i]))
-            hi = min(b, float(self.edges[i + 1]))
-            if hi <= lo:
-                continue
-            anti = np.polyint(c)
-            total += float(np.polyval(anti, hi) - np.polyval(anti, lo))
+        for c, lo, hi in self._pieces():
+            lo, hi = max(a, lo), min(b, hi)
+            if hi > lo:
+                anti = np.polyint(c)
+                total += float(np.polyval(anti, hi) - np.polyval(anti, lo))
         return total
 
     def to_signal(self, name: str = "piecewise-poly") -> Signal:
         """Wrap as a Signal; interior edges become jumps or kinks."""
         jumps, kinks = [], []
-        for i in range(1, self.edges.size - 1):
-            t = float(self.edges[i])
-            left = float(np.polyval(self.coeffs[i - 1], t))
-            right = float(np.polyval(self.coeffs[i], t))
+        for i, t in enumerate(self.edges[1:-1].tolist()):
+            left, right = (float(np.polyval(c, t)) for c in self.coeffs[i:i + 2])
             scale = max(1.0, abs(left), abs(right))
             (jumps if abs(left - right) > 1e-12 * scale else kinks).append(t)
         return Signal(name=name, evaluate=self.evaluate, domain=self.domain,
@@ -247,22 +227,14 @@ def random_piecewise_poly(rng: np.random.Generator,
         if nb < 2 or np.min(np.diff(cuts)) > 0.03 * span:
             break
     edges = np.concatenate([[lo], cuts, [hi]])
-    coeffs = []
-    for _ in range(edges.size - 1):
-        deg = int(rng.integers(0, 4))
-        coeffs.append(rng.normal(0.0, 1.0, size=deg + 1))
-    poly = PiecewisePoly(edges, coeffs)
-    lifted = []
-    for i, c in enumerate(poly.coeffs):
-        piece = PiecewisePoly(poly.edges[i:i + 2], [c])
-        c = c.copy()
-        c[-1] += float(rng.uniform(0.0, 0.5)) - piece.minimum()
-        lifted.append(c)
-    poly = PiecewisePoly(poly.edges, lifted)
-    peak = poly.maximum()
-    if peak > 2.0:
-        poly = poly.scaled(2.0 / peak)
-    return poly
+    poly = PiecewisePoly(edges, [rng.normal(0.0, 1.0, size=int(
+        rng.integers(0, 4)) + 1) for _ in range(edges.size - 1)])
+    # lift each piece to a minimum drawn from [0, 0.5]
+    points = poly._critical_points()
+    poly.coeffs[:, -1] += rng.uniform(0.0, 0.5, size=len(points)) \
+        - poly._extrema(points)[:, 0]
+    peak = poly._extrema(points)[:, 1].max()
+    return poly.scaled(2.0 / peak) if peak > 2.0 else poly
 
 
 # ---------------------------------------------------------------------------

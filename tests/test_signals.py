@@ -1,4 +1,6 @@
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -225,6 +227,27 @@ class TestPiecewisePoly:
             assert poly.minimum() >= 0.0
             assert poly.maximum() <= 2.0 + 1e-12
             assert len(poly.edges) <= 5
+
+    def test_random_draws_keep_their_bits(self):
+        # the verify golden and the benchmark's references rest on these
+        # draws: edges, values, extrema, recorded before the coefficients
+        # became one padded matrix
+        rng = np.random.default_rng(0)
+        xs = np.linspace(0.0, 1.0, 33)
+        digest = hashlib.sha256()
+        for _ in range(200):
+            poly = signals.random_piecewise_poly(rng)
+            digest.update(poly.edges.tobytes())
+            digest.update(poly.evaluate(xs).tobytes())
+            digest.update(np.array([poly.minimum(), poly.maximum()]).tobytes())
+        assert digest.hexdigest() == ("b0abde32867c7d7cb7bd3504cfbb7ac7"
+                                      "a3191b749380cafd8b87928ba5485cda")
+
+    def test_coefficients_are_one_padded_matrix(self):
+        poly = signals.PiecewisePoly((0.0, 0.5, 1.0), [(2.0,), (1.0, -1.0, 3.0)])
+        assert poly.coeffs.tobytes() == np.array(
+            [[0.0, 0.0, 2.0], [1.0, -1.0, 3.0]]).tobytes()
+        assert [list(c) for c in poly.coeffs[1:]] == [[1.0, -1.0, 3.0]]
 
     def test_evaluate_is_polyval_per_piece(self, rng):
         # one Horner pass over coefficients padded with leading zeros does
