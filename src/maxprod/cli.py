@@ -250,6 +250,8 @@ def _cmd_verify(args) -> int:
     size = args.draws
     if size < 0:
         raise UnknownNameError(f"--draws must be >= 0, got {size}")
+    if args.seed < 0:
+        raise UnknownNameError(f"--seed must be >= 0, got {args.seed}")
     tol = _positive_float(args.tol, "--tol")
     if size == 0:
         print("campaign size 0: nothing to verify")

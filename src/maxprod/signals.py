@@ -385,27 +385,19 @@ def cell_means(f: Signal, scale: float, k_lo: int, k_hi: int) -> np.ndarray:
     """Gauss-Legendre cell means for k in [k_lo, k_hi].
 
     Cells containing declared breakpoints or kinks are split there, so the
-    16-point rule is exact for piecewise polynomials up to degree 31.
+    16-point rule is exact for piecewise polynomials up to degree 31.  The
+    panels of all cells take one node pass.  Each panel sums its 16 terms
+    as ``np.sum`` does a row, and each cell adds its first panel to the
+    ``np.add.reduce`` of its others (``np.add.reduceat``'s order), so no
+    sum goes through BLAS and a cell no split point falls in is bitwise
+    ``scale * np.sum(f(x) * w)`` over its own nodes.
     """
     edges = np.arange(k_lo, k_hi + 2) / scale
-    lo, hi = edges[:-1], edges[1:]
     splits = np.asarray(f.split_points(), dtype=float)
-    # cell i holds the split points splits[first[i]:stop[i]], strictly inside
-    first = np.searchsorted(splits, lo, side="right")
-    stop = np.searchsorted(splits, hi, side="left")
-    values = np.empty(lo.size, dtype=float)
-    split_cells = stop > first
-    for i in np.flatnonzero(split_cells):
-        x, w = quadrature.composite_nodes(
-            [lo[i], *splits[first[i]:stop[i]], hi[i]])
-        values[i] = scale * float(np.dot(w, f.evaluate(x)))
-    if not split_cells.all():
-        x, w = quadrature.composite_nodes(edges)
-        x = x.reshape(lo.size, -1)[~split_cells]
-        w = w.reshape(lo.size, -1)[~split_cells]
-        fx = f.evaluate(x.ravel()).reshape(x.shape)
-        values[~split_cells] = scale * np.sum(fx * w, axis=1)
-    return values
+    cuts = np.union1d(edges, splits[(splits > edges[0]) & (splits < edges[-1])])
+    x, w = quadrature.composite_nodes(cuts)
+    panels = (f.evaluate(x) * w).reshape(cuts.size - 1, -1).sum(axis=1)
+    return scale * np.add.reduceat(panels, np.searchsorted(cuts, edges[:-1]))
 
 
 def positive_scale(n) -> int:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from conftest import catalog_names
-from maxprod import signals
+from maxprod import quadrature, signals
 from maxprod.errors import (EmptyIndexSetError, TruncationError,
                             UnknownNameError)
 
@@ -193,6 +193,40 @@ class TestMeanValues:
                     [lo, *poly.edges[i + 1:j], hi], poly.coeffs[i:j])
                 assert cell.minimum() - 1e-12 <= mean <= \
                     cell.maximum() + 1e-12
+
+    @pytest.mark.parametrize("name, n, domain", [
+        ("abs-sine", 256, UNIT), ("hat", 64, None), ("square-pulse", 128, None),
+    ])
+    def test_aligned_cells_are_row_sums(self, name, n, domain):
+        # no split point falls inside a cell: each mean is its own 16-term
+        # row sum, which converge-compact's bitwise references rest on
+        sig = signals.catalog(name)
+        table = signals.mean_values(sig, n, domain)
+        edges = np.arange(table.k_lo, table.k_hi + 2) / float(n)
+        x, w = quadrature.composite_nodes(edges)
+        fx = sig.evaluate(x).reshape(-1, 16)
+        want = float(n) * np.sum(fx * w.reshape(-1, 16), axis=1)
+        assert table.values.tobytes() == want.tobytes()
+
+    def test_split_cells_sum_panels_in_a_fixed_order(self, tmp_path):
+        # a split cell adds its first panel's 16-term sum to np.add.reduce
+        # of its other panels' sums; no BLAS dot, whose order its build picks
+        ts = np.linspace(0.0, 1.0, 2000)
+        walk = np.cumsum(np.random.default_rng(7).normal(0.0, 0.05, ts.size))
+        walk += 0.25 - walk.min()
+        path = tmp_path / "walk.csv"
+        path.write_text("".join(f"{t!r},{v!r}\n" for t, v in zip(
+            ts.tolist(), walk.tolist())))
+        sig = signals.from_csv(path, UNIT)
+        splits = np.array(sig.split_points())
+        n = 256
+        table = signals.mean_values(sig, n, UNIT)
+        for k, value in enumerate(table.values):
+            inside = splits[(splits > k / n) & (splits < (k + 1) / n)]
+            x, w = quadrature.composite_nodes([k / n, *inside, (k + 1) / n])
+            panels = np.sum((sig.evaluate(x) * w).reshape(-1, 16), axis=1)
+            assert panels.size > 1
+            assert value == n * (panels[0] + np.add.reduce(panels[1:]))
 
     def test_nonneg_signal_nonneg_means(self, rng):
         poly = signals.random_piecewise_poly(rng)
