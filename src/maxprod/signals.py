@@ -133,10 +133,14 @@ class PiecewisePoly:
     def _pieces(self):
         return zip(self.coeffs, self.edges[:-1], self.edges[1:])
 
+    def _piece_of(self, x: np.ndarray) -> np.ndarray:
+        """Index of the piece each x lies in, the end pieces extended."""
+        return np.clip(np.searchsorted(self.edges, x, side="right") - 1,
+                       0, len(self.coeffs) - 1)
+
     def evaluate(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self.edges, x, side="right") - 1
-        idx = np.clip(idx, 0, len(self.coeffs) - 1)
+        idx = self._piece_of(x)
         out = np.zeros_like(x)
         for column in self.coeffs.T:
             out = out * x + column[idx]
@@ -149,8 +153,7 @@ class PiecewisePoly:
         mids = 0.5 * (edges[:-1] + edges[1:])
         top = max(self.coeffs.shape[1], other.coeffs.shape[1])
         a, b = (np.pad(p.coeffs, ((0, 0), (top - p.coeffs.shape[1], 0)))[
-            np.clip(np.searchsorted(p.edges, mids, side="right") - 1,
-                    0, len(p.coeffs) - 1)] for p in (self, other))
+            p._piece_of(mids)] for p in (self, other))
         return PiecewisePoly(edges, a + sign * b)
 
     def __add__(self, other: "PiecewisePoly") -> "PiecewisePoly":
@@ -227,12 +230,14 @@ def random_piecewise_poly(rng: np.random.Generator,
         if nb < 2 or np.min(np.diff(cuts)) > 0.03 * span:
             break
     edges = np.concatenate([[lo], cuts, [hi]])
-    poly = PiecewisePoly(edges, [rng.normal(0.0, 1.0, size=int(
-        rng.integers(0, 4)) + 1) for _ in range(edges.size - 1)])
-    # lift each piece to a minimum drawn from [0, 0.5]
+    coeffs = []
+    for _ in range(edges.size - 1):
+        deg = int(rng.integers(0, 4))
+        coeffs.append(rng.normal(0.0, 1.0, size=deg + 1))
+    poly = PiecewisePoly(edges, coeffs)
     points = poly._critical_points()
-    poly.coeffs[:, -1] += rng.uniform(0.0, 0.5, size=len(points)) \
-        - poly._extrema(points)[:, 0]
+    lows = rng.uniform(0.0, 0.5, size=len(points))  # each piece's new minimum
+    poly.coeffs[:, -1] += lows - poly._extrema(points)[:, 0]
     peak = poly._extrema(points)[:, 1].max()
     return poly.scaled(2.0 / peak) if peak > 2.0 else poly
 

@@ -139,7 +139,7 @@ def test_src_lines_do_not_grow():
     # lower it when code goes, never raise it without a reason in CHANGES.md
     total = sum(len(path.read_text(encoding="utf-8").splitlines())
                 for path in SOURCES)
-    assert total <= 2579
+    assert total <= 2584
 
 
 def test_adaptive_quadrature_only_for_unmarked_kinks():
