@@ -32,7 +32,6 @@ from .signals import (Domain, MeanValueTable, PiecewisePoly, Signal,
                       mean_values, positive_scale, random_piecewise_poly)
 
 _SUP_GRID = 2048
-_SLICE = 1 << 16   # quadrature nodes per operator call
 _RATE_FLOOR = 1e-12
 CAMPAIGN_SCALES = (4, 8, 16, 32)   # the scales the campaigns draw from
 # the operator-algebra campaign's kernels, taken in turn
@@ -202,10 +201,10 @@ def _error_samples(config: OperatorConfig, f: Signal) -> _ErrorSamples:
     # operator rows are independent, so building and evaluating the nodes
     # a slice of panels at a time bounds the temporaries without moving a
     # value; half-cell nodes go as lattice nodes, the rest as points
-    for p in range(0, panels.size - 1, _SLICE // 16):
-        at = slice(16 * p, 16 * p + _SLICE)
+    for p in range(0, panels.size - 1, quadrature.PASS_SIZE):
+        at = slice(16 * p, 16 * (p + quadrature.PASS_SIZE))
         x, weights[at], on, lattice = quadrature.lattice_nodes(
-            panels[p:p + _SLICE // 16 + 1], n)
+            panels[p:p + quadrature.PASS_SIZE + 1], n)
         dev = deviations[at]
         # f first, so that only the nodes off the half-cells outlive it;
         # -f + K_n f rounds as K_n f - f

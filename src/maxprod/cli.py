@@ -10,9 +10,8 @@ Subcommands:
 
 Exit codes: 0 ok, 1 campaign failure, 2 unknown catalog name, negative
 signal, or malformed, oversized or imprecise argument or CSV row,
-3 inadmissible kernel, 4 empty lattice index set, 5 I/O failure,
-6 numerical failure (a quadrature that does not converge, a truncation
-without a certificate, a Luxemburg norm out of range).
+3 inadmissible kernel, 4 empty lattice index set, 5 I/O failure, 6
+numerical failure (an unconverged quadrature, an uncertified truncation).
 
 Catalog names: ``bspline:<k>`` takes an order k in 1..9, the phi-functions
 finite parameters and ``constant:<c>`` a finite c.  A run may span at most

@@ -7,10 +7,10 @@ does not, which is exactly what separates modular from norm convergence in
 the experiments.
 
 ``modular`` and ``luxemburg_norm`` sample |f| once on 16-point Gauss panels
-split at the signal's breakpoints and kinks and reuse the sampled code of
-the convergence runs.  Then phi(c |f|) at the result (c = scale or 1/norm)
-is summed on the panels and on the panels halved; panels where the sums
-disagree beyond ``tol`` relative are halved and the result redone.  A
+split at the signal's breakpoints and kinks and solve as ``converge`` does
+(one fixed-order sum, one root loop on it).  Then phi(c |f|) at the result
+(c = scale or 1/norm) is summed on the panels and their halves; panels whose
+sums disagree beyond ``tol`` relative are halved and the result redone.  A
 divergent modular is ``math.inf``; a failing check raises QuadratureError.
 """
 
@@ -25,8 +25,6 @@ import numpy as np
 from . import quadrature
 from .errors import MaxprodError, QuadratureError, UnknownNameError
 from .signals import Signal
-
-_LAMBDA_CAP = 1e12
 
 
 @dataclass(frozen=True)
@@ -45,11 +43,8 @@ def power_phi(p: float) -> PhiFunction:
     if not 1 <= p < math.inf:
         raise ValueError(f"power exponent must be finite and >= 1, not {p}")
     p = float(p)
-
-    def evaluate(u):
-        return np.asarray(u, dtype=float) ** p
-
-    return PhiFunction(f"power:{p:g}", evaluate, convex=True, delta2=True)
+    return PhiFunction(f"power:{p:g}", lambda u: np.asarray(u, float) ** p,
+                       convex=True, delta2=True)
 
 
 def zygmund_phi(alpha: float, beta: float) -> PhiFunction:
@@ -78,11 +73,8 @@ def exponential_phi(gamma: float) -> PhiFunction:
     if not 0 < gamma < math.inf:
         raise ValueError(f"gamma must be finite and positive, not {gamma}")
     gamma = float(gamma)
-
-    def evaluate(u):
-        return np.expm1(np.asarray(u, dtype=float) ** gamma)
-
-    return PhiFunction(f"exponential:{gamma:g}", evaluate,
+    return PhiFunction(f"exponential:{gamma:g}",
+                       lambda u: np.expm1(np.asarray(u, float) ** gamma),
                        convex=gamma >= 1.0, delta2=False)
 
 
@@ -145,35 +137,27 @@ def _sampled(phi: PhiFunction, f: Signal, window: tuple[float, float],
 
 def modular(phi: PhiFunction, f: Signal, window: tuple[float, float],
             tol: float = 1e-10, scale: float = 1.0) -> float:
-    """Modular integral of phi(scale * |f|) over the window, to ``tol``.
-
-    Returns ``math.inf`` when the integrand overflows (the signal is not in
-    the modular space at this scaling).
-    """
+    """Modular integral of phi(scale * |f|) over the window, to ``tol``;
+    ``math.inf`` when the integrand overflows (the signal is not in the
+    modular space at this scaling)."""
     return _sampled(phi, f, window, tol, lambda values, weights, _: (
         modular_from_samples(phi, scale * values, weights), scale))
 
 
 def modular_from_samples(phi: PhiFunction, values: np.ndarray,
                          weights: np.ndarray) -> float:
-    """Modular of a sampled non-negative function: sum(w * phi(values))."""
+    """Modular of a sampled function, sum(w * phi(|values|)), summed in
+    numpy's fixed order, not by BLAS; inf past ``OVERFLOW_GUARD``."""
     with np.errstate(over="ignore"):
-        return _modular(phi, np.abs(values), weights)
-
-
-def _modular(phi: PhiFunction, mags: np.ndarray,
-             weights: np.ndarray) -> float:
-    # the weights are positive: a non-finite phi value makes out non-finite
-    out = float(np.dot(weights, phi.evaluate(mags)))
+        out = float(np.sum(weights * phi.evaluate(np.abs(values))))
     return out if abs(out) <= quadrature.OVERFLOW_GUARD else math.inf
 
 
 def luxemburg_norm(phi: PhiFunction, f: Signal, window: tuple[float, float],
                    tol: float = 1e-9) -> float:
-    """Luxemburg norm inf{lam > 0 : modular of f/lam <= 1} on the window.
-
-    For convex phi the checked modular bounds its relative error by ``tol``.
-    """
+    """Luxemburg norm inf{lam > 0 : modular of f/lam <= 1} on the window:
+    ``luxemburg_from_samples`` on the checked samples, to ``tol`` relative
+    for convex phi."""
 
     def solve(values, weights, tol):
         lam = luxemburg_from_samples(phi, values, weights, tol)
@@ -184,34 +168,46 @@ def luxemburg_norm(phi: PhiFunction, f: Signal, window: tuple[float, float],
 
 def luxemburg_from_samples(phi: PhiFunction, values: np.ndarray,
                            weights: np.ndarray, tol: float) -> float:
-    """Luxemburg norm of a sampled non-negative function, bisected from its
-    dyadic bracket [hi/2, hi] until the bracket is narrower than tol * hi."""
-    tol = max(tol, np.finfo(float).eps)  # adjacent floats end the bisection
-    mags = np.abs(values)
+    """Luxemburg norm nu = inf{lam > 0 : rho(f/lam) <= 1} of a sampled
+    function (rho = ``modular_from_samples``), certified by
+    rho(f/nu) <= 1 < rho(f/(nu (1 - tol))); tol is read as at least 1e-12.
 
-    def modular_at(lam: float) -> float:
-        return _modular(phi, mags / lam, weights)
-
-    with np.errstate(over="ignore"):
-        hi = 1.0
-        while modular_at(hi) > 1.0:
-            hi *= 2.0
-            if hi > _LAMBDA_CAP:
-                raise MaxprodError(
-                    "Luxemburg bracket exceeded 1e12; the function is not "
-                    "in the modular space on this window")
-        while (value := modular_at(0.5 * hi)) <= 1.0:
-            if value == 0.0:
-                return 0.0  # the function vanishes at every node
-            hi *= 0.5
-        lo = 0.5 * hi
-        while hi - lo > tol * hi:
-            mid = 0.5 * (lo + hi)
-            if modular_at(mid) <= 1.0:
-                hi = mid
+    One loop in t = log lam.  At lam = top = max |f|, rho = m is finite;
+    for convex phi lam rho(f/lam) does not grow with lam, so nu lies
+    between top and m top, the first step.  Then secants of log rho against
+    t (exact for u**p), at least tol/2 long and toward the root, or
+    bisections of the bracket of evaluated points when a secant leaves it
+    or passes half the step before last (Brent), until
+    hi - lo <= -log(1 - tol).  A non-finite sample raises MaxprodError.
+    """
+    tol = max(tol, 1e-12)   # t resolves it across the float range
+    lam, shift = math.frexp(float(np.max(np.abs(values))))  # top/2**shift
+    if not math.isfinite(lam):
+        raise MaxprodError("the Luxemburg norm needs finite samples")
+    if lam == 0.0:
+        return 0.0
+    t, prev, steps = math.log(lam), None, (math.inf, math.inf)
+    lo, hi, lam_lo, lam_hi = -math.inf, math.inf, 0.0, math.inf
+    with np.errstate(all="ignore"):
+        while True:
+            rho = modular_from_samples(phi, values / np.ldexp(lam, shift),
+                                       weights)
+            g = math.log(rho) if rho > 0.0 else -math.inf
+            if g > 0.0:
+                lo, lam_lo, toward = t, lam, 1.0
             else:
-                lo = mid
-    return hi
+                hi, lam_hi, toward = t, lam, -1.0
+            if lam_lo >= lam_hi * (1.0 - tol):   # inf past the float range
+                return float(np.ldexp(lam_hi, shift))
+            slope = (g - prev[1]) / (t - prev[0]) if prev else -1.0
+            slope = slope if -math.inf < slope < 0.0 else -1.0  # bad secant
+            prev = t, g
+            t += toward * max(toward * -g / slope, 0.5 * tol)
+            if hi - lo < math.inf and not (
+                    lo < t < hi and abs(t - prev[0]) <= 0.5 * steps[0]):
+                t = 0.5 * (lo + hi)
+            steps = steps[1], abs(t - prev[0])
+            lam = float(np.exp(t))
 
 
 def maxphi_inequality_check(phi: PhiFunction, values) -> tuple[bool, bool]:

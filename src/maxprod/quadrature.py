@@ -31,6 +31,7 @@ import numpy as np
 from .errors import InvalidInputError, QuadratureError
 
 OVERFLOW_GUARD = 1e100
+PASS_SIZE = 1 << 12  # panels whose nodes are built and evaluated at a time
 _MAX_ROUNDS = 48  # halvings of the widest panel before giving up
 _MAX_PANELS = 1 << 14  # panels a posteriori halving may add
 _MAX_LIVE = 1 << 17  # panels a round may evaluate, or twice the edges given

@@ -51,9 +51,9 @@ class Signal:
     def is_line(self) -> bool:
         return self.domain is None
 
-    def split_points(self) -> tuple[float, ...]:
-        """All locations where quadrature panels should be split."""
-        return tuple(sorted(set(self.breakpoints) | set(self.kinks)))
+    def split_points(self) -> np.ndarray:
+        """All locations where quadrature panels should be split, sorted."""
+        return np.array(sorted({*self.breakpoints, *self.kinks}), dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -391,17 +391,20 @@ def cell_means(f: Signal, scale: float, k_lo: int, k_hi: int) -> np.ndarray:
 
     Cells containing declared breakpoints or kinks are split there, so the
     16-point rule is exact for piecewise polynomials up to degree 31.  The
-    panels of all cells take one node pass.  Each panel sums its 16 terms
-    as ``np.sum`` does a row, and each cell adds its first panel to the
-    ``np.add.reduce`` of its others (``np.add.reduceat``'s order), so no
-    sum goes through BLAS and a cell no split point falls in is bitwise
-    ``scale * np.sum(f(x) * w)`` over its own nodes.
+    panels take node passes of ``quadrature.PASS_SIZE``, so memory stays
+    fixed however many split points there are.  Each panel sums its 16
+    terms as a row of ``np.sum``, in any pass, and each cell adds its first
+    panel to the ``np.add.reduce`` of its others (``np.add.reduceat``'s
+    order), so no sum goes through BLAS and a cell no split point falls in
+    is bitwise ``scale * np.sum(f(x) * w)`` over its own nodes.
     """
     edges = np.arange(k_lo, k_hi + 2) / scale
-    splits = np.asarray(f.split_points(), dtype=float)
+    splits = f.split_points()
     cuts = np.union1d(edges, splits[(splits > edges[0]) & (splits < edges[-1])])
-    x, w = quadrature.composite_nodes(cuts)
-    panels = (f.evaluate(x) * w).reshape(cuts.size - 1, -1).sum(axis=1)
+    blocks = (quadrature.composite_nodes(cuts[p:p + quadrature.PASS_SIZE + 1])
+              for p in range(0, cuts.size - 1, quadrature.PASS_SIZE))
+    panels = np.concatenate([(f.evaluate(x) * w).reshape(-1, 16).sum(axis=1)
+                             for x, w in blocks])
     return scale * np.add.reduceat(panels, np.searchsorted(cuts, edges[:-1]))
 
 

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -36,12 +37,12 @@ CONVERGE_FEJER_HAT_LINE_16_32 = """\
   "kernel": "fejer",
   "lambda_used": 1.0,
   "luxemburg_errors": [
-    0.04942524869693443,
-    0.025035563070559874
+    0.0494252486861324,
+    0.025035563064224466
   ],
   "modular_errors": [
     0.0024428552076860323,
-    0.0006267794179427601
+    0.0006267794179427603
   ],
   "phi": "power:2",
   "scales": [
@@ -66,11 +67,11 @@ CONVERGE_BSPLINE4_ABS_SINE_16_32 = """\
   "kernel": "bspline:4",
   "lambda_used": 1.0,
   "luxemburg_errors": [
-    0.1390470495680347,
-    0.07423415203811601
+    0.13904704963183379,
+    0.07423415206951245
   ],
   "modular_errors": [
-    0.019334081991983568,
+    0.01933408199198357,
     0.005510709327968792
   ],
   "phi": "power:2",
@@ -257,10 +258,10 @@ class TestConverge:
         assert (tmp_path / "rep.json").read_text(encoding="utf-8") == golden
 
     def test_overflow_is_one_error_line(self, tmp_path):
-        # a spike of 1e300 overflows the power modular to inf, which the
-        # Luxemburg bracket rejects with exit 6; numpy's overflow warning
-        # must not reach stderr beside the error line.  A fresh interpreter
-        # with warnings on shows what a user sees
+        # a spike of 1e300 overflows the power modular past the 1e100
+        # guard, so the modular errors are null, while the Luxemburg norm
+        # is finite; numpy's overflow warning must not reach stderr.  A
+        # fresh interpreter with warnings on shows what a user sees
         spike = tmp_path / "spike.csv"
         spike.write_text("0,0\n0.5,1e300\n1,0\n", encoding="utf-8")
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
@@ -269,9 +270,27 @@ class TestConverge:
              "--kernel", "bspline:4", "--csv", str(spike), "--scales", "4,8",
              "--out", str(tmp_path / "rep")],
             capture_output=True, text=True, env=env, timeout=120)
-        assert done.returncode == 6 and done.stdout == ""
-        assert done.stderr.startswith("error: ")
-        assert done.stderr.count("\n") == 1
+        assert done.returncode == 0 and done.stderr == ""
+        payload = _strict_json((tmp_path / "rep.json").read_text())
+        assert payload["modular_errors"] == [None, None]
+        assert all(1e280 < v < math.inf for v in payload["luxemburg_errors"])
+
+    def test_report_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # no sum goes through BLAS, whose order follows the thread count: a
+        # BLAS dot splits the 65,536 modular terms at n = 2,048 across
+        # threads.  On a 1-core host both runs use one thread, so this
+        # cannot fail there
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "maxprod", "converge", "--kernel",
+                 "bspline:4", "--signal", "abs-sine", "--scales", "512,2048",
+                 "--out", str(out)], check=True, capture_output=True,
+                env=dict(env, OPENBLAS_NUM_THREADS=threads), timeout=120)
+            reports.append((tmp_path / f"threads{threads}.json").read_bytes())
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("command", [
         ["converge", "--scales", "4,8"], ["reconstruct", "--n", "8"]])
@@ -491,14 +510,22 @@ class TestArgumentValidation:
         assert "'ramp' lives on [0, 1]" in err
         assert not (tmp_path / "x.csv").exists()
 
-    def test_numerical_failure_exit_6(self, capsys, tmp_path):
-        # a spike of 1e13 puts the Luxemburg norm past its 1e12 bracket
+    def test_spike_gets_a_certified_norm(self, capsys, tmp_path):
+        # a spike of 1e13 has a finite Luxemburg norm like any finite
+        # function; with power:2 at lambda = 1 each Luxemburg error lies in
+        # [sqrt(modular), sqrt(modular) / (1 - tol)], tol = 1e-9
         data = tmp_path / "spike.csv"
         data.write_text("0,0\n0.5,1e13\n1,0\n")
-        err = self._exit_2(capsys, "converge", "--kernel", "fejer", "--csv",
-                           str(data), "--scales", "8,16",
-                           "--out", str(tmp_path / "rep"), code=6)
-        assert "Luxemburg bracket" in err
+        code, _, _ = run(capsys, "converge", "--kernel", "fejer", "--csv",
+                         str(data), "--scales", "8,16",
+                         "--out", str(tmp_path / "rep"))
+        assert code == 0
+        payload = _strict_json((tmp_path / "rep.json").read_text())
+        for mod, lux in zip(payload["modular_errors"],
+                            payload["luxemburg_errors"]):
+            assert 0.0 < mod < math.inf
+            root = math.sqrt(mod)
+            assert root * (1.0 - 1e-15) <= lux <= root / (1.0 - 1e-9)
 
     @pytest.mark.parametrize("error", [errors.QuadratureError,
                                        errors.TruncationError])

@@ -3,8 +3,7 @@ that only a re-export or its own unit tests name, no defaulted
 parameter that no caller sets and no more of them than a ratchet allows,
 no more source lines than another ratchet allows, no environment variable
 or thread pool, adaptive quadrature only where the integrand has kinks
-no split point marks, and no sum through BLAS but one that is on its way
-out."""
+no split point marks, and no sum through BLAS."""
 
 import ast
 import re
@@ -139,7 +138,7 @@ def test_src_lines_do_not_grow():
     # lower it when code goes, never raise it without a reason in CHANGES.md
     total = sum(len(path.read_text(encoding="utf-8").splitlines())
                 for path in SOURCES)
-    assert total <= 2584
+    assert total <= 2582
 
 
 def test_adaptive_quadrature_only_for_unmarked_kinks():
@@ -158,9 +157,8 @@ def test_adaptive_quadrature_only_for_unmarked_kinks():
 
 
 def test_blas_sums_do_not_spread():
-    # a ratchet: BLAS picks its own summation order, by build and thread
-    # count, so these calls leave reports machine-dependent.  The last one,
-    # the modular's weighted sum, goes with ROADMAP item 11
+    # BLAS picks its own summation order, by build and thread count, so a
+    # call into it leaves reports machine-dependent; none is left
     blas = {"dot", "matmul", "einsum", "inner", "vdot"}
     callers = set()
     for path in SOURCES:
@@ -173,7 +171,7 @@ def test_blas_sums_do_not_spread():
                 if matmul or call:
                     name = getattr(top, "name", "<module>")
                     callers.add(f"{path.stem}.{name}")
-    assert callers == {"orlicz._modular"}
+    assert callers == set()
 
 
 def _args_reads(fn: ast.FunctionDef) -> set:

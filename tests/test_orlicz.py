@@ -1,4 +1,7 @@
+import dataclasses
+import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import catalog_names
-from maxprod import orlicz, quadrature, signals
+from maxprod import analysis, operators, orlicz, quadrature, signals
 from maxprod.errors import MaxprodError, QuadratureError, UnknownNameError
 
 SHIPPED = [orlicz.power_phi(1), orlicz.power_phi(2), orlicz.zygmund_phi(1, 1),
@@ -133,11 +136,11 @@ class TestModular:
         values = np.array([0.5, *bad, 1.0, -2.0])   # |f| is taken
         weights = np.full(values.size, 1.0 / values.size)
         assert orlicz.modular_from_samples(phi, values, weights) == math.inf
-        if any(map(math.isnan, bad)):   # inf at every lam
-            with pytest.raises(MaxprodError, match="bracket"):
+        if any(map(math.isnan, bad)):   # a NaN sample has no norm
+            with pytest.raises(MaxprodError, match="finite samples"):
                 orlicz.luxemburg_from_samples(phi, values, weights, 1e-9)
             return
-        # the bisection reads the overflow at lam = 1 as a modular above 1
+        # the loop starts at lam = 800, where no scaled sample passes 1
         lam = orlicz.luxemburg_from_samples(phi, values, weights, 1e-9)
         assert orlicz.modular_from_samples(phi, values / lam, weights) \
             <= 1.0 < orlicz.modular_from_samples(
@@ -227,6 +230,106 @@ class TestLuxemburg:
             shrunk = orlicz.modular(phi, poly.scaled(0.5).to_signal(),
                                     (0.0, 1.0))
             assert shrunk <= base + 1e-12
+
+
+CATALOG_PHIS = ["power:1", "power:2", "power:5", "zygmund:1,1",
+                "zygmund:2,3", "exponential:0.5", "exponential:1",
+                "exponential:2"]
+
+
+def _counting(phi, calls):
+    """phi with an ``evaluate`` that appends to ``calls``: one per modular."""
+    def evaluate(u):
+        calls.append(1)
+        return phi.evaluate(u)
+
+    return dataclasses.replace(phi, evaluate=evaluate)
+
+
+def _certified(phi, values, weights, nu, tol):
+    rho = functools.partial(orlicz.modular_from_samples, phi)
+    return rho(values / nu, weights) <= 1.0 < rho(
+        values / (nu * (1.0 - tol)), weights)
+
+
+class TestLuxemburgLoop:
+    """luxemburg_from_samples: one bracket evaluation, then secants."""
+
+    # zeros and magnitudes over 26 decades, around a common scale
+    SAMPLES = st.lists(st.one_of(
+        st.just(0.0), st.builds(lambda m, e: m * 10.0 ** e,
+                                st.floats(0.01, 1.0), st.integers(-12, 12))),
+        min_size=1, max_size=200)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.sampled_from(CATALOG_PHIS), SAMPLES, st.integers(-250, 250),
+           st.floats(1e-3, 10.0), st.sampled_from([1e-9, 1e-6, 1e-12]))
+    def test_certificate(self, name, samples, exponent, weight, tol):
+        # rho(f/nu) <= 1 < rho(f/(nu (1 - tol))), exactly as computed: a
+        # loop that stopped one bracket step early misses the right side
+        values = np.asarray(samples) * 10.0 ** exponent
+        weights = weight * np.linspace(0.5, 1.5, values.size)
+        phi = orlicz.phi_by_name(name)
+        nu = orlicz.luxemburg_from_samples(phi, values, weights, tol)
+        if not values.any():
+            assert nu == 0.0
+            return
+        assert _certified(phi, values, weights, nu, tol)
+
+    def test_evaluation_counts(self, m4_kernel):
+        # converge-compact's deviations and orlicz-norms-style polynomials;
+        # bisecting a dyadic bracket to tol 1e-9 alone takes 29 evaluations
+        cases = []
+        for n in (256, 512, 1024):
+            samples = analysis._error_samples(operators.operator_config(
+                m4_kernel, n, (0.0, 1.0)), signals.catalog("abs-sine"))
+            cases.append((samples.deviations, samples.weights))
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            f = signals.random_piecewise_poly(rng).to_signal()
+            x, w = quadrature.composite_nodes([0.0, *f.split_points(), 1.0])
+            cases.append((f.evaluate(x), w))
+        counts = {}
+        for name in CATALOG_PHIS:
+            calls = []
+            phi = _counting(orlicz.phi_by_name(name), calls)
+            for values, weights in cases:
+                calls.clear()
+                nu = orlicz.luxemburg_from_samples(phi, values, weights, 1e-9)
+                assert _certified(orlicz.phi_by_name(name), values, weights,
+                                  nu, 1e-9)
+                counts.setdefault(name, []).append(len(calls))
+        for name, got in counts.items():
+            assert max(got) <= (6 if name.startswith("power:") else 16), name
+        assert np.median(sum(counts.values(), [])) <= 12
+
+    @pytest.mark.parametrize("name", CATALOG_PHIS)
+    def test_homogeneous_far_past_the_old_cap(self, name, rng):
+        # the norm of c f is c times the norm of f, to tol, for c = 1e13 and
+        # 1e300: the bracket has no cap
+        phi = orlicz.phi_by_name(name)
+        values = rng.uniform(0.0, 2.0, 64) ** 3
+        weights = np.full(values.size, 1.0 / values.size)
+        nu = orlicz.luxemburg_from_samples(phi, values, weights, 1e-9)
+        for c in (1e13, 1e300):
+            scaled = orlicz.luxemburg_from_samples(phi, c * values, weights,
+                                                   1e-9)
+            assert scaled == pytest.approx(c * nu, rel=1.01e-9, abs=0.0)
+            assert _certified(phi, c * values, weights, scaled, 1e-9)
+
+    def test_subnormal_and_huge_samples_stay_silent(self):
+        # a subnormal top, and a norm past the float range (inf), without a
+        # numpy warning
+        phi = orlicz.power_phi(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tiny = orlicz.luxemburg_from_samples(
+                phi, np.array([5e-324, 0.0, 0.0, 0.0]), np.full(4, 0.25),
+                1e-9)
+            huge = orlicz.luxemburg_from_samples(
+                phi, np.array([1.7e308, 1e308]), np.full(2, 10.0), 1e-9)
+        assert tiny == 5e-324
+        assert huge == math.inf
 
 
 class TestMaxPhiInequality:

@@ -1,5 +1,6 @@
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,6 +228,39 @@ class TestMeanValues:
             panels = np.sum((sig.evaluate(x) * w).reshape(-1, 16), axis=1)
             assert panels.size > 1
             assert value == n * (panels[0] + np.add.reduce(panels[1:]))
+
+    def test_mean_table_memory_does_not_grow_with_kinks(self):
+        # 200,000 kinks split each of 256 cells about 780 times; the panels
+        # take node passes of a fixed size, so the peak stays far below the
+        # 49 MiB that the 3.2M nodes and weights take at once
+        rng = np.random.default_rng(0)
+        xs = np.linspace(0.0, 1.0, 200_000)
+        vs = np.abs(np.cumsum(rng.standard_normal(xs.size)))
+        sig = signals.Signal("walk", lambda x: np.interp(x, xs, vs), UNIT,
+                             kinks=tuple(xs[1:-1]))
+        tracemalloc.start()
+        try:
+            table = signals.mean_values(sig, 256, UNIT)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.values.size == 256
+        assert peak < 16 * 2 ** 20
+
+    def test_blocks_keep_the_one_pass_bits(self):
+        # 20,000 kinks at n = 8 make five node passes; every mean is
+        # bitwise the one-pass sum over all panels
+        xs = np.linspace(0.0, 1.0, 20_000)
+        vs = 1.0 + np.sin(37.0 * xs) ** 2
+        sig = signals.Signal("wave", lambda x: np.interp(x, xs, vs), UNIT,
+                             kinks=tuple(xs[1:-1]))
+        table = signals.mean_values(sig, 8, UNIT)
+        edges = np.arange(9) / 8.0
+        cuts = np.union1d(edges, xs[1:-1])
+        x, w = quadrature.composite_nodes(cuts)
+        panels = (sig.evaluate(x) * w).reshape(-1, 16).sum(axis=1)
+        want = 8.0 * np.add.reduceat(panels, np.searchsorted(cuts, edges[:-1]))
+        assert table.values.tobytes() == want.tobytes()
 
     def test_nonneg_signal_nonneg_means(self, rng):
         poly = signals.random_piecewise_poly(rng)
