@@ -8,6 +8,7 @@ import pytest
 
 from maxprod import (analysis, kernels, operators, orlicz, quadrature,
                      signals)
+from test_banded_operator import DECAY_KERNELS, KERNELS, PHASED_VP
 
 UNIT = (0.0, 1.0)
 MODULAR, LP, ZYGMUND = (analysis.PAIR_FAMILIES[name] for name in (
@@ -149,6 +150,93 @@ class TestRunConvergence:
                                            m4_kernel.evaluate(u))[1]))
         analysis._error_samples(config, signals.catalog("abs-sine"))
         assert sum(counted) <= 16_384
+
+
+class TestSupError:
+    # the compact kernels, the catalog's decay kernels, a loose phase-less
+    # envelope and a phased one
+    CERTIFIED = {"bspline:4": KERNELS["bspline:4"],
+                 "bspline:5": KERNELS["bspline:5"], "fejer": DECAY_KERNELS[0],
+                 "vallee-poussin": DECAY_KERNELS[1],
+                 "loose-vallee-poussin": DECAY_KERNELS[2],
+                 "phased-vallee-poussin": PHASED_VP}
+
+    @pytest.mark.parametrize("name", ["hat", "square-pulse"])
+    @pytest.mark.parametrize("kernel", CERTIFIED)
+    def test_far_bound_is_a_certificate(self, kernel, name):
+        # every sup-grid point in one operator call: wherever the far-field
+        # bound is finite the deviation lies under it, and the supremum
+        # with the skip is the same float
+        f, kernel = signals.catalog(name), self.CERTIFIED[kernel]
+        for n in (1, 2, 3, 7, 16, 64, 100, 256):
+            config = operators.operator_config(kernel, n, None)
+            table = signals.mean_values(f, n, None)
+            window = analysis._eval_window(config, f)
+            grid = analysis._sup_grid(f, window, n)
+            fx = f.evaluate(grid)
+            dev = np.abs(operators.evaluate_with_table_den(
+                config, table, grid)[0] - fx)
+            bound = analysis._far_bound(config, table, grid, fx)
+            far = bound < math.inf
+            assert far.any() and np.all(dev[far] <= bound[far]), n
+            assert analysis._sup_error(config, table, f, window)[0] == \
+                dev.max(), n
+
+    def test_bounded_points_that_reach_the_maximum_go(self, monkeypatch):
+        # bounds as tight as the deviations, and only a point of the
+        # largest deviation below the maximum unbounded: the points of the
+        # maximum must still be evaluated
+        f = signals.catalog("hat")
+        config = operators.operator_config(KERNELS["fejer"], 16, None)
+        table = signals.mean_values(f, 16, None)
+        window = analysis._eval_window(config, f)
+        grid = analysis._sup_grid(f, window, 16)
+        dev = np.abs(operators.evaluate_with_table_den(config, table, grid)[
+            0] - f.evaluate(grid))
+        tight = dev.copy()
+        below = np.flatnonzero(dev < dev.max())
+        tight[below[dev[below].argmax()]] = math.inf
+        monkeypatch.setattr(analysis, "_far_bound", lambda *_: tight.copy())
+        assert analysis._sup_error(config, table, f, window)[0] == dev.max()
+
+    def _grid_rows(self, monkeypatch, run, f, config):
+        """Sizes of the operator calls ``run`` makes with sup-grid points."""
+        grid = analysis._sup_grid(f, analysis._eval_window(config, f),
+                                  config.n)
+        sizes, evaluate = [], analysis.evaluate_with_table_den
+
+        def recording(config, table, xs):
+            if not isinstance(xs, quadrature.LatticeNodes):
+                sizes.append(int(np.isin(xs, grid).sum()))
+            return evaluate(config, table, xs)
+
+        monkeypatch.setattr(analysis, "evaluate_with_table_den", recording)
+        run()
+        return [size for size in sizes if size]
+
+    @pytest.mark.parametrize("kernel, name", [
+        ("vallee-poussin", "square-pulse"), ("fejer", "hat")])
+    def test_line_skips_the_far_field(self, monkeypatch, kernel, name):
+        # at n = 256 the whole grid is 10,496 and 10,752 points, nearly all
+        # off the support, where the bound is orders below the error
+        f = signals.catalog(name)
+        config = operators.operator_config(KERNELS[kernel], 256, None)
+        rows = self._grid_rows(monkeypatch, lambda: analysis._error_samples(
+            config, f), f, config)
+        assert 0 < sum(rows) <= 1000
+
+    def test_jackson_skips_the_far_field(self, monkeypatch):
+        f = signals.catalog("hat")
+        config = operators.operator_config(KERNELS["fejer"], 256, None)
+        rows = self._grid_rows(monkeypatch, lambda: analysis.check_jackson(
+            f, KERNELS["fejer"], 256), f, config)
+        assert 0 < sum(rows) <= 1000
+
+    def test_interval_grid_in_one_call(self, monkeypatch):
+        f = signals.catalog("abs-sine")
+        config = operators.operator_config(KERNELS["bspline:4"], 1024, UNIT)
+        assert self._grid_rows(monkeypatch, lambda: analysis._error_samples(
+            config, f), f, config) == [3072]
 
 
 class TestModularInequality:

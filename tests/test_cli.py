@@ -91,6 +91,36 @@ CONVERGE_BSPLINE4_ABS_SINE_16_32 = """\
 }
 """
 
+CONVERGE_VP_SQUARE_PULSE_LINE_16_32 = """\
+{
+  "fitted_rate": 0.0,
+  "kernel": "vallee-poussin",
+  "lambda_used": 1.0,
+  "luxemburg_errors": [
+    0.26805269590349173,
+    0.1895418887305244
+  ],
+  "modular_errors": [
+    0.07185224778112984,
+    0.0359261275835345
+  ],
+  "phi": "power:2",
+  "scales": [
+    16,
+    32
+  ],
+  "signal": "square-pulse",
+  "sup_errors": [
+    1.0,
+    1.0
+  ],
+  "valid": [
+    true,
+    true
+  ]
+}
+"""
+
 
 def _strict_json(text):
     """Parse RFC 8259 JSON, which has no Infinity and no NaN."""
@@ -247,9 +277,11 @@ class TestConverge:
          CONVERGE_FEJER_HAT_LINE_16_32),
         (["--kernel", "bspline:4", "--signal", "abs-sine"],
          CONVERGE_BSPLINE4_ABS_SINE_16_32),
+        (["--kernel", "vallee-poussin", "--signal", "square-pulse",
+          "--domain", "line"], CONVERGE_VP_SQUARE_PULSE_LINE_16_32),
     ])
     def test_golden_report(self, capsys, tmp_path, argv, golden):
-        # every digit of a line run and of a bounded run: a refactor of
+        # every digit of two line runs and of a bounded run: a refactor of
         # the operator, the mean tables or the error measures must not
         # move one
         code, _, _ = run(capsys, "converge", *argv, "--scales", "16,32",
