@@ -247,7 +247,8 @@ def _error_samples(config: OperatorConfig, f: Signal) -> _ErrorSamples:
     deviations = np.empty(weights.size)
     # operator rows are independent, so building and evaluating the nodes
     # a slice of panels at a time bounds the temporaries without moving a
-    # value; half-cell nodes go as lattice nodes, the rest as points
+    # value; the half-cell nodes get a call of their own, as the unique
+    # offsets of the rest would cost them their block table
     for p in range(0, panels.size - 1, quadrature.PASS_SIZE):
         at = slice(16 * p, 16 * (p + quadrature.PASS_SIZE))
         x, weights[at], on, lattice = quadrature.lattice_nodes(

@@ -3,18 +3,18 @@
 K_n f(x) = sup_k chi(n x - k) m_k / sup_k chi(n x - k), means m_k >= 0, over
 J_n on an interval, or over Z on the line with zero means off the support;
 the denominator is the numerator of a table of ones, swept with the tables.
-Each point sweeps a window of columns around floor(u), u = n x, shifted into
-J_n, in chunks of ``_BUDGET`` elements: chi(u - k) is computed per pair, or
-for ``LatticeNodes`` read from one table of chi(o - d) per offset o and shift
-d = k - cell, in the blocks too where, after the line hulls, it holds at most
-``_BLOCK`` values per row left.  A compact kernel's window is its support's 2r
-columns.  A decay kernel takes all of J_n when |J_n| <= 2r + 1 + ``_BLOCK``,
-else a core of 2r + 1 columns, C r**-alpha <= a_chi / 4, then the blocks its
-lattice envelope cannot rule out: the kernel's phase-aware envelope at u,
-times a run of blocks' max mean per class of k, times max(d, r)**-alpha bounds
-the run's terms d away.  Skipped columns cannot win and max is exact, so each
-row of a stack of tables (``MeanValueTable.stack``) is bitwise its own table's
-evaluation over the whole lattice.
+Points enter as ``LatticeNodes``, u = n x = cell + o with cell = rint(u)
+exactly, so chi(o - (k - cell)) is chi(u - k) to the bit.  Each sweeps a
+window of columns from floor(u), shifted into J_n, in chunks of ``_BUDGET``
+elements, reading chi from a table of chi(o - d), d = k - cell, where it
+holds fewer values than the pairs it serves, else per pair.  A compact
+kernel's window is its support's 2r columns.  A decay kernel takes all of
+J_n when |J_n| <= 2r + 1 + ``_BLOCK``, else a core of 2r + 1 columns,
+C r**-alpha <= a_chi / 4, then the blocks its lattice envelope cannot rule
+out: the kernel's phase-aware envelope at u, times a run of blocks' max mean
+per class of k, times max(d, r)**-alpha bounds the run's terms d away.
+Skipped columns cannot win and max is exact, so each row of a stack of
+tables (``MeanValueTable.stack``) is bitwise its table's dense evaluation.
 """
 
 from __future__ import annotations
@@ -87,20 +87,20 @@ def _radius(config: OperatorConfig) -> int:
 
 
 def _sweep(padded: np.ndarray, k_lo: int, chi, starts: np.ndarray,
-           width: int) -> np.ndarray:
+           shifts: np.ndarray, width: int) -> np.ndarray:
     """Suprema of chi * mean, one row per row of ``padded``, for each point
-    over the ``width`` columns ks from its start, with chi(rows, ks) the
-    kernel values of the points ``rows``.  ``padded`` holds the tables with a
-    cell at each end, which every column off the tables reads: zero, and one
-    in the table of ones."""
+    over the ``width`` columns from its start, whose shifts k - cell start
+    at ``shifts``, with chi(rows, d) the kernel at shifts d of the points
+    rows.  ``padded`` holds the tables with a cell at each end, which every
+    column off the tables reads: zero, and one in the table of ones."""
     cols = np.arange(width)[:, None]
     out = np.empty((padded.shape[0], starts.size))
     step = max(1, _BUDGET // (width * padded.shape[0]))
     for s in range(0, starts.size, step):
         rows = slice(s, s + step)
-        ks = starts[rows] + cols
-        means = np.take(padded, ks - (k_lo - 1), axis=1, mode="clip")
-        out[:, rows] = np.multiply(chi(rows, ks), means, out=means).max(1)
+        means = padded.take(starts[rows] + (cols + 1 - k_lo), 1, mode="clip")
+        means *= chi(rows, shifts[rows] + cols)
+        out[:, rows] = means.max(1)
     return out
 
 
@@ -134,7 +134,7 @@ def _hull_layers(a: np.ndarray, w: np.ndarray) -> list[tuple]:
 
 
 def _settle_one_sided(config: OperatorConfig, r: int, table: MeanValueTable,
-                      padded: np.ndarray, u: np.ndarray, chi,
+                      padded: np.ndarray, u: np.ndarray, nodes: LatticeNodes,
                       sweep: np.ndarray, need: np.ndarray) -> None:
     """Clear ``need`` for the rows past all the nonzero cells of their table,
     more than r columns off, that two layers of line hulls settle.
@@ -174,11 +174,11 @@ def _settle_one_sided(config: OperatorConfig, r: int, table: MeanValueTable,
                     hulls.append((g, one, two, k_lo + hull, row[hull]))
 
             def swept(q, j):
-                """Raise rows q by the hull cell j of each group."""
+                """Raise rows q by each group's hull cell j, chi per pair."""
                 ks, ms = (np.array([h[i][jg] for h, jg in zip(hulls, j)])
                           for i in (3, 4))
-                sweep[t, q] = np.maximum(sweep[t, q], (
-                    chi(q, ks) * ms).max(0))
+                chi = nodes.chi(ker, 0, 0, 0)(q, ks - nodes.cells[q])
+                sweep[t, q] = np.maximum(sweep[t, q], (chi * ms).max(0))
                 return sweep[t, q]
 
             def fit(i, width):
@@ -227,30 +227,25 @@ def _settle_one_sided(config: OperatorConfig, r: int, table: MeanValueTable,
 
 
 def _visit_blocks(config: OperatorConfig, r: int, table: MeanValueTable,
-                  padded: np.ndarray, u: np.ndarray, chi, sweep: np.ndarray,
-                  nodes: LatticeNodes | None) -> None:
-    """Raise each row of ``sweep``, chi(q, ks) being the kernel at rows q and
-    columns ks, by the blocks that could still win: from rings of runs
-    widening outward from its block, each table dives to one block along the
-    best bounds, then splits every run whose bound beats its numerator."""
+                  padded: np.ndarray, u: np.ndarray, nodes: LatticeNodes,
+                  sweep: np.ndarray) -> None:
+    """Raise each row of ``sweep`` by the blocks that could still win: from
+    rings of runs widening outward from its block, each table dives to one
+    block along the best bounds, then splits every run that still could."""
     ker, alpha, k_lo, k_hi = config.kernel, config.kernel.decay_order, \
         table.k_lo, table.k_hi
-    means = padded[:, 1:-1]
-    bw = min(_BLOCK, means.shape[1])
+    means, bw = padded[:, 1:-1], min(_BLOCK, padded.shape[1] - 2)
     starts = np.minimum(np.arange(k_lo, k_hi + 1, _BLOCK), k_hi - bw + 1)
     nb = starts.size   # the last block overlaps
     env_r = _decay_coefficient(ker) * r ** -alpha * _MARGIN
     groups = len(ker.envelope[0]) - 1   # classes of k mod groups
     need = sweep < env_r * means.max(1)[:, None]
-    _settle_one_sided(config, r, table, padded, u, chi, sweep, need)
+    _settle_one_sided(config, r, table, padded, u, nodes, sweep, need)
     if not need.any():
         return
-    if nodes:   # rows left read one table of shifts k - cell, <= _BLOCK a row
-        cells = nodes.cells[need.any(0)]
-        d_lo, d_hi, rows = k_lo - cells.max(), k_hi - cells.min(), cells.size
-        del cells   # 8 B a row, not held through the search
-        if nodes.offsets.size * (d_hi - d_lo + 1) <= _BLOCK * rows:
-            chi = nodes.chi(ker, d_lo, d_hi)
+    c = nodes.cells[need.any(0)]   # 8 B a row, not held through the search
+    chi = nodes.chi(ker, k_lo - c.max(), k_hi - c.min(), _BLOCK * c.size)
+    del c
     # per table, a heap over the blocks of max mean per class of k, and of
     # minus the first and of the last column of a nonzero mean
     cls, nz = np.arange(k_lo, k_hi + 1) % groups, means != 0
@@ -285,8 +280,8 @@ def _visit_blocks(config: OperatorConfig, r: int, table: MeanValueTable,
             rows = todo[s:s + _BUDGET // lv.size]
             x = u[rows]
             cp = lattice_envelope(ker, x, max(-k_lo, k_hi)) * _MARGIN
-            home = (end - nb) + np.clip(
-                (np.floor(x).astype(np.int64) - k_lo) // _BLOCK, 0, nb - 1)
+            home = (end - nb) + np.minimum(np.maximum(
+                (np.floor(x).astype(np.int64) - k_lo) // _BLOCK, 0), nb - 1)
             h = home[:, None] >> lv + _SPLIT << _SPLIT | np.tile(
                 kid, top // _SPLIT)
             q, f = np.nonzero((h << lv < end)
@@ -306,9 +301,10 @@ def _visit_blocks(config: OperatorConfig, r: int, table: MeanValueTable,
                         np.maximum.at(best, q, bd)
                         keep &= bd >= best[q]
                     leaf = keep & (j == 0) & (h != dived[q])
-                    np.maximum.at(sweep, (slice(None), rows[q[leaf]]), _sweep(
-                        padded, k_lo, lambda i, k: chi(rows[q[leaf]][i], k),
-                        starts[h[leaf] - end + nb], bw))
+                    at, b0 = rows[q[leaf]], starts[h[leaf] - end + nb]
+                    np.maximum.at(sweep, (slice(None), at), _sweep(
+                        padded, k_lo, lambda i, d: chi(at[i], d), b0,
+                        b0 - nodes.cells[at], bw))
                     if dive:
                         dived[q[leaf]] = h[leaf]
                     split = np.flatnonzero(keep & (j > 0))
@@ -330,22 +326,31 @@ def evaluate_with_table_den(config: OperatorConfig, table: MeanValueTable,
     certificate are computed once for all T tables, whose means must be
     non-negative and finite.
     """
-    nodes = xs if isinstance(xs, LatticeNodes) else None
-    if (table.n, table.domain) != (config.n, config.domain) or (
-            nodes is not None and nodes.n != config.n):
-        raise InvalidInputError("table or nodes for another scale or domain")
-    if not np.all(np.isfinite(table.values) & (table.values >= 0.0)):
+    n, means, nodes = config.n, np.atleast_2d(table.values), None
+    if isinstance(xs, LatticeNodes):   # a caller's, with offsets in [0, 1)
+        nodes, first, o = xs, xs.cells, xs.offsets   # first: floor(u)
+        if xs.n != n or not 0.0 <= o.min(initial=0.0) <= o.max(
+                initial=0.0) < 1.0:
+            raise InvalidInputError("nodes of another scale, or off [0, 1)")
+        u = first + o[xs.offset]
+    elif np.ndim(xs) > 1:
+        raise InvalidInputError(f"points must be 1-D, not {np.shape(xs)}")
+    else:
+        u = n * np.asarray(xs, dtype=float).ravel()
+    if (table.n, table.domain) != (n, config.domain):
+        raise InvalidInputError("table for another scale or domain")
+    if not 0.0 <= means.min(initial=0.0) <= means.max(initial=0.0) < math.inf:
         raise InvalidInputError("mean table is not non-negative and finite")
-    if nodes is None:
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim > 1:
-            raise InvalidInputError(f"points must be 1-D, not {xs.shape}")
-    u = config.n * xs.ravel() if nodes is None else nodes.u
     a, b = config.domain or (-math.inf, math.inf)
-    if not np.all((u >= config.n * (a - 1e-9)) & (u <= config.n * (b + 1e-9))
-                  & (abs(u) < 2.0 ** 52)):
+    u_lo, u_hi = u.min(initial=math.inf), u.max(initial=-math.inf)
+    if not (u_lo >= n * (a - 1e-9) and u_hi <= n * (b + 1e-9)
+            and max(-u_lo, u_hi) < 2.0 ** 52):
         raise InvalidInputError("evaluation points must be finite and inside "
                                 "the domain, with |n x| < 2**52")
+    if nodes is None:   # u - rint(u) is exact, and floor(u) = cell - (o < 0)
+        cell = np.rint(u).astype(np.int64)
+        nodes = LatticeNodes(n, cell, np.arange(u.size), u - cell)
+        first = cell - (nodes.offsets < 0.0)
     ker, r = config.kernel, _radius(config)
     lo, hi = (table.k_lo, table.k_hi) if config.domain else (-2**62, 2**62)
     size, compact = hi - lo + 1, ker.support is not None
@@ -353,20 +358,15 @@ def evaluate_with_table_den(config: OperatorConfig, table: MeanValueTable,
     # prunes only where J_n is wider than that
     prune = not compact and size > 2 * r + 1 + _BLOCK
     width = min(2 * r, size) if compact else 2 * r + 1 if prune else size
-    first = np.clip((np.floor(u).astype(np.int64) if nodes is None else
-                     nodes.cells) - r + compact, lo, hi - width + 1)
-    means = np.atleast_2d(table.values)
+    first = np.minimum(np.maximum(first - (r - compact), lo), hi - width + 1)
+    d = first - nodes.cells
     padded = np.zeros((len(means) + 1, means.shape[1] + 2))
     padded[:-1, 1:-1], padded[-1] = means, 1.0
-    chi = core = lambda q, k: ker.evaluate(u[q] - k)
-    if nodes:   # per pair chi(o - (k - cell)); the core reads one table
-        chi = lambda q, k: ker.evaluate(nodes.offsets[nodes.offset[q]] - (
-            k - nodes.cells[q]))
-        core = nodes.chi(ker, (first - nodes.cells).min(initial=0),
-                         (first - nodes.cells).max(initial=0) + width - 1)
-    sweep = _sweep(padded, table.k_lo, core, first, width)
+    sweep = _sweep(padded, table.k_lo, nodes.chi(
+        ker, d.min(initial=0), d.max(initial=0) + width - 1, width * d.size),
+        first, d, width)
     if prune:
-        _visit_blocks(config, r, table, padded, u, chi, sweep, nodes)
+        _visit_blocks(config, r, table, padded, u, nodes, sweep)
     num, den = sweep[:-1], sweep[-1]
     den_min = float(den.min(initial=math.inf))
     # on the line this also certifies the columns never evaluated: each lies
@@ -375,8 +375,7 @@ def evaluate_with_table_den(config: OperatorConfig, table: MeanValueTable,
         raise InadmissibleKernelError(
             f"lattice supremum {den_min:.3e} at n={config.n} is too small")
     # a zero supremum is +0.0 whatever order numpy reduced in
-    values = np.maximum(num, 0.0, out=num)
-    values /= den
+    values = np.divide(np.maximum(num, 0.0, out=num), den, out=num)
     return (values if table.values.ndim == 2 else values[0]), den_min
 
 

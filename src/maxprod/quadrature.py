@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, QuadratureError
+from .errors import QuadratureError
 
 OVERFLOW_GUARD = 1e100
 PASS_SIZE = 1 << 12  # panels whose nodes are built and evaluated at a time
@@ -60,37 +60,33 @@ def composite_nodes(edges) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class LatticeNodes:
-    """Points x = u / n of the lattice 1/n, built in lattice units first:
-    u = cells + offsets[offset], with each offset in [0, 1).  A kernel value
-    chi(u - k) is then chi(offsets[i] - (k - cell)), one per distinct offset
-    and column shift however many points share them.  ``np.asarray`` gives
-    the points x."""
+    """Points x = u / n of the lattice 1/n, in lattice units first: u =
+    cells + offsets[offset], each offset in [0, 1), or in [-1/2, 1/2] from
+    the operator's rint split of points.  Then chi(u - k) = chi(offsets[i]
+    - (k - cell)), one per distinct offset and column shift however many
+    points share them.  ``np.asarray`` gives the points x."""
 
     n: int
-    cells: np.ndarray     # int64, floor(u)
+    cells: np.ndarray     # int64
     offset: np.ndarray    # per point, an index into ``offsets``
     offsets: np.ndarray
 
-    def __post_init__(self):
-        if not np.all((self.offsets >= 0.0) & (self.offsets < 1.0)):
-            raise InvalidInputError("lattice offsets must lie in [0, 1)")
-
-    @property
-    def u(self) -> np.ndarray:
-        return self.cells + self.offsets[self.offset]
-
     def __array__(self, *args, **kwargs):
-        return np.asarray(self.u / self.n, *args, **kwargs)
+        u = self.cells + self.offsets[self.offset]
+        return np.asarray(u / self.n, *args, **kwargs)
 
-    def chi(self, kernel, d_lo: int, d_hi: int):
-        """chi(rows, ks): the kernel at o - (k - cell) for the points rows
-        at the columns ks, read from one table of chi(o - d) per offset o
-        and shift d = k - cell in [d_lo, d_hi]."""
+    def chi(self, kernel, d_lo: int, d_hi: int, pairs: int):
+        """chi(rows, d): the kernel at o - d for the points rows at the
+        column shifts d = k - cell, read from one table of chi(o - d) per
+        offset o and shift in [d_lo, d_hi] if it holds fewer values than
+        the ``pairs`` it serves, else computed per pair."""
+        if self.offsets.size * (d_hi - d_lo + 1) >= pairs:
+            return lambda rows, d: kernel.evaluate(
+                self.offsets[self.offset[rows]] - d)
         table = kernel.evaluate(   # a row per offset, a column per shift
             self.offsets[:, None] - np.arange(d_lo, d_hi + 1))
         row = np.arange(self.offsets.size) * table.shape[1] - d_lo
-        return lambda rows, ks: table.take(ks + (
-            row[self.offset[rows]] - self.cells[rows]))
+        return lambda rows, d: table.take(d + row[self.offset[rows]])
 
 
 def lattice_nodes(edges, n: int) -> tuple[np.ndarray, np.ndarray,

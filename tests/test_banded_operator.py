@@ -31,6 +31,10 @@ DECAY_KERNELS = (KERNELS["fejer"], KERNELS["vallee-poussin"],
 PHASED_VP = dataclasses.replace(KERNELS["vallee-poussin"], envelope=(
     ((0.26, 0.01), (4.0 / 9.0 + 0.01, 0.01)), 2e-14))
 UNIT = (0.0, 1.0)
+# an interval that excludes 0, where a min/max check with a wrong initial
+# value would reject good points
+OFF_ZERO = (2.0, 3.0)
+OFF_ZERO_RAMP = signals.Signal("ramp-2-3", lambda x: x - 2.0, OFF_ZERO)
 INTERVAL_SIGNALS = ("constant:1", "ramp", "step", "sawtooth", "abs-sine",
                     "random")
 LINE_SIGNALS = ("hat", "square-pulse")
@@ -155,6 +159,30 @@ def one_sided_cases(draw):
 
 def _table(f, config):
     return signals.mean_values(f, config.n, config.domain)
+
+
+def _counting(config, values):
+    """``config`` with its kernel appending the size of each argument it
+    evaluates to ``values``."""
+    evaluate = config.kernel.evaluate
+    return dataclasses.replace(config, kernel=dataclasses.replace(
+        config.kernel, evaluate=lambda u: (values.append(np.size(u)),
+                                           evaluate(u))[1]))
+
+
+def _spy_tables(monkeypatch, values):
+    """Record, per ``LatticeNodes.chi`` call, the kernel values its table
+    took (0 for chi per pair) and the pairs it was to serve."""
+    built, chi = [], quadrature.LatticeNodes.chi
+
+    def spy(self, kernel, d_lo, d_hi, pairs):
+        before = sum(values)
+        out = chi(self, kernel, d_lo, d_hi, pairs)
+        built.append((sum(values) - before, pairs))
+        return out
+
+    monkeypatch.setattr(quadrature.LatticeNodes, "chi", spy)
+    return built
 
 
 class TestAgainstDense:
@@ -392,6 +420,42 @@ class TestAgainstDense:
         got, den = operators.evaluate_with_table_den(config, table, [])
         assert got.shape == (0,) and den == math.inf
 
+    @pytest.mark.parametrize("name", ["bspline:4", "fejer"])
+    @pytest.mark.parametrize("domain", [OFF_ZERO, None])
+    def test_empty_calls(self, name, domain):
+        # no point, no node, and a stack at no point: each check's min/max
+        # runs over nothing and passes
+        config = operators.operator_config(KERNELS[name], 16, domain)
+        table = _table(OFF_ZERO_RAMP if domain else signals.catalog("hat"),
+                       config)
+        stack = signals.MeanValueTable.stack([table, table])
+        nodes = quadrature.LatticeNodes(16, np.zeros(0, dtype=np.int64),
+                                        np.zeros(0, dtype=np.uint8),
+                                        np.array([0.25, 0.75]))
+        for t, xs, shape in ((table, [], (0,)), (table, nodes, (0,)),
+                             (stack, np.zeros(0), (2, 0))):
+            got, den = operators.evaluate_with_table_den(config, t, xs)
+            assert got.shape == shape and den == math.inf
+
+    @pytest.mark.parametrize("name", ["bspline:4", "fejer", "vallee-poussin"])
+    @pytest.mark.parametrize("domain", [OFF_ZERO, (-3.0, -2.0)])
+    def test_interval_off_zero(self, name, domain):
+        # the domain check's min/max over an interval that excludes 0: its
+        # ends and points within the 1e-9 slack pass and equal the oracle,
+        # and 0 or points past the slack are rejected
+        a, b = domain
+        config = operators.operator_config(KERNELS[name], 16, domain)
+        table = _table(signals.Signal("v", lambda x: np.abs(x) - 1.0, domain),
+                       config)
+        xs = np.concatenate([[b, a, a - 5e-10, b + 5e-10],
+                             np.linspace(a, b, 101)])
+        got, got_den = operators.evaluate_with_table_den(config, table, xs)
+        want, want_den = dense_evaluate(config, table, xs)
+        assert _bits(got) == _bits(want) and got_den == want_den
+        for bad in (a - 1e-6, b + 1e-6, 0.0, math.nan):
+            with pytest.raises(InvalidInputError, match="inside"):
+                operators.evaluate_with_table_den(config, table, [a, bad, b])
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("domain", [(0.0, 1.0), None])
     def test_non_finite_points_rejected(self, bad, domain):
@@ -506,13 +570,15 @@ class TestLatticeNodes:
     @pytest.mark.parametrize("line", [False, True])
     def test_block_table_bitwise_equal_to_per_pair(self, name, line,
                                                    monkeypatch):
-        # all nodes in one call read the block stage's chi from one table
-        # of 32 offsets by D shifts, 32 D <= 16 rows; one cell's 32 nodes per
-        # call are too few rows for it once D > 16, so they compute
+        # all nodes in one call read the core's and the block stage's chi
+        # from two tables of 32 offsets by D shifts, each under the pairs it
+        # serves (32 D < 16 rows in the blocks); one cell's 32 nodes per
+        # call are too few rows for any table, so they compute
         # chi(o - (k - cell)) per pair.  Sparse means leave the rows between
         # nonzero cells to the block stage
-        n, domain = 64, None if line else UNIT
-        config = operators.operator_config(KERNELS[name], n, domain)
+        n, domain, values = 64, None if line else UNIT, []
+        config = _counting(operators.operator_config(KERNELS[name], n,
+                                                     domain), values)
         base = _table(signals.catalog("hat" if line else "ramp"), config)
         rng = np.random.default_rng(7)
         tables = [dataclasses.replace(base, values=rng.random(
@@ -521,13 +587,14 @@ class TestLatticeNodes:
         tables[1] = signals.MeanValueTable.stack(tables)
         _, _, _, nodes = quadrature.lattice_nodes(
             _half_cells(n, *((-2.0, 2.0) if line else UNIT)), n)
-        built, chi = [], quadrature.LatticeNodes.chi
-        monkeypatch.setattr(quadrature.LatticeNodes, "chi", lambda self, *a: (
-            built.append(self.cells.size), chi(self, *a))[1])
+        built = _spy_tables(monkeypatch, values)
         whole = [operators.evaluate_with_table_den(config, table, nodes)[0]
                  for table in tables]
-        assert built == [nodes.cells.size] * 4   # a core and a block table
+        made = [(v, pairs) for v, pairs in built if v]
+        assert len(made) == 4   # a core and a block table per call
+        assert all(v < pairs for v, pairs in made)
         built.clear()
+        values.clear()
         cells = np.unique(nodes.cells)
         for c in cells:
             at = nodes.cells == c
@@ -536,12 +603,15 @@ class TestLatticeNodes:
             for table, want in zip(tables, whole):
                 got, _ = operators.evaluate_with_table_den(config, table, one)
                 assert _bits(got) == _bits(want[..., at])
-        assert built == [32] * (2 * cells.size)   # the core table only
+        assert not any(v for v, _ in built)   # every kernel value per pair
+        assert sum(values) > 32 * 2 * cells.size * operators._radius(config)
 
     @pytest.mark.parametrize("name, f, scales, most", [
-        # 2,160,713 with the blocks' chi computed per pair
+        # 149,010; 1,407,650 with the blocks' chi computed per pair, and
+        # 1,413,506 with each quadrature slice's nodes in one call, whose
+        # unique offsets tip every block table to per pair
         ("vallee-poussin", "square-pulse", (64, 128, 256), 1_000_000),
-        # per pair, 885,641: a block table sized before the line hulls
+        # per pair, 558,118: a block table sized before the line hulls
         # settle their rows would hold far more values than it saves
         ("fejer", "hat", (2048,), 885_641)])
     def test_kernel_values_of_line_studies(self, name, f, scales, most):
@@ -572,6 +642,53 @@ class TestLatticeNodes:
         assert np.array_equal(nodes.cells, np.floor(n * x[on]))
 
 
+class TestPointsAsNodes:
+    """Points enter the operator as lattice nodes, cell rint(n x) plus
+    offset n x - cell, a split without rounding."""
+
+    @pytest.mark.parametrize("name, n, stack", [
+        ("fejer", 16, False), ("bspline:5", 7, False), ("fejer", 16, True)])
+    def test_points_left_of_zero_bitwise_equal_to_dense(self, name, n,
+                                                         stack):
+        # for u = n x in (-1/2, 0), u - floor(u) rounds (u = -0.1 gives
+        # -0.09999999999999998), and chi(o - (k - cell)) would then move
+        # dozens of these values off chi(u - k); rint(u) = 0 leaves o = u
+        config = operators.operator_config(KERNELS[name], n, None)
+        tables = [_table(signals.catalog(f), config)
+                  for f in ("hat", "square-pulse")[:1 + stack]]
+        xs = -np.random.default_rng(3).uniform(0.0, 0.5 / n, 4000)
+        got, got_den = operators.evaluate_with_table_den(
+            config, signals.MeanValueTable.stack(tables) if stack
+            else tables[0], xs)
+        for row, table in zip(np.atleast_2d(got), tables):
+            want, want_den = dense_evaluate(config, table, xs)
+            assert _bits(row) == _bits(want) and got_den == want_den
+
+    @pytest.mark.parametrize("name, domain, n", [
+        ("bspline:4", UNIT, 64),         # the 2r-column window
+        ("fejer", UNIT, 16),             # all of J_n in one pass
+        ("vallee-poussin", None, 64)])   # the core and the block search
+    def test_points_evaluate_their_swept_pairs(self, name, domain, n,
+                                               monkeypatch):
+        # each point has its own offset, so a table of chi(o - d) would
+        # hold no fewer values than the pairs it serves: every kernel value
+        # is one of the swept pairs, and no table is built
+        values, swept = [], []
+        config = _counting(operators.operator_config(KERNELS[name], n,
+                                                     domain), values)
+        f = signals.catalog("hat" if domain is None else "abs-sine")
+        table = signals.MeanValueTable.stack([_table(f, config)] * 2)
+        built, sweep = _spy_tables(monkeypatch, values), operators._sweep
+        monkeypatch.setattr(operators, "_sweep", lambda *args: (
+            swept.append(args[3].size * args[-1]), sweep(*args))[1])
+        lo, hi = domain or (-3.0, 3.0)
+        xs = np.random.default_rng(5).uniform(lo, hi, 500)
+        operators.evaluate_with_table_den(config, table, xs)
+        assert len(swept) > (domain is None)   # the blocks sweep too
+        assert sum(values) == sum(swept)
+        assert built and not any(v for v, _ in built)
+
+
 @st.composite
 def bad_calls(draw):
     """An operator call with one defect: a point off the domain or past
@@ -579,15 +696,17 @@ def bad_calls(draw):
     or offsets off [0, 1), a mean table of another scale or domain, a
     signal with negative or non-finite means, a scale below one or not an
     integer (to a config, a mean table or a convergence run), or a
-    degenerate domain."""
+    degenerate domain; on [0, 1], on an interval that excludes 0 or on the
+    line, with up to eight good points, or none."""
     kernel = KERNELS[draw(st.sampled_from(sorted(KERNELS)))]
     n, line = draw(st.integers(1, 64)), draw(st.booleans())
-    domain, f = (None, signals.catalog("hat")) if line else (
-        (0.0, 1.0), signals.catalog("ramp"))
+    domain, f = (None, signals.catalog("hat")) if line else draw(
+        st.sampled_from([((0.0, 1.0), signals.catalog("ramp")),
+                         (OFF_ZERO, OFF_ZERO_RAMP)]))
     config = operators.operator_config(kernel, n, domain)
     table = _table(f, config)
     lo, hi = (-3.0, 3.0) if line else domain
-    xs = draw(st.lists(st.floats(lo, hi), min_size=1, max_size=8))
+    xs = draw(st.lists(st.floats(lo, hi), max_size=8))
     cells = np.floor(n * np.array(xs)).astype(np.int64)
     offset, offsets = np.zeros(len(xs), dtype=np.uint8), np.array([0.5])
     defect = draw(st.sampled_from(["point", "shape", "scale of nodes",
@@ -598,8 +717,8 @@ def bad_calls(draw):
         bad = draw(st.one_of(
             st.sampled_from([math.nan, math.inf, -math.inf, far, -far]),
             st.floats(far, 1e300), st.floats(-1e300, -far),
-            *([] if line else [st.floats(1.0 + 1e-6, 1e6),
-                               st.floats(-1e6, -1e-6)])))
+            *([] if line else [st.floats(hi + 1e-6, 1e6),
+                               st.floats(-1e6, lo - 1e-6)])))
         xs.insert(draw(st.integers(0, len(xs))), bad)
         return lambda: operators.evaluate_with_table_den(config, table, xs)
     if defect == "shape":
@@ -625,7 +744,7 @@ def bad_calls(draw):
     if defect == "signal":
         value = draw(st.sampled_from([-1.0, math.nan, math.inf]))
         bad_f = dataclasses.replace(f, name="bad", evaluate=lambda x: np.where(
-            np.abs(x - 0.5) < 0.25, value, 1.0))
+            np.abs(x - 0.5 - (lo if domain else 0.0)) < 0.25, value, 1.0))
         return lambda: operators.maxprod_kantorovich_grid(config, bad_f, xs)
     if defect == "scale":
         n_bad = draw(st.one_of(
