@@ -109,7 +109,7 @@ class CampaignResult:
 
     def __post_init__(self):
         if self.trials < 0:
-            raise ValueError("trials must be >= 0")
+            raise InvalidInputError("trials must be >= 0")
 
     @property
     def passed(self) -> bool:

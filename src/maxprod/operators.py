@@ -10,9 +10,11 @@ elements, reading chi from a table of chi(o - d), d = k - cell, where it
 holds fewer values than the pairs it serves, else per pair.  A compact
 kernel's window is its support's 2r columns.  A decay kernel takes all of
 J_n when |J_n| <= 2r + 1 + ``_BLOCK``, else a core of 2r + 1 columns,
-C r**-alpha <= a_chi / 4, then the blocks its lattice envelope cannot rule
-out: the kernel's phase-aware envelope at u, times a run of blocks' max mean
-per class of k, times max(d, r)**-alpha bounds the run's terms d away.
+C r**-alpha <= a_chi / 4, then what its lattice envelope cannot rule out.
+A row past all of a table's nonzero cells tries the table's edge block, then
+line hulls; the rest search blocks, where the kernel's phase-aware envelope
+at u, times a run of blocks' max mean per class of k, times
+max(d, r)**-alpha bounds the run's terms d away.
 Skipped columns cannot win and max is exact, so each row of a stack of
 tables (``MeanValueTable.stack``) is bitwise its table's dense evaluation.
 """
@@ -137,21 +139,27 @@ def _settle_one_sided(config: OperatorConfig, r: int, table: MeanValueTable,
                       padded: np.ndarray, u: np.ndarray, nodes: LatticeNodes,
                       sweep: np.ndarray, need: np.ndarray) -> None:
     """Clear ``need`` for the rows past all the nonzero cells of their table,
-    more than r columns off, that two layers of line hulls settle.
+    more than r columns off, that its edge block or two layers of line hulls
+    settle.
 
-    From the table's nonzero edge e on u's side, a = +-(k - e) <= 0 and
-    v = +-(u - e) > r, a cell's bound E(u) m_k |u - k|**-alpha <= T reads
-    a + m_k**(1/alpha) c <= v, c = (E(u) / T)**(1/alpha): one line in c per
-    cell of each envelope group.  The head, the line on top where the group's
-    envelope meets v, is its cell of the largest bound and is swept; with T
-    the numerator then, the row settles when every other line stays below v
-    at c, less 2**-40 (v + the nonzero span).  Where the far field is flat
-    the head's neighbours tie with it within the margin, so a row that
-    settles without _TIES hull neighbours on either side sweeps them too.
+    From the table's nonzero edge e on u's side, v = +-(u - e) > r.  All
+    columns but the _BLOCK nearest e lie v + _BLOCK or more from u, so a row
+    that sweeps those settles once its numerator reaches top C(u)
+    (v + _BLOCK)**-alpha, with top their largest mean and C(u) the largest
+    positive-part envelope row; only rows within reach of that bound try.
+    If the envelope has a phase (else the hull cells would mostly fall short
+    of it), the rest try the hulls: with a = +-(k - e) <= 0, a cell's bound
+    E(u) m_k |u - k|**-alpha <= T reads a + m_k**(1/alpha) c <= v,
+    c = (E(u) / T)**(1/alpha): one line in c per cell of each envelope group.
+    The head, the line on top where the group's envelope meets v, is its cell
+    of the largest bound and is swept; with T the numerator then, the row
+    settles when every other line stays below v at c, less 2**-40 (v + the
+    nonzero span).  Where the far field is flat the head's neighbours tie
+    with it within the margin, so a row that settles without _TIES hull
+    neighbours on either side sweeps them too.
     """
     ker, k_lo = config.kernel, table.k_lo
-    if not any(b for _, b in ker.envelope[0]):
-        return   # loose: the swept cells would mostly fall short of it
+    loose = not any(b for _, b in ker.envelope[0])
     alpha, groups = ker.decay_order, len(ker.envelope[0]) - 1
     cls = np.arange(k_lo, table.k_hi + 1) % groups
     k_max = max(-k_lo, table.k_hi)
@@ -162,7 +170,24 @@ def _settle_one_sided(config: OperatorConfig, r: int, table: MeanValueTable,
             e, span = k_lo + edge, nz[-1] - nz[0]
             rows = np.flatnonzero(need[t] & ((u > e + r) if sign > 0
                                              else (u < e - r)))
-            if not rows.size:
+            lo, hi = (max(edge + 1 - _BLOCK, 0), edge + 1) if sign > 0 \
+                else (edge, min(edge + _BLOCK, row.size))   # the edge block
+            top = max(row[:lo].max(initial=0.0), row[hi:].max(initial=0.0))
+            # reach: near_max v**-alpha >= top (v + _BLOCK)**-alpha
+            q = rows[((top / row[lo:hi].max()) ** (1.0 / alpha) - 1.0) * sign
+                     * (u[rows] - e) <= _BLOCK]
+            if q.size:
+                x, at = nodes.cells[q], np.full(q.size, k_lo + lo)
+                chi = nodes.chi(ker, at[0] - x.max(), at[0] + hi - lo - 1
+                                - x.min(), q.size * (hi - lo))
+                sweep[t, q] = num = np.maximum(sweep[t, q], _sweep(
+                    padded[t:t + 1], k_lo, lambda i, d: chi(q[i], d), at,
+                    at - x, hi - lo)[0])
+                bound = top * _MARGIN * lattice_envelope(ker, u[q], k_max)
+                need[t, q] = (num <= 0.0) | (num < bound[:-1].max(0) / (
+                    sign * (u[q] - e) + _BLOCK) ** alpha)
+                rows = rows[need[t, rows]]
+            if loose or not rows.size:
                 continue
             cells, hulls = nz[::-sign], []   # by distance from the edge
             for g in range(groups):
@@ -181,30 +206,29 @@ def _settle_one_sided(config: OperatorConfig, r: int, table: MeanValueTable,
                 sweep[t, q] = np.maximum(sweep[t, q], (chi * ms).max(0))
                 return sweep[t, q]
 
-            def fit(i, width):
-                """Whether chunk rows i settle once the cells within
-                ``width`` of each head are swept.  Along a hull the lines at
-                c rise to a top and fall after it, so a line that tops both
-                its neighbours tops its hull, and where the first hull's top
-                lies in the window the lines next to the window top the rest
-                of it.  The cuts, which rounding may misplace, only pick
-                which lines to test."""
-                ok = num[i] > 0.0
+            def fit():
+                """Whether the chunk's rows settle once the cells within
+                _TIES, and within 0, of each head are swept.  Along a hull
+                the lines at c rise to a top and fall after it, so a line
+                that tops both its neighbours tops its hull, and where the
+                first hull's top lies in the window the lines next to the
+                window top the rest of it.  The cuts, which rounding may
+                misplace, only pick which lines to test."""
+                ok = [num > 0.0] * 2
                 for (_, (_, a1, w1, cut1, _), (_, a2, w2, cut2, _), _, _), j, \
-                        cg in zip(hulls, heads[:, i], c[:, i]):
+                        cg in zip(hulls, heads, c):
                     at, k = (_TIES + 2 + np.searchsorted(cut, cg)
                              for cut in (cut1, cut2))
                     with np.errstate(invalid="ignore"):   # 0 * inf at T = 0
-                        l1, t1, r1, out_l, out_r = (
-                            a1[p] + w1[p] * cg for p in (at - 1, at, at + 1,
-                                                         j - width - 1,
-                                                         j + width + 1))
+                        l1, t1, r1, *out = (a1[p] + w1[p] * cg for p in (
+                            at - 1, at, at + 1, j - _TIES - 1, j + _TIES + 1,
+                            j - 1, j + 1))
                         l2, t2, r2 = (a2[p] + w2[p] * cg
                                       for p in (k - 1, k, k + 1))
-                    rest = np.where(abs(at - j) <= width,
-                                    np.maximum(out_l, out_r), t1)
-                    ok &= (l1 <= t1) & (r1 <= t1) & (l2 <= t2) & (r2 <= t2) & (
-                        np.maximum(rest, t2) <= lim[i])
+                    ok = [o & (l1 <= t1) & (r1 <= t1) & (l2 <= t2) & (
+                        r2 <= t2) & (t2 <= lim) & (np.where(abs(at - j) <= w,
+                        np.maximum(*out[i:i + 2]), t1) <= lim)
+                        for o, w, i in zip(ok, (_TIES, 0), (0, 2))]
                 return ok
 
             step = _BUDGET // len(hulls)
@@ -219,8 +243,8 @@ def _settle_one_sided(config: OperatorConfig, r: int, table: MeanValueTable,
                 with np.errstate(all="ignore"):   # where T = 0 it fails
                     c = (np.maximum(env, 0.0) / num) ** (1.0 / alpha)
                 lim = v - 2.0 ** -40 * (v + span)
-                ok = np.flatnonzero(fit(slice(None), _TIES))
-                wide = ok[~fit(ok, 0)]
+                ok, snug = fit()
+                wide = np.flatnonzero(ok & ~snug)
                 for d in range(-_TIES, _TIES + 1) if wide.size else ():
                     swept(q[wide], heads[:, wide] + d)
                 need[t, q[ok]] = False

@@ -23,7 +23,8 @@ from typing import Callable
 import numpy as np
 
 from . import quadrature
-from .errors import MaxprodError, QuadratureError, UnknownNameError
+from .errors import (InvalidInputError, MaxprodError, QuadratureError,
+                     UnknownNameError)
 from .signals import Signal
 
 
@@ -41,7 +42,7 @@ class PhiFunction:
 def power_phi(p: float) -> PhiFunction:
     """phi(u) = u**p for finite p >= 1 (the L^p modular)."""
     if not 1 <= p < math.inf:
-        raise ValueError(f"power exponent must be finite and >= 1, not {p}")
+        raise InvalidInputError(f"power exponent must be finite and >= 1, not {p}")
     p = float(p)
     return PhiFunction(f"power:{p:g}", lambda u: np.asarray(u, float) ** p,
                        convex=True, delta2=True)
@@ -50,9 +51,9 @@ def power_phi(p: float) -> PhiFunction:
 def zygmund_phi(alpha: float, beta: float) -> PhiFunction:
     """phi(u) = u**alpha * log(u + e)**beta for finite alpha >= 1, beta > 0."""
     if not 1 <= alpha < math.inf:
-        raise ValueError(f"alpha must be finite and >= 1, not {alpha}")
+        raise InvalidInputError(f"alpha must be finite and >= 1, not {alpha}")
     if not 0 < beta < math.inf:
-        raise ValueError(f"beta must be finite and positive, not {beta}")
+        raise InvalidInputError(f"beta must be finite and positive, not {beta}")
     alpha, beta = float(alpha), float(beta)
 
     def evaluate(u):
@@ -71,7 +72,7 @@ def exponential_phi(gamma: float) -> PhiFunction:
     convexity-dependent checks skip such instances.
     """
     if not 0 < gamma < math.inf:
-        raise ValueError(f"gamma must be finite and positive, not {gamma}")
+        raise InvalidInputError(f"gamma must be finite and positive, not {gamma}")
     gamma = float(gamma)
     return PhiFunction(f"exponential:{gamma:g}",
                        lambda u: np.expm1(np.asarray(u, float) ** gamma),
@@ -105,8 +106,8 @@ def _sampled(phi: PhiFunction, f: Signal, window: tuple[float, float],
     unmarked jump adds one panel per round; the added panels are capped.
     """
     a, b = float(window[0]), float(window[1])
-    if not a < b:
-        raise ValueError("window must be a nondegenerate interval")
+    if not -math.inf < a < b < math.inf:
+        raise InvalidInputError("window must be finite and nondegenerate")
     edges = np.asarray([a, *(t for t in f.split_points() if a < t < b), b])
     budget = edges.size + quadrature._MAX_PANELS
     for _ in range(quadrature._MAX_ROUNDS):
@@ -219,9 +220,9 @@ def maxphi_inequality_check(phi: PhiFunction, values) -> tuple[bool, bool]:
     """
     a = np.asarray(values, dtype=float)
     if a.size == 0:
-        raise ValueError("need at least one value")
-    if np.any(a < 0):
-        raise ValueError("values must be non-negative")
+        raise InvalidInputError("need at least one value")
+    if not np.all(a >= 0):   # nan too
+        raise InvalidInputError("values must be non-negative")
     with np.errstate(over="ignore"):
         lhs = float(phi.evaluate(np.array([a.max()]))[0])
         doubled = float(np.max(phi.evaluate(2.0 * a)))

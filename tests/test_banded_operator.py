@@ -570,10 +570,10 @@ class TestLatticeNodes:
     @pytest.mark.parametrize("line", [False, True])
     def test_block_table_bitwise_equal_to_per_pair(self, name, line,
                                                    monkeypatch):
-        # all nodes in one call read the core's and the block stage's chi
-        # from two tables of 32 offsets by D shifts, each under the pairs it
-        # serves (32 D < 16 rows in the blocks); one cell's 32 nodes per
-        # call are too few rows for any table, so they compute
+        # all nodes in one call read the core's, the edge blocks' and the
+        # block stage's chi from tables of 32 offsets by D shifts, each under
+        # the pairs it serves (32 D < 16 rows in the blocks); one cell's 32
+        # nodes per call are too few rows for any table, so they compute
         # chi(o - (k - cell)) per pair.  Sparse means leave the rows between
         # nonzero cells to the block stage
         n, domain, values = 64, None if line else UNIT, []
@@ -591,7 +591,10 @@ class TestLatticeNodes:
         whole = [operators.evaluate_with_table_den(config, table, nodes)[0]
                  for table in tables]
         made = [(v, pairs) for v, pairs in built if v]
-        assert len(made) == 4   # a core and a block table per call
+        # a core and a block table per call, and an edge block's per table
+        # side with rows past its nonzero cells: both sides of each line
+        # table, and on [0, 1] the right side of the stack's second table
+        assert len(made) == (10 if line else 5)
         assert all(v < pairs for v, pairs in made)
         built.clear()
         values.clear()
@@ -607,9 +610,10 @@ class TestLatticeNodes:
         assert sum(values) > 32 * 2 * cells.size * operators._radius(config)
 
     @pytest.mark.parametrize("name, f, scales, most", [
-        # 149,010; 1,407,650 with the blocks' chi computed per pair, and
-        # 1,413,506 with each quadrature slice's nodes in one call, whose
-        # unique offsets tip every block table to per pair
+        # 136,498, the same with the blocks' chi computed per pair, since
+        # the edge block leaves them few rows (149,010 and 1,407,650 before
+        # it); 1,487,378 with each quadrature slice's nodes in one call,
+        # whose unique offsets tip every table to per pair
         ("vallee-poussin", "square-pulse", (64, 128, 256), 1_000_000),
         # per pair, 558,118: a block table sized before the line hulls
         # settle their rows would hold far more values than it saves
@@ -640,6 +644,126 @@ class TestLatticeNodes:
         assert np.max(np.abs(x - xc)) <= 4 * np.spacing(1.0)
         assert _bits(x[on]) == _bits(np.asarray(nodes))
         assert np.array_equal(nodes.cells, np.floor(n * x[on]))
+
+    @pytest.mark.parametrize("name, f, most", [
+        # 32,686 before the edge block: vallee-poussin's loose envelope
+        # has no hulls, so every row it left went to the block search
+        ("vallee-poussin", "square-pulse", 1_000),
+        ("fejer", "hat", 1_892)])
+    def test_one_sided_rows_left_for_the_block_search(self, monkeypatch,
+                                                      name, f, most):
+        # a line study's half-cell nodes at n = 256, over the signal's
+        # support +-2, 80% of them past it; rows counted per table
+        n, signal = 256, signals.catalog(f)
+        config = operators.operator_config(KERNELS[name], n, None)
+        _, _, _, nodes = quadrature.lattice_nodes(_half_cells(
+            n, signal.support[0] - 2.0, signal.support[1] + 2.0), n)
+        left, settle = [], operators._settle_one_sided
+
+        def spy(*args):
+            settle(*args)
+            left.append(int(args[-1][:-1].sum()))   # need, after settling
+
+        monkeypatch.setattr(operators, "_settle_one_sided", spy)
+        operators.evaluate_with_table_den(config, _table(signal, config),
+                                          nodes)
+        assert len(left) == 1 and left[0] <= most
+
+    @staticmethod
+    def _per_cell(monkeypatch, config, tables, nodes):
+        """Assert that the stack's values at the whole record are each
+        cell's own call's to the bit, which reads chi per pair, and within
+        1e-12 of the oracle's; and that on an interval no call reads a
+        column off the tables.  Returns the values."""
+        table = signals.MeanValueTable.stack(tables)
+        built, reads, chi = [], [], quadrature.LatticeNodes.chi
+
+        def spy(self, kernel, d_lo, d_hi, pairs):
+            built.append(self.offsets.size * (d_hi - d_lo + 1) < pairs)
+            read = chi(self, kernel, d_lo, d_hi, pairs)
+
+            def columns(rows, d):
+                k = self.cells[rows] + d
+                reads.append((k.min(initial=table.k_lo),
+                              k.max(initial=table.k_hi)))
+                return read(rows, d)
+            return columns
+
+        monkeypatch.setattr(quadrature.LatticeNodes, "chi", spy)
+        whole, _ = operators.evaluate_with_table_den(config, table, nodes)
+        built.clear()
+        for c in np.unique(nodes.cells):
+            at = nodes.cells == c
+            one = quadrature.LatticeNodes(config.n, nodes.cells[at],
+                                          nodes.offset[at], nodes.offsets)
+            got, _ = operators.evaluate_with_table_den(config, table, one)
+            assert _bits(got) == _bits(whole[..., at])
+        assert not any(built)
+        if config.domain:
+            assert min(lo for lo, _ in reads) >= table.k_lo
+            assert max(hi for _, hi in reads) <= table.k_hi
+        for row, one in zip(whole, tables):
+            want, _ = dense_evaluate(config, one, np.asarray(nodes))
+            assert np.max(np.abs(row - want)) <= 1e-12
+        return whole
+
+    @pytest.mark.parametrize("kernel", [DECAY_KERNELS[2], PHASED_VP,
+                                        KERNELS["fejer"]],
+                             ids=["loose-vp", "phased-vp", "fejer"])
+    @pytest.mark.parametrize("means", ["flat", "ramp", "random"])
+    @pytest.mark.parametrize("domain, k_lo, cells, lead, trail", [
+        (None, -20, 60, 6, 9),   # 45 nonzero cells
+        (None, 3, 40, 30, 5),    # 5, fewer than _BLOCK
+        (UNIT, 0, 64, 4, 50)])   # ends inside J_n, one 4 cells from its end
+    def test_one_sided_nodes_bitwise_equal_to_per_pair(
+            self, monkeypatch, kernel, means, domain, k_lo, cells, lead,
+            trail):
+        # half-cell nodes past a table's nonzero cells settle at its edge
+        # block, at its hulls or in the block search, whose chi comes from
+        # tables when all the nodes come in one call; on [0, 1] the edge
+        # block stops at J_n's end
+        n, t = 64, np.linspace(0.0, 1.0, cells)
+        values = {"flat": np.ones(cells), "ramp": 0.01 + t ** 1.5,
+                  "random": np.random.default_rng(5).uniform(
+                      0.01, 2.0, cells)}[means]
+        values[:lead], values[cells - trail:] = 0.0, 0.0
+        table = signals.MeanValueTable(n=n, k_lo=k_lo, k_hi=k_lo + cells - 1,
+                                       values=values, domain=domain)
+        first, last = k_lo + lead, k_lo + cells - trail   # nonzero cells
+        lo, hi = (0, n) if domain else (first - 48, last + 48)
+        _, _, _, nodes = quadrature.lattice_nodes(
+            np.arange(2 * lo, 2 * hi + 1) / (2.0 * n), n)
+        past = (nodes.cells < first) | (nodes.cells >= last)
+        self._per_cell(monkeypatch, operators.operator_config(
+            kernel, n, domain), [table], quadrature.LatticeNodes(
+                n, nodes.cells[past], nodes.offset[past], nodes.offsets))
+
+    def test_stack_settles_at_the_edge_table_by_table(self, monkeypatch):
+        # loose vallee-poussin, nodes past both tables' cells: the flat
+        # table's rows settle at its edge block, while the spike's far mean
+        # puts every row of the other out of its block's reach, and with no
+        # hulls they all take the block search
+        n, kernel = 64, DECAY_KERNELS[2]
+        config = operators.operator_config(kernel, n, None)
+        flat = signals.MeanValueTable(n=n, k_lo=0, k_hi=39,
+                                      values=np.ones(40), domain=None)
+        spike = dataclasses.replace(flat, values=np.r_[1.0, [1e-3] * 39])
+        _, _, _, nodes = quadrature.lattice_nodes(
+            np.arange(96, 225) / (2.0 * n), n)   # cells 48 to 111
+        left, settle = [], operators._settle_one_sided
+
+        def spy(*args):
+            settle(*args)
+            left.append(args[-1][:-1].sum(1))   # need, after settling
+
+        monkeypatch.setattr(operators, "_settle_one_sided", spy)
+        whole = self._per_cell(monkeypatch, config, [flat, spike], nodes)
+        assert left[0][0] < nodes.cells.size // 10
+        assert left[0][1] == nodes.cells.size
+        for row, table in zip(whole, (flat, spike)):
+            single, _ = operators.evaluate_with_table_den(config, table,
+                                                          nodes)
+            assert _bits(row) == _bits(single)
 
 
 class TestPointsAsNodes:

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import catalog_names
 from maxprod import analysis, operators, orlicz, quadrature, signals
-from maxprod.errors import MaxprodError, QuadratureError, UnknownNameError
+from maxprod.errors import (InvalidInputError, MaxprodError, QuadratureError,
+                           UnknownNameError)
 
 SHIPPED = [orlicz.power_phi(1), orlicz.power_phi(2), orlicz.zygmund_phi(1, 1),
            orlicz.zygmund_phi(2, 1.5), orlicz.exponential_phi(1),
@@ -425,3 +426,47 @@ class TestSampledPath:
             evaluate=lambda x: np.sin(1e9 * np.asarray(x)) ** 2)
         with pytest.raises(QuadratureError):
             orlicz.modular(orlicz.power_phi(1), noise, (0.0, 1.0))
+
+
+def _not_above(bound):
+    """Floats at or below ``bound``, and the non-finite ones."""
+    return st.floats(max_value=bound) | st.sampled_from(
+        [math.inf, math.nan])
+
+
+_RAMP, _P2 = signals.catalog("ramp"), orlicz.power_phi(2.0)
+_BAD_CALLS = st.one_of(
+    st.tuples(st.just(orlicz.power_phi),
+              _not_above(1.0).filter(lambda p: p != 1.0)),
+    st.tuples(st.just(orlicz.zygmund_phi),
+              _not_above(1.0).filter(lambda a: a != 1.0), st.just(1.0)),
+    st.tuples(st.just(orlicz.zygmund_phi), st.just(2.0), _not_above(0.0)),
+    st.tuples(st.just(orlicz.exponential_phi), _not_above(0.0)),
+    st.tuples(st.sampled_from([orlicz.modular, orlicz.luxemburg_norm]),
+              st.just(_P2), st.just(_RAMP), st.floats(0.0, 1.0).flatmap(
+                  lambda a: st.tuples(st.just(a), _not_above(a)) | st.tuples(
+                      st.sampled_from([-math.inf, math.nan]), st.just(a)))),
+    st.tuples(st.just(orlicz.maxphi_inequality_check), st.just(_P2),
+              st.just([]) | st.tuples(st.lists(st.floats(0.0, 10.0)),
+                                      st.sampled_from([-1e-300, math.nan]))
+              .flatmap(lambda vb: st.permutations([*vb[0], vb[1]]))),
+    st.tuples(st.just(analysis.CampaignResult), st.just("family"),
+              st.integers(max_value=-1), st.just(0), st.just(0.0)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_BAD_CALLS)
+def test_bad_arguments_raise_typed_errors(call):
+    # each rejection is an InvalidInputError: a MaxprodError, so the CLI
+    # maps it to an exit code, and a ValueError, so phi_by_name still turns
+    # a bad parameter into an UnknownNameError.  A window with an infinite
+    # end is rejected too: its Gauss nodes would be nan, read as divergence;
+    # so is a nan value, which would read as a failed max/convexity check
+    fn, *args = call
+    with pytest.raises(MaxprodError) as caught:
+        fn(*args)
+    assert isinstance(caught.value, InvalidInputError)
+    if fn in (orlicz.power_phi, orlicz.exponential_phi):
+        name = "power" if fn is orlicz.power_phi else "exponential"
+        with pytest.raises(UnknownNameError):
+            orlicz.phi_by_name(f"{name}:{args[0]!r}")
